@@ -6,11 +6,14 @@ After whitening with S = H^{-1/2} the correction factor is
     g(t) = -phi(tau + i S t) + phi(tau) + i <S t, a>,
 
 with g(t) ~ ||t||^2 / 2 near the origin, so the integrand is a perturbed
-standard Gaussian at scale 1/sqrt(n).  The integral is evaluated on a tensor
-product of 1-d panels of width sqrt(d/n); the box is extended until the
-Gaussian envelope at its inscribed sphere is below 1e-16, and every result is
-validated by a second pass at a finer rule.  Only d <= 3 is supported; the
-tensor grid is the honest price of a quadrature oracle.
+standard Gaussian at scale 1/sqrt(n).  For the mixture, M1 = S sigma S
+equals I - sech^2(alpha) v2 v2' with v2 = S mu, and the integrand sees t only
+through t' M1 t and beta = <v2, t>; the directions orthogonal to v2 are an
+exact standard Gaussian and integrate to one, which leaves a 1-d integral
+along v2 at any d.  A generic CgfModel is integrated on a tensor product of
+1-d panels of width sqrt(d/n), for d <= 3 only.  Either way the box is
+extended until the Gaussian envelope on its faces is below 1e-16, and every
+result is validated by a second pass at a finer rule.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _core
 from .errors import (
     AssumptionViolationError,
     ConfigError,
@@ -28,9 +30,9 @@ from .errors import (
     PhaseBranchError,
     QuadratureError,
 )
-from .model import CgfModel, GaussianMixture, sech
+from .model import CgfModel, GaussianMixture, cosh_factor, sech
 from .saddle import SaddlePoint, whitened_hessian_factors
-from .spa import tail_bound_terms
+from .spa import check_sample_size, tail_bound_terms
 
 _SURFACE_FLOOR = 1e-16
 _PANEL_CAP = 200
@@ -58,6 +60,14 @@ class QuadSpec:
 
 @dataclass(frozen=True)
 class CorrectionResult:
+    """Quadrature value of I(a) with the evidence behind it.
+
+    nodes_used counts integrand evaluations over both passes: 1-d nodes along
+    v2 for a GaussianMixture, tensor-grid nodes for a generic model.
+    panels_per_axis counts the panels along v2 for a mixture, along each grid
+    axis for a generic model.
+    """
+
     i_value: complex
     abs_err_from_one: float
     tail_estimate: float
@@ -107,7 +117,8 @@ def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
 
 
 def _tensor_sum(axes, fill):
-    """Sum of fill(nodes, weights) over the tensor grid, chunked on axis 0."""
+    """Sum over the tensor grid of fill(nodes, weights), the weighted
+    integrand summed over one chunk of rows along axis 0."""
     d = len(axes)
     xs = [ax[0] for ax in axes]
     ws = [ax[1] for ax in axes]
@@ -117,7 +128,6 @@ def _tensor_sum(axes, fill):
     for x in xs[1:]:
         rest *= len(x)
     rows = max(1, _CHUNK_ROWS // rest)
-    out_buf = None
     for start in range(0, len(xs[0]), rows):
         xc = xs[0][start:start + rows]
         wc = ws[0][start:start + rows]
@@ -132,11 +142,7 @@ def _tensor_sum(axes, fill):
                 np.meshgrid(xc, xs[1], xs[2], indexing="ij"), axis=-1
             ).reshape(-1, 3)
             weights = np.multiply.outer(wc, np.multiply.outer(ws[1], ws[2])).ravel()
-        nodes = np.ascontiguousarray(nodes)
-        if out_buf is None or len(out_buf) != len(weights):
-            out_buf = np.empty(len(weights), dtype=np.complex128)
-        fill(nodes, weights, out_buf)
-        total += complex(np.sum(out_buf))
+        total += fill(nodes, weights)
         count += len(weights)
     return total, count
 
@@ -152,16 +158,13 @@ def _ball_phase_check(model, saddle, s_mat, r0, n_dirs=192, n_radii=8, seed=0):
     tau, a = saddle.tau, saddle.a
     if isinstance(model, GaussianMixture):
         alpha = float(model.params.mu @ tau)
-        ta, sa = math.tanh(alpha), sech(alpha)
-        v2 = s_mat @ model.params.mu
-        v3 = s_mat @ a
-        beta = t @ v2
-        sb, cb = np.sin(beta), np.cos(beta)
-        if np.any(np.square(sb * sa) >= 1.0 - 1e-15):
+        beta = t @ (s_mat @ model.params.mu)
+        x2, arg = cosh_factor(alpha, beta)
+        if np.any(x2 >= 1.0 - 1e-15):
             raise AssumptionViolationError(
                 "zero of the complex exponent inside the trust ball"
             )
-        phase = t @ v3 - ta * beta + np.arctan2(ta * sb, cb)
+        phase = t @ (s_mat @ a) - math.tanh(alpha) * beta + arg
         worst = float(np.max(np.abs(phase)))
     else:
         worst = 0.0
@@ -180,20 +183,15 @@ def _ball_phase_check(model, saddle, s_mat, r0, n_dirs=192, n_radii=8, seed=0):
         )
 
 
-def _panel_counts_mixture(eigvals, d, trunc_radius):
-    """Per-axis half-panel counts in the integrand's eigenbasis: enough that
-    exp(-n (m h)^2 lam / 2) is below the surface floor on each face."""
-    m_floor = math.ceil(trunc_radius)
-    log_floor = -2.0 * math.log(_SURFACE_FLOOR)
-    counts = []
-    for lam in eigvals:
-        m = max(m_floor, math.ceil(math.sqrt(log_floor / (d * lam)))) + 1
-        if m > _PANEL_CAP:
-            raise QuadratureError(
-                f"integrand magnitude does not decay within {_PANEL_CAP} panels"
-            )
-        counts.append(m)
-    return counts
+def _panel_count_mixture(lam, trunc_radius):
+    """Half-panel count along v2 at panel width 1/sqrt(n): enough that
+    exp(-n (m h)^2 lam / 2) is below the surface floor at both ends."""
+    reach = math.sqrt(-2.0 * math.log(_SURFACE_FLOOR) / lam) if lam > 0.0 else math.inf
+    if max(trunc_radius, reach) + 1 > _PANEL_CAP:
+        raise QuadratureError(
+            f"integrand magnitude does not decay within {_PANEL_CAP} panels"
+        )
+    return max(math.ceil(trunc_radius), math.ceil(reach)) + 1
 
 
 def _panel_count_generic(model, tau, s_mat, h, n, trunc_radius):
@@ -225,43 +223,53 @@ def correction_integral(
 ) -> CorrectionResult:
     """Correction factor at a saddle, with a two-resolution agreement check.
 
-    Raises QuadratureError when the coarse and fine passes disagree beyond
-    1e-6 relative, and AssumptionViolationError when the phase-branch check
-    fails inside the trust ball.  The returned value is from the finer pass.
+    A GaussianMixture is integrated along v2 alone, at any d; a generic
+    model on a tensor grid, at d <= 3 (DimensionError beyond).  Raises
+    QuadratureError when the coarse and fine passes disagree beyond 1e-6
+    relative, and AssumptionViolationError when the phase-branch check fails
+    inside the trust ball.  The returned value is from the finer pass.
     """
     d = model.dim
-    if d > 3:
-        raise DimensionError(f"correction quadrature supports d <= 3, got d={d}")
-    if n < 1 or float(n) != int(n):
-        raise DimensionError(f"n must be a positive integer, got {n!r}")
-    n = int(n)
+    mixture = isinstance(model, GaussianMixture)
+    if d > 3 and not mixture:
+        raise DimensionError(
+            f"correction quadrature of a generic model supports d <= 3, got d={d}"
+        )
+    n = check_sample_size(n)
     spec = spec or QuadSpec()
     s_mat, _ = whitened_hessian_factors(saddle)
-    h = math.sqrt(d / n)
-    r0 = spec.trunc_radius * h
-    _ball_phase_check(model, saddle, s_mat, r0)
+    _ball_phase_check(model, saddle, s_mat, spec.trunc_radius * math.sqrt(d / n))
 
-    if isinstance(model, GaussianMixture):
-        # The integrand depends on the grid point only through t' M1 t and
-        # <v2, t>, so rotating the grid into M1's eigenbasis keeps the
-        # integral exact while letting each axis take its own box size.
-        m1 = s_mat @ model.params.sigma @ s_mat
-        eigvals, eigvecs = np.linalg.eigh(m1)
-        m1_rot = np.ascontiguousarray(np.diag(eigvals))
-        v2_rot = np.ascontiguousarray(eigvecs.T @ (s_mat @ model.params.mu))
+    if mixture:
+        # M1 = S sigma S = I - sech^2(alpha) v2 v2' with v2 = S mu, and the
+        # integrand sees t only through t' M1 t and beta = <v2, t>.  Orthogonal
+        # to v2 it is the standard Gaussian at scale 1/sqrt(n) and integrates
+        # to one, so I(a) is exactly the 1-d integral along v2, where M1 has
+        # the eigenvalue lam.
         alpha = float(model.params.mu @ saddle.tau)
-        ta, sa = math.tanh(alpha), sech(alpha)
-        m_axes = _panel_counts_mixture(eigvals, d, spec.trunc_radius)
+        v2_norm = float(np.linalg.norm(s_mat @ model.params.mu))
+        lam = 1.0 - float(sech(alpha)) ** 2 * v2_norm**2
+        ta = math.tanh(alpha)
+        dims, h = 1, 1.0 / math.sqrt(n)
+        m_axes = [_panel_count_mixture(lam, spec.trunc_radius)]
 
-        def fill(nodes, weights, out):
-            _core.corr_integrand_fill(
-                nodes, weights, m1_rot, v2_rot, ta, sa, float(n), out
-            )
+        def fill(nodes, weights):
+            x = nodes[:, 0]
+            beta = v2_norm * x
+            x2, arg = cosh_factor(alpha, beta)
+            with np.errstate(divide="ignore"):
+                re = -0.5 * lam * x * x + 0.5 * np.log1p(-np.minimum(x2, 1.0))
+            mag = np.exp(n * re)
+            phase = n * (arg - ta * beta)
+            vals = weights * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))
+            return complex(np.sum(vals))
     else:
         tau, a = saddle.tau, saddle.a
+        dims, h = d, math.sqrt(d / n)
         m_axes = _panel_count_generic(model, tau, s_mat, h, n, spec.trunc_radius)
 
-        def fill(nodes, weights, out):
+        def fill(nodes, weights):
+            out = np.empty(len(weights), dtype=np.complex128)
             for i in range(len(weights)):
                 s = s_mat @ nodes[i]
                 re = model.log_ratio_magnitude(tau, s)
@@ -269,8 +277,9 @@ def correction_integral(
                 out[i] = weights[i] * math.exp(n * re) * complex(
                     math.cos(n * im), math.sin(n * im)
                 )
+            return complex(np.sum(out))
 
-    prefactor = (n / (2.0 * math.pi)) ** (d / 2.0)
+    prefactor = (n / (2.0 * math.pi)) ** (dims / 2.0)
     if spec.rule == "gauss_legendre":
         fine_nodes = spec.nodes_per_axis + 8
     else:

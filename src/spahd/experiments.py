@@ -12,9 +12,9 @@ timing is requested, because timing and reproducible bytes cannot coexist.
 Modes differ in how i_minus_one is obtained:
 
   error_scaling    |rho_exact / rho_spa - 1|, the measured correction gap;
-  correction_study |I - 1| from the contour quadrature (d <= 3), with the
-                   density ratio as a cross-check (status "inconsistent"
-                   when they disagree);
+  correction_study |I - 1| from the contour quadrature (any d for the
+                   mixture), with the density ratio as a cross-check
+                   (status "inconsistent" when they disagree);
   clt_study        reuses the columns: a_norm is ||x||, rho_spa the scaled
                    Gaussian limit n^{d/2} gamma_d(x), rho_exact the exact
                    scaled-mean density, rel_err = i_minus_one = |ratio - 1|,

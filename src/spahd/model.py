@@ -31,7 +31,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import _core
 from .errors import ConfigError, DimensionError, ModelDomainError, PhaseBranchError
 
 _LOG2 = math.log(2.0)
@@ -54,26 +53,41 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-def c3_kernel(alpha, beta):
-    """|2 Re[sech^2(w) tanh(w)]| at w = alpha + i beta (third-derivative kernel)."""
+def _c34_kernel_grids(alpha, beta):
+    """(k3, k4) = |2 Re[sech^2(w) tanh(w)]|, |2 Re[sech^2(w)(1 - 3 sech^2(w))]|
+    at w = alpha + i beta, computed through tanh alone (sech^2 = 1 - tanh^2)
+    so large |alpha| stays finite."""
+    t = np.tanh(alpha + 1j * beta)
+    s2 = 1.0 - t * t
+    return np.abs(2.0 * np.real(s2 * t)), np.abs(2.0 * np.real(s2 * (1.0 - 3.0 * s2)))
+
+
+def _kernel(alpha, beta, which):
     a = np.atleast_1d(np.asarray(alpha, dtype=float)).ravel()
     b = np.atleast_1d(np.asarray(beta, dtype=float)).ravel()
-    a, b = np.broadcast_arrays(a, b)
-    out3 = np.empty(a.shape, dtype=float)
-    out4 = np.empty(a.shape, dtype=float)
-    _core.c34_kernel_grids(np.ascontiguousarray(a), np.ascontiguousarray(b), out3, out4)
-    return out3 if out3.size > 1 else float(out3[0])
+    k = _c34_kernel_grids(*np.broadcast_arrays(a, b))[which]
+    return k if k.size > 1 else float(k[0])
+
+
+def c3_kernel(alpha, beta):
+    """|2 Re[sech^2(w) tanh(w)]| at w = alpha + i beta (third-derivative kernel)."""
+    return _kernel(alpha, beta, 0)
 
 
 def c4_kernel(alpha, beta):
     """|2 Re[sech^2(w)(1 - 3 sech^2(w))]| at w = alpha + i beta (fourth-derivative kernel)."""
-    a = np.atleast_1d(np.asarray(alpha, dtype=float)).ravel()
-    b = np.atleast_1d(np.asarray(beta, dtype=float)).ravel()
-    a, b = np.broadcast_arrays(a, b)
-    out3 = np.empty(a.shape, dtype=float)
-    out4 = np.empty(a.shape, dtype=float)
-    _core.c34_kernel_grids(np.ascontiguousarray(a), np.ascontiguousarray(b), out3, out4)
-    return out4 if out4.size > 1 else float(out4[0])
+    return _kernel(alpha, beta, 1)
+
+
+def cosh_factor(alpha: float, beta):
+    """(x2, arg) of cosh(alpha + i beta) / cosh(alpha) at each beta.
+
+    x2 = (sin(beta) sech(alpha))^2, so the ratio has modulus sqrt(1 - x2) and
+    x2 >= 1 marks a zero of cosh; callers pick their own threshold for it.
+    arg = atan2(tanh(alpha) sin(beta), cos(beta)) is its principal argument.
+    """
+    sb = np.sin(beta)
+    return np.square(sb * sech(alpha)), np.arctan2(math.tanh(alpha) * sb, np.cos(beta))
 
 
 class ComplexCgfValue(NamedTuple):
@@ -340,9 +354,7 @@ class GaussianMixture(CgfModel):
         u = np.linspace(-1.0, 1.0, n_grid)
         agrid = np.repeat(alphas, n_grid)
         bgrid = (rw[:, None] * (t_radius * u[None, :])).ravel()
-        k3 = np.empty(agrid.size)
-        k4 = np.empty(agrid.size)
-        _core.c34_kernel_grids(agrid, bgrid, k3, k4)
+        k3, k4 = _c34_kernel_grids(agrid, bgrid)
         f3 = k3 * np.repeat(rw**3, n_grid)
         f4 = k4 * np.repeat(rw**4, n_grid)
 

@@ -50,7 +50,9 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
     a = np.asarray(a, dtype=float).reshape(-1)
     if a.shape != (model.dim,):
         raise DimensionError(f"a has shape {a.shape}, expected ({model.dim},)")
-    if tol <= 0:
+    if not np.all(np.isfinite(a)):
+        raise DimensionError(f"a must be finite, got {a}")
+    if not (tol > 0):
         raise DimensionError("tol must be > 0")
     if method == "newton":
         tau, res, it = _newton(model, a, tol, max_iter)
@@ -77,13 +79,13 @@ def _newton(model, a, tol, max_iter):
     r = model.grad(tau) - a
     res = float(np.linalg.norm(r))
     it = 0
-    while res > tol:
+    while not (res <= tol):
         if it >= max_iter:
             raise NonconvergenceError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
         _, chol = model.hessian_chol(tau)
-        delta = -cho_solve((chol, True), r)
+        delta = -cho_solve((chol, True), r, check_finite=False)
         # Armijo backtracking on f = ||r||^2/2; Newton direction gives
         # directional derivative -||r||^2 exactly
         f0 = 0.5 * res * res
@@ -145,7 +147,7 @@ def _fixed_point(model, a, tol, max_iter):
     res = float(np.linalg.norm(r))
     omega = 1.0
     it = 0
-    while res > tol:
+    while not (res <= tol):
         if it >= max_iter:
             raise NonconvergenceError(
                 f"fixed-point iteration did not reach tol={tol:g} in {max_iter} "

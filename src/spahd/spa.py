@@ -40,10 +40,16 @@ class SpaEstimate:
     underflow: bool
 
 
+def check_sample_size(n) -> int:
+    """n as an int; DimensionError unless it is a positive whole number."""
+    if not (n >= 1 and math.isfinite(n) and float(n) == int(n)):
+        raise DimensionError(f"n must be a positive integer, got {n!r}")
+    return int(n)
+
+
 def spa_density(saddle: SaddlePoint, n: int) -> SpaEstimate:
     """Saddlepoint density of the n-sample mean at the solved query point."""
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    n = check_sample_size(n)
     d = saddle.a.shape[0]
     log_prefactor = 0.5 * d * (math.log(n) - _LOG_2PI) - 0.5 * saddle.log_det_h
     exponent = -n * saddle.phi_star
@@ -52,7 +58,7 @@ def spa_density(saddle: SaddlePoint, n: int) -> SpaEstimate:
     density = 0.0 if underflow else math.exp(log_density)
     return SpaEstimate(log_density=log_density, density=density,
                        log_prefactor=log_prefactor, exponent=exponent,
-                       n=int(n), d=d, underflow=underflow)
+                       n=n, d=d, underflow=underflow)
 
 
 @dataclass(frozen=True)
@@ -79,9 +85,9 @@ class ErrorBudget:
 
 def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> ErrorBudget:
     """Assemble the error budget for given derivative suprema and kappa."""
-    if d < 1 or n < 1:
+    if not (d >= 1 and n >= 1):
         raise DimensionError(f"d and n must be >= 1, got d={d}, n={n}")
-    if c3 < 0 or c4 < 0 or kappa <= 0:
+    if not (c3 >= 0 and c4 >= 0 and kappa > 0):
         raise DimensionError("c3, c4 must be >= 0 and kappa > 0")
     eps = d * d / n
     try:
@@ -104,9 +110,9 @@ def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     Returns (exp(-d)/sqrt(d), (e d^2 / (n kappa^2))^(d/2)): the near-shell
     and far-field contributions outside the radius-2.5 sqrt(d/n) ball.
     """
-    if d < 1 or n < 1:
+    if not (d >= 1 and n >= 1):
         raise DimensionError(f"d and n must be >= 1, got d={d}, n={n}")
-    if kappa <= 0:
+    if not (kappa > 0):
         raise DimensionError("kappa must be > 0")
     first = math.exp(-float(d)) / math.sqrt(d)
     second = (math.e * d * d / (n * kappa * kappa)) ** (0.5 * d)

@@ -100,8 +100,25 @@ class TestCorrectionIntegral:
         assert res.panels_per_axis >= 1
         assert res.tail_estimate > 0
 
+    @pytest.mark.parametrize("d", [3, 8, 64])
+    def test_matches_ratio_high_d(self, d):
+        # the mixture integral runs along v2 alone, so d has no cap
+        rng = np.random.default_rng(d)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        sigma = q @ np.diag(rng.uniform(0.6, 1.4, d)) @ q.T
+        mu = rng.normal(size=d)
+        a = rng.normal(size=d)
+        m = mixture(0.9 * mu / np.linalg.norm(mu), sigma)
+        a *= 0.25 / np.linalg.norm(a)
+        sp = solve_saddle(m, a)
+        for n in [50, 200, 3200]:
+            i_quad = correction_integral(m, sp, n).i_value.real
+            i_true = exact_mean_density(m.params, n, a) / spa_density(sp, n).density
+            assert i_quad == pytest.approx(i_true, rel=1e-10)
+
     def test_dimension_cap(self):
-        m = mixture(np.zeros(4), np.eye(4))
+        # a generic model is integrated on a tensor grid, capped at d = 3
+        m = PhaseWiggle(amp=0.0, d=4)
         with pytest.raises(DimensionError):
             quad_i(m, np.zeros(4), 10)
 
@@ -111,6 +128,9 @@ class TestCorrectionIntegral:
             quad_i(m, [0.0], 2.5)
         with pytest.raises(DimensionError):
             quad_i(m, [0.0], 0)
+        with pytest.raises(DimensionError):
+            quad_i(m, [0.0], math.nan)
+        assert quad_i(m, [0.0], 200.0) == quad_i(m, [0.0], 200)
 
     def test_spec_floors(self):
         with pytest.raises(ConfigError):
@@ -154,13 +174,14 @@ class PhaseWiggle(CgfModel):
     exactly the disagreement the refinement check must catch.
     """
 
-    def __init__(self, freq=2000.0, amp=0.05):
+    def __init__(self, freq=2000.0, amp=0.05, d=1):
         self.freq = freq
         self.amp = amp
+        self.d = d
 
     @property
     def dim(self):
-        return 1
+        return self.d
 
     def cgf_real(self, tau):
         return 0.5 * float(tau @ tau)
@@ -173,7 +194,7 @@ class PhaseWiggle(CgfModel):
         return np.asarray(tau, dtype=float)
 
     def hessian(self, tau):
-        return np.eye(1)
+        return np.eye(self.d)
 
     def c3_sup(self, tau_radius, t_radius):
         return 0.0

@@ -71,7 +71,7 @@ class TestScalarKernels:
         assert c4_kernel(0.0, 0.0) == pytest.approx(4.0, rel=1e-14)
 
     @given(st.floats(-3, 3), st.floats(-1.4, 1.4))
-    def test_kernels_even(self, a, b):
+    def test_c3_c4_even(self, a, b):
         assert c3_kernel(a, b) == pytest.approx(c3_kernel(-a, -b), rel=1e-9, abs=1e-12)
         assert c4_kernel(a, b) == pytest.approx(c4_kernel(-a, -b), rel=1e-9, abs=1e-12)
 

@@ -112,6 +112,24 @@ class TestSolver:
         with pytest.raises(DimensionError):
             solve_saddle(m, np.array([0.5]), method="secant")
 
+    def test_rejects_non_finite_input(self):
+        m = mixture([1.0, 0.5], np.eye(2))
+        for bad in ([math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]):
+            with pytest.raises(DimensionError):
+                solve_saddle(m, np.array(bad))
+        with pytest.raises(DimensionError):
+            solve_saddle(m, np.zeros(2), tol=math.nan)
+
+    @pytest.mark.parametrize("method", ["newton", "fixed_point", "auto"])
+    def test_nan_residual_is_not_converged(self, method):
+        class NanGradient(GaussianMixture):
+            def grad(self, tau):
+                return np.full(self.dim, math.nan)
+
+        m = NanGradient(MixtureParams(1, np.array([1.0]), np.eye(1)))
+        with pytest.raises(NonconvergenceError):
+            solve_saddle(m, np.array([0.5]), method=method, max_iter=5)
+
     def test_solution_fields(self):
         m = mixture([1.0], [[1.0]])
         sp = solve_saddle(m, np.array([0.5]))

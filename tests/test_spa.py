@@ -67,6 +67,15 @@ class TestSpaDensity:
         with pytest.raises(DimensionError):
             spa_density(sp, 0)
 
+    def test_rejects_non_integer_n(self):
+        sp = solve_saddle(mixture_1d(), np.zeros(1))
+        for bad in (200.5, math.nan, math.inf):
+            with pytest.raises(DimensionError):
+                spa_density(sp, bad)
+        est = spa_density(sp, 200.0)
+        assert est.n == 200
+        assert est == spa_density(sp, 200)
+
 
 class TestErrorBudget:
     def test_reference_terms(self):
@@ -103,6 +112,11 @@ class TestErrorBudget:
         with pytest.raises(DimensionError):
             error_bound(2, 100, 1.0, 1.0, kappa=0.0)
 
+    def test_rejects_nan(self):
+        for c3, c4, kappa in [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)]:
+            with pytest.raises(DimensionError):
+                error_bound(2, 100, c3, c4, kappa=kappa)
+
 
 class TestTailTerms:
     def test_reference_values(self):
@@ -110,6 +124,10 @@ class TestTailTerms:
         assert first == pytest.approx(0.3678794411714423216, rel=1e-14)
         _, second = tail_bound_terms(4, 1600, 1.0)
         assert second == pytest.approx(7.3890560989306502e-4, rel=1e-12)
+
+    def test_rejects_nan_kappa(self):
+        with pytest.raises(DimensionError):
+            tail_bound_terms(2, 100, math.nan)
 
     def test_far_term_kappa_scaling(self):
         # second term scales as kappa^{-d}
