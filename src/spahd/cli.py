@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import numbers
 import sys
 
 import numpy as np
@@ -33,8 +34,9 @@ def _floats(text):
 
 def _emit(pairs):
     for key, value in pairs:
-        if isinstance(value, float):
-            value = repr(value)
+        # NumPy scalars too, so every real prints as a plain float literal
+        if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+            value = repr(float(value))
         print(f"{key} = {value}")
 
 

@@ -10,10 +10,12 @@ standard Gaussian at scale 1/sqrt(n).  For the mixture, M1 = S sigma S
 equals I - sech^2(alpha) v2 v2' with v2 = S mu, and the integrand sees t only
 through t' M1 t and beta = <v2, t>; the directions orthogonal to v2 are an
 exact standard Gaussian and integrate to one, which leaves a 1-d integral
-along v2 at any d.  A generic CgfModel is integrated on a tensor product of
-1-d panels of width sqrt(d/n), for d <= 3 only.  Either way the box is
-extended until the Gaussian envelope on its faces is below 1e-16, and every
-result is validated by a second pass at a finer rule.
+along v2 at any d, on panels of width 1/sqrt(n).  The panels reach until the
+Gaussian envelope at the ends is below 1e-16, and every result is validated
+by a second pass at a finer rule.  The quadrature, g_function and the
+assumption audit accept a GaussianMixture only (ConfigError otherwise): they
+read its ratio mgf(tau + i s) / mgf(tau) through GaussianMixture.log_ratio
+and cosh_factor.
 """
 
 from __future__ import annotations
@@ -27,16 +29,14 @@ from .errors import (
     AssumptionViolationError,
     ConfigError,
     DimensionError,
-    PhaseBranchError,
     QuadratureError,
 )
-from .model import CgfModel, GaussianMixture, cosh_factor, sech
+from .model import CgfModel, cosh_factor, require_mixture, sech
 from .saddle import SaddlePoint, whitened_hessian_factors
 from .spa import check_sample_size, tail_bound_terms
 
 _SURFACE_FLOOR = 1e-16
 _PANEL_CAP = 200
-_CHUNK_ROWS = 1 << 18
 _AGREEMENT_RTOL = 1e-6
 _ENV_SLACK = 1e-3
 
@@ -62,10 +62,8 @@ class QuadSpec:
 class CorrectionResult:
     """Quadrature value of I(a) with the evidence behind it.
 
-    nodes_used counts integrand evaluations over both passes: 1-d nodes along
-    v2 for a GaussianMixture, tensor-grid nodes for a generic model.
-    panels_per_axis counts the panels along v2 for a mixture, along each grid
-    axis for a generic model.
+    nodes_used counts integrand evaluations over both passes, 1-d nodes along
+    v2; panels_per_axis counts the panels along v2.
     """
 
     i_value: complex
@@ -90,14 +88,16 @@ class AssumptionReport:
 
 def g_function(model: CgfModel, saddle: SaddlePoint, t) -> complex:
     """Whitened exponent g(t); g(0) = 0 and g(t) ~ ||t||^2 / 2 near zero."""
+    require_mixture(model, "g_function")
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (model.dim,):
         raise DimensionError(f"t has shape {t.shape}, expected ({model.dim},)")
+    if not np.all(np.isfinite(t)):
+        raise DimensionError(f"t must be finite, got {t}")
     s_mat, _ = whitened_hessian_factors(saddle)
     s = s_mat @ t
-    re = -model.log_ratio_magnitude(saddle.tau, s)
-    im = float(s @ saddle.a) - model.phase_arg(saddle.tau, s)
-    return complex(re, im)
+    log_mag, phase = model.log_ratio(saddle.tau, s[None, :])
+    return complex(-float(log_mag[0]), float(s @ saddle.a) - float(phase[0]))
 
 
 def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
@@ -116,37 +116,6 @@ def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
     return x, w
 
 
-def _tensor_sum(axes, fill):
-    """Sum over the tensor grid of fill(nodes, weights), the weighted
-    integrand summed over one chunk of rows along axis 0."""
-    d = len(axes)
-    xs = [ax[0] for ax in axes]
-    ws = [ax[1] for ax in axes]
-    total = 0.0 + 0.0j
-    count = 0
-    rest = 1
-    for x in xs[1:]:
-        rest *= len(x)
-    rows = max(1, _CHUNK_ROWS // rest)
-    for start in range(0, len(xs[0]), rows):
-        xc = xs[0][start:start + rows]
-        wc = ws[0][start:start + rows]
-        if d == 1:
-            nodes = xc[:, None]
-            weights = wc
-        elif d == 2:
-            nodes = np.stack(np.meshgrid(xc, xs[1], indexing="ij"), axis=-1).reshape(-1, 2)
-            weights = np.multiply.outer(wc, ws[1]).ravel()
-        else:
-            nodes = np.stack(
-                np.meshgrid(xc, xs[1], xs[2], indexing="ij"), axis=-1
-            ).reshape(-1, 3)
-            weights = np.multiply.outer(wc, np.multiply.outer(ws[1], ws[2])).ravel()
-        total += fill(nodes, weights)
-        count += len(weights)
-    return total, count
-
-
 def _ball_phase_check(model, saddle, s_mat, r0, n_dirs=192, n_radii=8, seed=0):
     """Reject if the complex exponent leaves the principal branch inside the
     trust ball ||t|| <= r0, where the quadrature treats the phase as smooth."""
@@ -155,27 +124,13 @@ def _ball_phase_check(model, saddle, s_mat, r0, n_dirs=192, n_radii=8, seed=0):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     radii = r0 * (np.arange(1, n_radii + 1) / n_radii)
     t = (radii[:, None, None] * u[None, :, :]).reshape(-1, model.dim)
-    tau, a = saddle.tau, saddle.a
-    if isinstance(model, GaussianMixture):
-        alpha = float(model.params.mu @ tau)
-        beta = t @ (s_mat @ model.params.mu)
-        x2, arg = cosh_factor(alpha, beta)
-        if np.any(x2 >= 1.0 - 1e-15):
-            raise AssumptionViolationError(
-                "zero of the complex exponent inside the trust ball"
-            )
-        phase = t @ (s_mat @ a) - math.tanh(alpha) * beta + arg
-        worst = float(np.max(np.abs(phase)))
-    else:
-        worst = 0.0
-        for row in t:
-            s = s_mat @ row
-            try:
-                worst = max(worst, abs(model.phase_arg(tau, s)))
-            except PhaseBranchError as exc:
-                raise AssumptionViolationError(
-                    "complex exponent undefined inside the trust ball"
-                ) from exc
+    alpha = float(model.params.mu @ saddle.tau)
+    beta = t @ (s_mat @ model.params.mu)
+    x2, arg = cosh_factor(alpha, beta)
+    if np.any(x2 >= 1.0 - 1e-15):
+        raise AssumptionViolationError("zero of the complex exponent inside the trust ball")
+    phase = t @ (s_mat @ saddle.a) - math.tanh(alpha) * beta + arg
+    worst = float(np.max(np.abs(phase)))
     if worst >= math.pi:
         raise AssumptionViolationError(
             f"phase reaches {worst:.6f} >= pi inside the trust ball "
@@ -194,26 +149,6 @@ def _panel_count_mixture(lam, trunc_radius):
     return max(math.ceil(trunc_radius), math.ceil(reach)) + 1
 
 
-def _panel_count_generic(model, tau, s_mat, h, n, trunc_radius):
-    """Isotropic half-panel count by probing the magnitude on box faces and
-    corners until it falls below the surface floor."""
-    d = model.dim
-    m = math.ceil(trunc_radius)
-    while m < _PANEL_CAP:
-        probes = [sign * m * h * e for e in np.eye(d) for sign in (1.0, -1.0)]
-        probes += [np.full(d, m * h), np.full(d, -m * h)]
-        worst = max(model.log_ratio_magnitude(tau, s_mat @ p) for p in probes)
-        if n * worst < math.log(_SURFACE_FLOOR):
-            break
-        m += 1
-    m += 1  # safety panel beyond the detected decay radius
-    if m > _PANEL_CAP:
-        raise QuadratureError(
-            f"integrand magnitude does not decay within {_PANEL_CAP} panels"
-        )
-    return [m] * d
-
-
 def correction_integral(
     model: CgfModel,
     saddle: SaddlePoint,
@@ -223,75 +158,48 @@ def correction_integral(
 ) -> CorrectionResult:
     """Correction factor at a saddle, with a two-resolution agreement check.
 
-    A GaussianMixture is integrated along v2 alone, at any d; a generic
-    model on a tensor grid, at d <= 3 (DimensionError beyond).  Raises
-    QuadratureError when the coarse and fine passes disagree beyond 1e-6
-    relative, and AssumptionViolationError when the phase-branch check fails
-    inside the trust ball.  The returned value is from the finer pass.
+    Integrates along v2 alone, at any d.  Raises ConfigError for a model
+    that is not a GaussianMixture, QuadratureError when the coarse and fine
+    passes disagree beyond 1e-6 relative, and AssumptionViolationError when
+    the phase-branch check fails inside the trust ball.  The returned value
+    is from the finer pass.
     """
+    require_mixture(model, "correction_integral")
     d = model.dim
-    mixture = isinstance(model, GaussianMixture)
-    if d > 3 and not mixture:
-        raise DimensionError(
-            f"correction quadrature of a generic model supports d <= 3, got d={d}"
-        )
     n = check_sample_size(n)
     spec = spec or QuadSpec()
     s_mat, _ = whitened_hessian_factors(saddle)
     _ball_phase_check(model, saddle, s_mat, spec.trunc_radius * math.sqrt(d / n))
 
-    if mixture:
-        # M1 = S sigma S = I - sech^2(alpha) v2 v2' with v2 = S mu, and the
-        # integrand sees t only through t' M1 t and beta = <v2, t>.  Orthogonal
-        # to v2 it is the standard Gaussian at scale 1/sqrt(n) and integrates
-        # to one, so I(a) is exactly the 1-d integral along v2, where M1 has
-        # the eigenvalue lam.
-        alpha = float(model.params.mu @ saddle.tau)
-        v2_norm = float(np.linalg.norm(s_mat @ model.params.mu))
-        lam = 1.0 - float(sech(alpha)) ** 2 * v2_norm**2
-        ta = math.tanh(alpha)
-        dims, h = 1, 1.0 / math.sqrt(n)
-        m_axes = [_panel_count_mixture(lam, spec.trunc_radius)]
+    # M1 = S sigma S = I - sech^2(alpha) v2 v2' with v2 = S mu, and the
+    # integrand sees t only through t' M1 t and beta = <v2, t>.  Orthogonal
+    # to v2 it is the standard Gaussian at scale 1/sqrt(n) and integrates
+    # to one, so I(a) is exactly the 1-d integral along v2, where M1 has
+    # the eigenvalue lam.
+    alpha = float(model.params.mu @ saddle.tau)
+    v2_norm = float(np.linalg.norm(s_mat @ model.params.mu))
+    lam = 1.0 - float(sech(alpha)) ** 2 * v2_norm**2
+    ta = math.tanh(alpha)
+    h = 1.0 / math.sqrt(n)
+    m = _panel_count_mixture(lam, spec.trunc_radius)
 
-        def fill(nodes, weights):
-            x = nodes[:, 0]
-            beta = v2_norm * x
-            x2, arg = cosh_factor(alpha, beta)
-            with np.errstate(divide="ignore"):
-                re = -0.5 * lam * x * x + 0.5 * np.log1p(-np.minimum(x2, 1.0))
-            mag = np.exp(n * re)
-            phase = n * (arg - ta * beta)
-            vals = weights * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))
-            return complex(np.sum(vals))
-    else:
-        tau, a = saddle.tau, saddle.a
-        dims, h = d, math.sqrt(d / n)
-        m_axes = _panel_count_generic(model, tau, s_mat, h, n, spec.trunc_radius)
+    def integral(nodes_per_axis):
+        x, w = _axis_rule(m, h, nodes_per_axis, spec.rule)
+        beta = v2_norm * x
+        x2, arg = cosh_factor(alpha, beta)
+        with np.errstate(divide="ignore"):
+            re = -0.5 * lam * x * x + 0.5 * np.log1p(-np.minimum(x2, 1.0))
+        mag = np.exp(n * re)
+        phase = n * (arg - ta * beta)
+        total = complex(np.sum(w * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))))
+        return (n / (2.0 * math.pi)) ** 0.5 * total, len(x)
 
-        def fill(nodes, weights):
-            out = np.empty(len(weights), dtype=np.complex128)
-            for i in range(len(weights)):
-                s = s_mat @ nodes[i]
-                re = model.log_ratio_magnitude(tau, s)
-                im = model.phase_arg(tau, s) - float(s @ a)
-                out[i] = weights[i] * math.exp(n * re) * complex(
-                    math.cos(n * im), math.sin(n * im)
-                )
-            return complex(np.sum(out))
-
-    prefactor = (n / (2.0 * math.pi)) ** (dims / 2.0)
     if spec.rule == "gauss_legendre":
         fine_nodes = spec.nodes_per_axis + 8
     else:
         fine_nodes = 2 * spec.nodes_per_axis
-    results = []
-    nodes_used = 0
-    for npa in (spec.nodes_per_axis, fine_nodes):
-        axes = [_axis_rule(m, h, npa, spec.rule) for m in m_axes]
-        total, count = _tensor_sum(axes, fill)
-        results.append(prefactor * total)
-        nodes_used += count
-    coarse, fine = results
+    coarse, coarse_count = integral(spec.nodes_per_axis)
+    fine, fine_count = integral(fine_nodes)
     gap = abs(coarse - fine) / max(1.0, abs(fine))
     if gap > _AGREEMENT_RTOL:
         raise QuadratureError(
@@ -303,8 +211,8 @@ def correction_integral(
         i_value=complex(fine),
         abs_err_from_one=abs(fine - 1.0),
         tail_estimate=float(sum(tails)),
-        nodes_used=nodes_used,
-        panels_per_axis=2 * max(m_axes),
+        nodes_used=coarse_count + fine_count,
+        panels_per_axis=2 * m,
     )
 
 
@@ -337,8 +245,8 @@ def check_assumptions(
     magnitude gap outside the ball, delta_arg the phase margin to the branch
     edge inside it.
     """
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    require_mixture(model, "check_assumptions")
+    n = check_sample_size(n)
     tau_list = [np.asarray(t, dtype=float).reshape(-1) for t in tau_samples]
     if not tau_list:
         raise DimensionError("tau_samples must contain at least one point")
@@ -346,6 +254,8 @@ def check_assumptions(
     for t in tau_list:
         if t.shape != (d,):
             raise DimensionError(f"tau sample has shape {t.shape}, expected ({d},)")
+        if not np.all(np.isfinite(t)):
+            raise DimensionError(f"tau samples must be finite, got {t}")
     r0, inside_r, outside_r = _shell_radii(d, n)
     n_radii = len(inside_r) + len(outside_r)
     n_dirs = max(4, sample_count // (n_radii * len(tau_list)))
@@ -363,33 +273,30 @@ def check_assumptions(
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         u = rng.standard_normal((n_dirs, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
-        for r in inside_r:
-            for direction in u:
-                s = s_mat @ (r * direction)
-                samples += 1
-                try:
-                    delta_arg = min(delta_arg, math.pi - abs(model.phase_arg(tau, s)))
-                except PhaseBranchError:
-                    delta_arg = 0.0
-        for r in outside_r:
-            for direction in u:
-                s = s_mat @ (r * direction)
-                samples += 1
-                log_m = model.log_ratio_magnitude(tau, s)
-                if log_m >= 0.0:
-                    mag_viol += 1
-                    continue
-                delta_mod = min(delta_mod, -log_m)
-                # the envelope rate lives in the whitened variable the
-                # correction integral runs over, so the radius is r, not ||s||
-                point_kappa = math.sqrt(-2.0 * log_m) / r
-                covered_env = log_m <= -0.5 * r * r * (1.0 - _ENV_SLACK)
-                covered_pow = n * log_m <= -745.0
-                if not (covered_env or covered_pow):
-                    exp_viol += 1
-                if not covered_pow:
-                    underflow_only = False
-                    kappa_min = min(kappa_min, point_kappa)
+
+        def shell_points(radii):
+            return (radii[:, None, None] * u[None, :, :]).reshape(-1, d) @ s_mat.T
+
+        _, phase = model.log_ratio(tau, shell_points(inside_r))
+        delta_arg = min(delta_arg, float(np.min(math.pi - np.abs(phase))))
+        log_m, _ = model.log_ratio(tau, shell_points(outside_r))
+        samples += len(phase) + len(log_m)
+        flat = log_m >= 0.0
+        mag_viol += int(np.count_nonzero(flat))
+        log_m = log_m[~flat]
+        if not log_m.size:
+            continue
+        r = np.repeat(outside_r, n_dirs)[~flat]
+        delta_mod = min(delta_mod, float(np.min(-log_m)))
+        # the envelope rate lives in the whitened variable the correction
+        # integral runs over, so the radius is r, not ||s||
+        point_kappa = np.sqrt(-2.0 * log_m) / r
+        covered_env = log_m <= -0.5 * r * r * (1.0 - _ENV_SLACK)
+        covered_pow = n * log_m <= -745.0
+        exp_viol += int(np.count_nonzero(~(covered_env | covered_pow)))
+        if not np.all(covered_pow):
+            underflow_only = False
+            kappa_min = min(kappa_min, float(np.min(point_kappa[~covered_pow])))
     if underflow_only:
         note = "n-th power underflows at every sampled point beyond the trust ball"
         kappa_est = math.inf
@@ -403,7 +310,7 @@ def check_assumptions(
     return AssumptionReport(
         kappa_est=kappa_est,
         delta_arg=delta_arg,
-        delta_mod=float(delta_mod),
+        delta_mod=delta_mod,
         magnitude_violations=mag_viol,
         exp_branch_violations=exp_viol,
         samples=samples,

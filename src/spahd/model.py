@@ -6,18 +6,22 @@ The central object is the symmetric two-component Gaussian mixture
     mgf(z) = exp(z' sigma z / 2) * cosh(<mu, z>)
 
 stays positive on the real axis and extends to complex arguments
-z = tau + i t.  Everything that downstream modules need from a model is
-captured by the CgfModel contract: real and complex cgf evaluation, gradient,
-Hessian, and suprema of the third/fourth derivative kernels over a
-(tau, t) region.  The mixture implements all of it in closed form; the only
+z = tau + i t.  The CgfModel contract lists what a model exposes: real and
+complex cgf evaluation, gradient, Hessian, and suprema of the third/fourth
+derivative kernels over a (tau, t) region.  The mixture implements all of it
+in closed form, and it is the only model the quadrature, the assumption audit
+and the fixed-point solver accept, because they use its structure; the only
 transcendental ingredient is log cosh, evaluated through shifted forms that
 stay finite for arguments far beyond the overflow point of cosh itself.
 
-Complex evaluation is split into magnitude and phase.  The magnitude part is
-branch-free.  The phase uses the principal argument of the cosh factor and is
-rejected (PhaseBranchError) when the total argument leaves (-pi, pi) or the
-evaluation lands on a zero of cosh, which is where the complex log stops
-being single-valued.
+The complex extension enters the saddlepoint machinery only through the
+ratio mgf(tau + i s) / mgf(tau), which for the mixture depends on s through
+s' sigma s, <s, sigma tau> and beta = <mu, s> alone.  GaussianMixture.log_ratio
+evaluates it for a whole batch of s, split into magnitude and phase; every
+complex evaluation goes through it.  The magnitude part is branch-free.  The
+phase uses the principal argument of the cosh factor; cgf_complex rejects
+(PhaseBranchError) a total argument outside (-pi, pi) or a zero of cosh,
+which is where the complex log stops being single-valued.
 """
 
 from __future__ import annotations
@@ -160,7 +164,7 @@ def _sqrt_psd(m):
 
 
 class CgfModel(ABC):
-    """Capabilities every cgf model exposes to the solver and quadrature.
+    """Capabilities every cgf model exposes to the saddle solver.
 
     v_radius is the radius of the tau-ball the model declares safe for
     saddle queries; it parameterizes the derivative suprema and the
@@ -191,40 +195,9 @@ class CgfModel(ABC):
     @abstractmethod
     def c4_sup(self, tau_radius: float, t_radius: float) -> float: ...
 
-    def log_ratio_magnitude(self, tau, t):
-        """log |mgf(tau + i t) / mgf(tau)|; branch-free by construction."""
-        return self.cgf_complex(tau, t).re - self.cgf_real(tau)
-
-    def c3_op_norm_ball(self, radius: float, directions: int = 32, seed: int = 0) -> float:
-        """sup of the third-derivative operator norm over ||tau|| <= radius.
-
-        Generic finite-difference estimate over sampled directions; models
-        with structure should override with an exact form.
-        """
-        if radius < 0:
-            raise DimensionError("radius must be >= 0")
-        d = self.dim
-        rng = np.random.default_rng(seed)
-        us = rng.standard_normal((directions, d))
-        us /= np.linalg.norm(us, axis=1, keepdims=True)
-        h = 1e-3 * max(radius, 1.0)
-        best = 0.0
-        for r in np.linspace(0.0, radius, 9):
-            for u in us:
-                tau = r * u
-                # five-point stencil for the third directional derivative
-                f = [self.cgf_real(tau + k * h * u) for k in (-2, -1, 1, 2)]
-                d3 = (-0.5 * f[0] + f[1] - f[2] + 0.5 * f[3]) / h**3
-                best = max(best, abs(d3))
-        return best
-
-    def hessian_chol(self, tau):
-        """(H, L) with L the lower Cholesky factor; rejects non-SPD H."""
-        h = self.hessian(tau)
-        try:
-            return h, np.linalg.cholesky(h)
-        except np.linalg.LinAlgError as exc:
-            raise ModelDomainError("cgf Hessian is not positive definite") from exc
+    @abstractmethod
+    def c3_op_norm_ball(self, radius: float) -> float:
+        """sup of the third-derivative operator norm over ||tau|| <= radius."""
 
 
 class GaussianMixture(CgfModel):
@@ -232,8 +205,8 @@ class GaussianMixture(CgfModel):
 
     cgf(tau) = tau' sigma tau / 2 + log cosh(<mu, tau>), so every derivative
     is sigma plus a scalar kernel of alpha = <mu, tau> times a tensor power
-    of mu.  The complex extension only ever needs the scalars alpha and
-    beta = <mu, t>.
+    of mu.  The complex extension needs alpha, beta = <mu, t> and two
+    quadratic forms in sigma, all evaluated in one place: log_ratio.
     """
 
     def __init__(self, params: MixtureParams, v_radius: float = 1.0):
@@ -264,6 +237,29 @@ class GaussianMixture(CgfModel):
         tau = self._check_vec(tau, "tau")
         return 0.5 * float(tau @ (self._sigma @ tau)) + float(logcosh(self._mu @ tau))
 
+    def log_ratio(self, tau, s):
+        """(log |r|, arg r) of r = mgf(tau + i s) / mgf(tau) for each row of s.
+
+        r = exp(-s' sigma s / 2 + i <s, sigma tau>) cosh(alpha + i beta) / cosh(alpha)
+        with alpha = <mu, tau> and beta = <mu, s>.  The log-magnitude is -inf
+        at a zero of cosh; the phase is <s, sigma tau> plus the principal
+        argument of the cosh factor, with no branch check.
+        """
+        tau = self._check_vec(tau, "tau")
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 2 or s.shape[1] != self.params.d:
+            raise DimensionError(f"s has shape {s.shape}, expected (k, {self.params.d})")
+        x2, arg = cosh_factor(float(self._mu @ tau), s @ self._mu)
+        s_sigma = s @ self._sigma
+        with np.errstate(divide="ignore"):
+            log_mag = (-0.5 * np.einsum("ij,ij->i", s_sigma, s)
+                       + 0.5 * np.log1p(-np.minimum(x2, 1.0)))
+        return log_mag, s_sigma @ tau + arg
+
+    def _ratio_row(self, tau, t):
+        log_mag, phase = self.log_ratio(tau, self._check_vec(t, "t")[None, :])
+        return float(log_mag[0]), float(phase[0])
+
     def cgf_complex(self, tau, t):
         """cgf at tau + i t as (log-magnitude, argument).
 
@@ -271,26 +267,18 @@ class GaussianMixture(CgfModel):
         cosh(alpha + i beta); evaluation is rejected when that total leaves
         (-pi, pi) or the point is a zero of cosh.
         """
-        tau = self._check_vec(tau, "tau")
-        t = self._check_vec(t, "t")
-        alpha = float(self._mu @ tau)
-        beta = float(self._mu @ t)
-        qt = 0.5 * float(tau @ (self._sigma @ tau))
-        qs = 0.5 * float(t @ (self._sigma @ t))
-        sb = math.sin(beta)
-        cb = math.cos(beta)
-        x2 = (sb * float(sech(alpha))) ** 2
-        if x2 >= 1.0:
+        log_mag, im = self._ratio_row(tau, t)
+        if log_mag == -math.inf:
             raise PhaseBranchError(
-                f"zero of cosh at alpha={alpha:.6g}, beta={beta:.6g}; log branch undefined"
+                f"zero of cosh at alpha={float(self._mu @ tau):.6g}, "
+                f"beta={float(self._mu @ t):.6g}; log branch undefined"
             )
-        re = qt - qs + float(logcosh(alpha)) + 0.5 * math.log1p(-x2)
-        im = float(tau @ (self._sigma @ t)) + math.atan2(math.tanh(alpha) * sb, cb)
         if abs(im) >= math.pi:
             raise PhaseBranchError(
-                f"argument {im:.6g} outside the principal branch at beta={beta:.6g}"
+                f"argument {im:.6g} outside the principal branch at "
+                f"beta={float(self._mu @ t):.6g}"
             )
-        return ComplexCgfValue(re, im)
+        return ComplexCgfValue(self.cgf_real(tau) + log_mag, im)
 
     def grad(self, tau):
         tau = self._check_vec(tau, "tau")
@@ -306,26 +294,12 @@ class GaussianMixture(CgfModel):
         return math.exp(self.log_ratio_magnitude(tau, t))
 
     def log_ratio_magnitude(self, tau, t):
-        tau = self._check_vec(tau, "tau")
-        t = self._check_vec(t, "t")
-        alpha = float(self._mu @ tau)
-        beta = float(self._mu @ t)
-        x2 = (math.sin(beta) * float(sech(alpha))) ** 2
-        if x2 >= 1.0:
-            return -math.inf
-        return -0.5 * float(t @ (self._sigma @ t)) + 0.5 * math.log1p(-x2)
+        """log |mgf(tau + i t) / mgf(tau)|; -inf at a zero of cosh."""
+        return self._ratio_row(tau, t)[0]
 
     def phase_arg(self, tau, t):
         """Smooth phase of mgf(tau + i t): <tau, sigma t> + Arg cosh(alpha + i beta)."""
-        tau = self._check_vec(tau, "tau")
-        t = self._check_vec(t, "t")
-        alpha = float(self._mu @ tau)
-        beta = float(self._mu @ t)
-        y = math.tanh(alpha) * math.sin(beta)
-        x = math.cos(beta)
-        if x == 0.0 and y == 0.0:
-            raise PhaseBranchError(f"zero of cosh at alpha={alpha:.6g}, beta={beta:.6g}")
-        return float(tau @ (self._sigma @ t)) + math.atan2(y, x)
+        return self._ratio_row(tau, t)[1]
 
     def whitened_mu_norm(self, alpha):
         """||H(alpha)^{-1/2} mu|| = sqrt(g / (1 + sech^2(alpha) g)) by rank-one inversion."""
@@ -339,8 +313,8 @@ class GaussianMixture(CgfModel):
         beta ranges over |beta| <= ||H(alpha)^{-1/2} mu|| * t_radius, and the
         kernel is weighted by that whitened norm to the 3rd/4th power.
         """
-        if tau_radius <= 0 or t_radius <= 0:
-            raise DimensionError("radii must be > 0")
+        if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
+            raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
         key = (float(tau_radius), float(t_radius))
         hit = self._c34_cache.get(key)
         if hit is not None:
@@ -394,19 +368,25 @@ class GaussianMixture(CgfModel):
         """sup of the whitened fourth-derivative kernel over the (tau, t) region."""
         return self._c34_sup(tau_radius, t_radius)[1]
 
-    def c3_op_norm_ball(self, radius, **_ignored):
+    def c3_op_norm_ball(self, radius):
         """Exact sup of ||grad^3 cgf|| over ||tau|| <= radius.
 
         The third derivative is -2 sech^2(alpha) tanh(alpha) mu^(x3) with
         |alpha| <= radius ||mu||; the scalar factor is unimodal in |alpha|,
         so the sup sits at min(radius ||mu||, argmax).
         """
-        if radius < 0:
-            raise DimensionError("radius must be >= 0")
+        if not (0 <= radius < math.inf):
+            raise DimensionError(f"radius must be finite and >= 0, got {radius}")
         if self.is_pure_gaussian:
             return 0.0
         a = min(radius * self._mu_norm, _K3_ARGMAX)
         return float(c3_kernel(a, 0.0)) * self._mu_norm**3
+
+
+def require_mixture(model, what):
+    """ConfigError unless model is a GaussianMixture, whose structure `what` uses."""
+    if not isinstance(model, GaussianMixture):
+        raise ConfigError(f"{what} needs a GaussianMixture, got {type(model).__name__}")
 
 
 def _golden_max(f, lo, hi, tol=1e-10, max_iter=200):

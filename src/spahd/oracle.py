@@ -17,15 +17,36 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import gammaln, logsumexp
+from scipy.special import gammaln
 
 from .errors import DimensionError, StandardizationError
 from .model import GaussianMixture, MixtureParams
 from .saddle import c3_ball
-from .spa import error_bound
+from .spa import check_sample_size, error_bound
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
+
+
+def _check_point(x, d, name):
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (d,):
+        raise DimensionError(f"{name} has shape {x.shape}, expected ({d},)")
+    if not np.all(np.isfinite(x)):
+        raise DimensionError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _logsumexp(w):
+    """log sum exp(w) for finite w, split as scipy.special.logsumexp splits it
+    (bit-identical results): the largest terms leave the sum and enter through
+    log1p, which keeps full precision when they dominate."""
+    top = w.max()
+    hits = w == top
+    terms = np.exp(w - top)
+    terms[hits] = 0.0
+    count = np.count_nonzero(hits)
+    return float(np.log1p(np.sum(terms) / count) + np.log(count) + top)
 
 
 class ExactMeanDensity:
@@ -36,10 +57,9 @@ class ExactMeanDensity:
     """
 
     def __init__(self, params: MixtureParams, n: int):
-        if n < 1:
-            raise DimensionError(f"n must be >= 1, got {n}")
+        n = check_sample_size(n)
         self.params = params
-        self.n = int(n)
+        self.n = n
         k = np.arange(n + 1, dtype=float)
         self.log_binom_weights = (
             gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0) - n * math.log(2.0)
@@ -54,15 +74,13 @@ class ExactMeanDensity:
         self._q_mu = float(self._mu_w @ self._mu_w)
 
     def log_density(self, a) -> float:
-        a = np.asarray(a, dtype=float).reshape(-1)
-        if a.shape != (self.params.d,):
-            raise DimensionError(f"a has shape {a.shape}, expected ({self.params.d},)")
+        a = _check_point(a, self.params.d, "a")
         a_w = solve_triangular(self._chol, a, lower=True)
         q_a = float(a_w @ a_w)
         q_cross = float(a_w @ self._mu_w)
         m = self._means
         quad = q_a - 2.0 * m * q_cross + (m * m) * self._q_mu
-        return float(logsumexp(self.log_binom_weights - 0.5 * quad)) + self._log_norm
+        return _logsumexp(self.log_binom_weights - 0.5 * quad) + self._log_norm
 
     def density(self, a) -> float:
         return math.exp(self.log_density(a))
@@ -123,12 +141,9 @@ def mc_density(params: MixtureParams, n: int, a, config: McOracleConfig | None =
     """
     if params.d > 4:
         raise DimensionError(f"mc oracle supports d <= 4, got d={params.d}")
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    n = check_sample_size(n)
     cfg = config or McOracleConfig()
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.shape != (params.d,):
-        raise DimensionError(f"a has shape {a.shape}, expected ({params.d},)")
+    a = _check_point(a, params.d, "a")
     x = _sample_means(params, n, cfg.samples, cfg.seed)
     if cfg.bandwidth is not None:
         h = np.full(params.d, cfg.bandwidth)
@@ -160,11 +175,8 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     the cubic local term C3(a) ||x||^3 / sqrt(n) at a = x / sqrt(n) plus the
     multiplicative budget total, both up to absolute constants.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (params.d,):
-        raise DimensionError(f"x has shape {x.shape}, expected ({params.d},)")
-    if n < 1:
-        raise DimensionError(f"n must be >= 1, got {n}")
+    x = _check_point(x, params.d, "x")
+    n = check_sample_size(n)
     second = params.sigma + np.outer(params.mu, params.mu)
     if np.max(np.abs(second - np.eye(params.d))) > 1e-10:
         raise StandardizationError("clt_ratio needs sigma + mu mu' = identity; "

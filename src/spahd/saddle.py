@@ -19,10 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .errors import DimensionError, NonconvergenceError, StandardizationError
-from .model import CgfModel, GaussianMixture
-
-_GL16 = np.polynomial.legendre.leggauss(16)
+from .errors import DimensionError, ModelDomainError, NonconvergenceError, StandardizationError
+from .model import CgfModel, require_mixture
 
 
 @dataclass(frozen=True)
@@ -67,11 +65,19 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
             tau, res, it = _fixed_point(model, a, tol, max_iter)
     else:
         raise DimensionError(f"unknown method {method!r}")
-    h, chol = model.hessian_chol(tau)
+    chol = _hessian_chol(model, tau)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     phi_star = float(tau @ a) - model.cgf_real(tau)
     return SaddlePoint(a=a, tau=tau, phi_star=phi_star, hessian_chol=chol,
                        log_det_h=log_det, residual=res, iterations=it, method=method)
+
+
+def _hessian_chol(model, tau):
+    """Lower Cholesky factor of the cgf Hessian; rejects a non-SPD Hessian."""
+    try:
+        return np.linalg.cholesky(model.hessian(tau))
+    except np.linalg.LinAlgError as exc:
+        raise ModelDomainError("cgf Hessian is not positive definite") from exc
 
 
 def _newton(model, a, tol, max_iter):
@@ -84,7 +90,7 @@ def _newton(model, a, tol, max_iter):
             raise NonconvergenceError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
-        _, chol = model.hessian_chol(tau)
+        chol = _hessian_chol(model, tau)
         delta = -cho_solve((chol, True), r, check_finite=False)
         # Armijo backtracking on f = ||r||^2/2; Newton direction gives
         # directional derivative -||r||^2 exactly
@@ -111,33 +117,18 @@ def _newton(model, a, tol, max_iter):
 def fixed_point_matrix(model: CgfModel, tau) -> np.ndarray:
     """B(tau) = int_0^1 (1-l) grad^3 cgf(l tau)[tau] dl.
 
-    Closed form for the mixture: (tanh(alpha)/alpha - 1) mu mu'.  Other
-    models get 16-node Gauss-Legendre over central differences of the
-    Hessian along tau.
+    Closed form for the mixture, (tanh(alpha)/alpha - 1) mu mu', the only
+    model it accepts (ConfigError otherwise).
     """
+    require_mixture(model, "fixed_point_matrix")
     tau = np.asarray(tau, dtype=float).reshape(-1)
-    if isinstance(model, GaussianMixture):
-        mu = model.params.mu
-        alpha = float(mu @ tau)
-        if abs(alpha) < 1e-4:
-            coef = -alpha * alpha / 3.0 + 2.0 * alpha**4 / 15.0
-        else:
-            coef = math.tanh(alpha) / alpha - 1.0
-        return coef * np.outer(mu, mu)
-    d = tau.shape[0]
-    norm = float(np.linalg.norm(tau))
-    if norm == 0.0:
-        return np.zeros((d, d))
-    eps = 1e-5 / max(1.0, norm)
-    nodes, weights = _GL16
-    lam = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    b = np.zeros((d, d))
-    for li, wi in zip(lam, w):
-        hp = model.hessian(li * tau + eps * tau)
-        hm = model.hessian(li * tau - eps * tau)
-        b += wi * (1.0 - li) * (hp - hm) / (2.0 * eps)
-    return b
+    mu = model.params.mu
+    alpha = float(mu @ tau)
+    if abs(alpha) < 1e-4:
+        coef = -alpha * alpha / 3.0 + 2.0 * alpha**4 / 15.0
+    else:
+        coef = math.tanh(alpha) / alpha - 1.0
+    return coef * np.outer(mu, mu)
 
 
 def _fixed_point(model, a, tol, max_iter):

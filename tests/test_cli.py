@@ -116,6 +116,25 @@ class TestClt:
         assert float(kv["bound"]) > 0
 
 
+class TestNumericOutput:
+    def test_values_parse_as_floats(self, capsys, model_file, std_model_file):
+        # every printed number is a plain literal that float() reads back
+        calls = [
+            ["verify-assumptions", "--model", std_model_file, "-a", "0.0", "-a", "0.25",
+             "-n", "200", "--samples", "800"],
+            ["correction", "--model", model_file, "-a", "0.2", "-n", "200"],
+            ["eval", "--model", model_file, "-a", "0.5", "-n", "50"],
+            ["clt", "--model", std_model_file, "-x", "0.5", "-n", "100"],
+        ]
+        for argv in calls:
+            rc, kv, out = run_cli(capsys, argv)
+            assert rc == 0
+            assert "np." not in out.out
+            for key, val in kv.items():
+                if key not in ("note", "underflow"):
+                    float(val)  # a repr such as np.float64(1.0) raises here
+
+
 class TestExperiment:
     def test_writes_csv_and_manifest(self, capsys, tmp_path, model_file):
         spec = tmp_path / "run.spec"

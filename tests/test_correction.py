@@ -10,8 +10,10 @@ import math
 import numpy as np
 import pytest
 
+import spahd.correction
 from spahd import (
     AssumptionViolationError,
+    CgfModel,
     ComplexCgfValue,
     ConfigError,
     DimensionError,
@@ -26,7 +28,8 @@ from spahd import (
     solve_saddle,
     spa_density,
 )
-from spahd.model import CgfModel
+from spahd.model import cosh_factor
+from spahd.saddle import fixed_point_matrix
 
 # mpmath 40-digit references, mu = 1, sigma = 1, a = 0
 I_AT_0_N2 = 0.96723682869799197258
@@ -116,11 +119,19 @@ class TestCorrectionIntegral:
             i_true = exact_mean_density(m.params, n, a) / spa_density(sp, n).density
             assert i_quad == pytest.approx(i_true, rel=1e-10)
 
-    def test_dimension_cap(self):
-        # a generic model is integrated on a tensor grid, capped at d = 3
-        m = PhaseWiggle(amp=0.0, d=4)
-        with pytest.raises(DimensionError):
-            quad_i(m, np.zeros(4), 10)
+    def test_rejects_generic_model(self):
+        # the quadrature and its helpers use the mixture's structure; any
+        # other CgfModel gets a typed error, not an AttributeError
+        m = StandardGaussian(d=4)
+        sp = solve_saddle(m, np.zeros(4))
+        with pytest.raises(ConfigError):
+            correction_integral(m, sp, 10)
+        with pytest.raises(ConfigError):
+            check_assumptions(m, [np.zeros(4)], 10)
+        with pytest.raises(ConfigError):
+            g_function(m, sp, np.zeros(4))
+        with pytest.raises(ConfigError):
+            fixed_point_matrix(m, np.zeros(4))
 
     def test_rejects_non_integer_n(self):
         m = mixture([1.0], [[1.0]])
@@ -158,6 +169,13 @@ class TestGFunction:
             assert plus.real == pytest.approx(minus.real, abs=1e-13)
             assert plus.imag == pytest.approx(-minus.imag, abs=1e-13)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_t(self, t):
+        m = mixture([1.0], [[1.0]])
+        sp = solve_saddle(m, np.array([0.4]))
+        with pytest.raises(DimensionError):
+            g_function(m, sp, np.array([t]))
+
     def test_quadratic_coefficient_is_half(self):
         # whitening forces g(t) = ||t||^2/2 + O(t^3)
         m = mixture([0.9], [[1.2]])
@@ -167,16 +185,10 @@ class TestGFunction:
         assert val.real / h**2 == pytest.approx(0.5, abs=1e-4)
 
 
-class PhaseWiggle(CgfModel):
-    """Standard Gaussian cgf with a high-frequency phase ripple.
+class StandardGaussian(CgfModel):
+    """Standard Gaussian cgf: a complete CgfModel that is not a mixture."""
 
-    The ripple aliases differently on the two quadrature passes, which is
-    exactly the disagreement the refinement check must catch.
-    """
-
-    def __init__(self, freq=2000.0, amp=0.05, d=1):
-        self.freq = freq
-        self.amp = amp
+    def __init__(self, d=1):
         self.d = d
 
     @property
@@ -187,8 +199,7 @@ class PhaseWiggle(CgfModel):
         return 0.5 * float(tau @ tau)
 
     def cgf_complex(self, tau, t):
-        re = 0.5 * float(tau @ tau - t @ t)
-        return ComplexCgfValue(re, self.phase_arg(tau, t))
+        return ComplexCgfValue(0.5 * float(tau @ tau - t @ t), float(tau @ t))
 
     def grad(self, tau):
         return np.asarray(tau, dtype=float)
@@ -202,12 +213,8 @@ class PhaseWiggle(CgfModel):
     def c4_sup(self, tau_radius, t_radius):
         return 0.0
 
-    def log_ratio_magnitude(self, tau, t):
-        return -0.5 * float(t @ t)
-
-    def phase_arg(self, tau, t):
-        s = float(t[0])
-        return float(tau @ t) + self.amp * math.sin(self.freq * s)
+    def c3_op_norm_ball(self, radius):
+        return 0.0
 
 
 class TestFailureModes:
@@ -217,19 +224,16 @@ class TestFailureModes:
         with pytest.raises(AssumptionViolationError, match="pi|zero"):
             quad_i(m, [0.0], 1)
 
-    def test_pass_disagreement_raises(self):
-        m = PhaseWiggle()
-        sp = solve_saddle(m, np.zeros(1))
-        with pytest.raises(QuadratureError):
-            correction_integral(m, sp, 100)
+    def test_pass_disagreement_raises(self, monkeypatch):
+        # a high-frequency phase ripple aliases differently on the two
+        # quadrature passes, which is the disagreement the check must catch
+        def rippled(alpha, beta):
+            x2, arg = cosh_factor(alpha, beta)
+            return x2, arg + 0.05 * np.sin(2000.0 * beta)
 
-    def test_smooth_generic_model_integrates(self):
-        # amp = 0 removes the ripple; the generic (non-mixture) path then
-        # reproduces the pure-Gaussian answer I = 1
-        m = PhaseWiggle(amp=0.0)
-        sp = solve_saddle(m, np.zeros(1))
-        res = correction_integral(m, sp, 100)
-        assert res.i_value.real == pytest.approx(1.0, abs=1e-10)
+        monkeypatch.setattr(spahd.correction, "cosh_factor", rippled)
+        with pytest.raises(QuadratureError):
+            quad_i(mixture([1.0], [[1.0]]), [0.0], 100)
 
 
 class TestCheckAssumptions:
@@ -260,3 +264,17 @@ class TestCheckAssumptions:
         m = mixture([1.0], [[1.0]])
         with pytest.raises(DimensionError):
             check_assumptions(m, [np.zeros(2)], 100)
+
+    @pytest.mark.parametrize("n, tau", [
+        (math.nan, 0.0), (2.5, 0.0), (math.inf, 0.0), (0, 0.0), (200, math.nan), (200, math.inf),
+    ])
+    def test_typed_errors(self, n, tau):
+        m = mixture([0.6], [[0.64]])
+        with pytest.raises(DimensionError):
+            check_assumptions(m, [np.array([tau])], n, sample_count=100)
+
+    def test_report_holds_python_floats(self):
+        m = mixture([0.6], [[0.64]])
+        rep = check_assumptions(m, [np.zeros(1), np.array([0.2])], 200, sample_count=500)
+        for value in (rep.kappa_est, rep.delta_arg, rep.delta_mod):
+            assert type(value) is float

@@ -2,11 +2,13 @@
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
-from spahd import ConfigError, FitError, fit_slope, run_experiment
+import spahd.experiments
+from spahd import ConfigError, DimensionError, FitError, fit_slope, run_experiment
 from spahd.experiments import (
     CSV_HEADER,
     ExperimentSpec,
@@ -74,6 +76,29 @@ class TestErrorScaling:
         for r in records:
             assert r.rel_err <= 1e-12
             assert r.status == "ok"
+
+    def test_underflowed_densities_give_finite_rows(self, model_file):
+        # at n = 1e5 the a = 0.3 densities underflow to 0.0; the errors come
+        # from the log difference and stay finite
+        spec = make_spec(model_file, n_grid=(100000,), a_points=((0.0,), (0.1,), (0.3,)))
+        records, _ = run_experiment(spec)
+        assert [r.status for r in records] == ["ok"] * 3
+        last = records[-1]
+        assert last.rho_spa == 0.0
+        assert math.isfinite(last.rel_err) and math.isfinite(last.i_minus_one)
+        assert 1e-7 < last.rel_err < 1e-6
+
+    def test_any_package_error_fails_only_its_row(self, model_file, monkeypatch):
+        solve = spahd.experiments.solve_saddle
+
+        def picky(model, a, tol):
+            if a[0] > 0.15:
+                raise DimensionError("refused")
+            return solve(model, a, tol=tol)
+
+        monkeypatch.setattr(spahd.experiments, "solve_saddle", picky)
+        records, _ = run_experiment(make_spec(model_file, a_points=((0.1,), (0.2,))))
+        assert [r.status for r in records] == ["ok", "DimensionError"] * 2
 
     def test_eps_and_bound_columns(self, model_file):
         records, _ = run_experiment(make_spec(model_file, n_grid=(100,)))

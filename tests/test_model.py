@@ -197,6 +197,31 @@ class TestCgfValues:
         assert plus.re == pytest.approx(minus.re, abs=1e-13)
         assert plus.im == pytest.approx(-minus.im, abs=1e-13)
 
+    @pytest.mark.parametrize("d", [1, 3, 64])
+    def test_log_ratio_rows_match_one_row_methods(self, d):
+        rng = np.random.default_rng(40 + d)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        sigma = q @ np.diag(rng.uniform(0.6, 1.4, d)) @ q.T
+        mu = rng.normal(size=d)
+        m = GaussianMixture(MixtureParams(d, 0.9 * mu / np.linalg.norm(mu), sigma))
+        tau = 0.3 * rng.normal(size=d) / math.sqrt(d)
+        s = 0.4 * rng.normal(size=(25, d)) / math.sqrt(d)
+        log_mag, phase = m.log_ratio(tau, s)
+        assert log_mag.shape == phase.shape == (25,)
+        for row, lm, ph in zip(s, log_mag, phase):
+            assert lm == pytest.approx(m.log_ratio_magnitude(tau, row), rel=1e-13, abs=1e-13)
+            assert ph == pytest.approx(m.phase_arg(tau, row), rel=1e-13, abs=1e-13)
+            v = m.cgf_complex(tau, row)
+            assert v.re - m.cgf_real(tau) == pytest.approx(lm, rel=1e-13, abs=1e-13)
+            assert v.im == pytest.approx(ph, rel=1e-13, abs=1e-13)
+
+    def test_log_ratio_rejects_bad_shape(self):
+        m = mixture_1d()
+        with pytest.raises(DimensionError):
+            m.log_ratio(np.zeros(1), np.zeros(1))
+        with pytest.raises(DimensionError):
+            m.log_ratio(np.zeros(1), np.zeros((3, 2)))
+
     def test_ratio_magnitude_consistency(self):
         m = mixture_1d()
         tau = np.array([0.7])
@@ -224,6 +249,9 @@ class TestBranchHandling:
         m = mixture_1d()
         v = m.log_ratio_magnitude(np.zeros(1), np.array([math.pi / 2]))
         assert v == -math.inf
+        log_mag, phase = m.log_ratio(np.zeros(1), np.array([[math.pi / 2], [0.1]]))
+        assert log_mag[0] == -math.inf and math.isfinite(log_mag[1])
+        assert np.all(np.isfinite(phase))
 
     def test_phase_arg_near_zero_of_cosh(self):
         # one ulp from the zero the phase is still finite
@@ -261,6 +289,19 @@ class TestDerivedQuantities:
     def test_c3_sup_rejects_bad_radius(self):
         with pytest.raises(DimensionError):
             mixture_1d().c3_sup(0.0, 1.0)
+
+    @pytest.mark.parametrize("method", ["c3_sup", "c4_sup"])
+    @pytest.mark.parametrize("radii", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0),
+    ])
+    def test_sup_rejects_non_finite_radius(self, method, radii):
+        with pytest.raises(DimensionError):
+            getattr(mixture_1d(), method)(*radii)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_c3_op_norm_ball_rejects_bad_radius(self, radius):
+        with pytest.raises(DimensionError):
+            mixture_1d().c3_op_norm_ball(radius)
 
     def test_sup_zero_for_pure_gaussian(self):
         m = GaussianMixture(MixtureParams(2, np.zeros(2), np.eye(2)))

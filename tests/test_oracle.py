@@ -21,6 +21,12 @@ from spahd import (
 EXACT_AT_0_N2 = 0.38587166612902681931
 
 
+# a non-integer or non-finite n, or a non-finite query point
+BAD_N_OR_POINT = [
+    (200.5, 0.1), (math.nan, 0.1), (math.inf, 0.1), (200, math.nan), (200, math.inf),
+]
+
+
 def params_1d(mu=1.0, sigma=1.0):
     return MixtureParams(1, np.array([mu]), np.array([[sigma]]))
 
@@ -92,6 +98,15 @@ class TestExactDensity:
         with pytest.raises(DimensionError):
             ExactMeanDensity(params_1d(), 0)
 
+    @pytest.mark.parametrize("n, a", BAD_N_OR_POINT)
+    def test_exact_mean_density_typed_errors(self, n, a):
+        with pytest.raises(DimensionError):
+            exact_mean_density(params_1d(), n, np.array([a]))
+
+    def test_whole_float_n_accepted(self):
+        a = np.array([0.2])
+        assert exact_mean_density(params_1d(), 200.0, a) == exact_mean_density(params_1d(), 200, a)
+
 
 class TestMcDensity:
     def test_matches_exact_within_band(self):
@@ -131,6 +146,11 @@ class TestMcDensity:
         with pytest.raises(DimensionError):
             mc_density(p, 10, np.zeros(5))
 
+    @pytest.mark.parametrize("n, a", BAD_N_OR_POINT)
+    def test_typed_errors(self, n, a):
+        with pytest.raises(DimensionError):
+            mc_density(params_1d(), n, np.array([a]))
+
 
 class TestCltRatio:
     def test_gaussian_control_is_exactly_one(self):
@@ -144,6 +164,12 @@ class TestCltRatio:
     def test_requires_unit_second_moment(self):
         with pytest.raises(StandardizationError):
             clt_ratio(params_1d(), 100, np.zeros(1))
+
+    @pytest.mark.parametrize("n, x", BAD_N_OR_POINT)
+    def test_typed_errors(self, n, x):
+        p = MixtureParams(1, np.array([0.6]), np.array([[0.64]]))
+        with pytest.raises(DimensionError):
+            clt_ratio(p, n, np.array([x]))
 
     def test_gap_shrinks_with_n(self):
         p = MixtureParams(1, np.array([0.6]), np.array([[0.64]]))
