@@ -37,9 +37,9 @@ import numpy as np
 from .correction import QuadSpec, correction_integral
 from .errors import ConfigError, FitError, SpahdError
 from .model import GaussianMixture, load_model_file, parse_kv_lines
-from .oracle import ExactMeanDensity, clt_ratio
+from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import solve_saddle
-from .spa import error_bound, spa_density
+from .spa import budget_total, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -186,16 +186,6 @@ def _nan_record(d, n, a_norm, eps, bound, wall_ms, status):
     return ResultRecord(d, n, a_norm, nan, nan, nan, nan, eps, bound, wall_ms, status)
 
 
-def _budget_for(model, d, n, max_norm, kappa):
-    tau_radius = max(2.0 * max_norm, 1e-3)
-    t_radius = 2.5 * math.sqrt(d / n)
-    if model.is_pure_gaussian:
-        return error_bound(d, n, 0.0, 0.0, kappa).total
-    return error_bound(
-        d, n, model.c3_sup(tau_radius, t_radius), model.c4_sup(tau_radius, t_radius), kappa
-    ).total
-
-
 def _sweep(spec, per_point):
     """Common d/n/point loop; per_point fills in the mode-specific fields."""
     d_values = spec.d_grid
@@ -206,7 +196,7 @@ def _sweep(spec, per_point):
         pts = _query_points(spec, params.d)
         max_norm = max(float(np.linalg.norm(p)) for p in pts)
         for n in spec.n_grid:
-            bound = _budget_for(model, params.d, n, max_norm, spec.kappa)
+            bound = budget_total(model, n, max_norm, spec.kappa)
             eps = params.d**2 / n
             oracle = ExactMeanDensity(params, n)
             for a in pts:
@@ -268,13 +258,11 @@ def run_correction_study(spec: ExperimentSpec):
 
 def run_clt_study(spec: ExperimentSpec):
     def per_point(model, oracle, d, n, x, x_norm, eps, bound):
-        comparison = clt_ratio(model.params, n, x, kappa=spec.kappa)
-        log_gauss = -0.5 * d * math.log(2.0 * math.pi) - 0.5 * float(x @ x)
+        comparison, log_exact, log_gauss = _clt_compare(model, oracle, x, spec.kappa)
         rho_limit = n ** (d / 2.0) * math.exp(log_gauss)
-        rho_exact = oracle.density(np.asarray(x) / math.sqrt(n))
         gap = abs(comparison.ratio - 1.0)
         return ResultRecord(
-            d, n, x_norm, rho_limit, rho_exact, gap, gap,
+            d, n, x_norm, rho_limit, math.exp(log_exact), gap, gap,
             eps, comparison.bound, None, "ok",
         )
 

@@ -26,6 +26,7 @@ which is where the complex log stops being single-valued.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re as _re
 from abc import ABC, abstractmethod
@@ -57,13 +58,39 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
-def _c34_kernel_grids(alpha, beta):
+def _tanh_parts(alpha, beta):
+    """(Re, Im) of tanh(alpha + i beta) in real arithmetic, finite at any alpha.
+
+    tanh(a + i b) = (sinh 2a + i sin 2b) / (cosh 2a + cos 2b); scaled by
+    2 exp(-2|a|) = 2e it is (sign(a)(1 - e)(1 + e) + 4i e sin b cos b) over
+    (1 - e)^2 + 4e cos^2 b, which vanishes only at the zeros of cosh.
+    """
+    ax = np.abs(alpha)
+    e = np.exp(-2.0 * ax)
+    one_minus_e = -np.expm1(-2.0 * ax)
+    c = np.cos(beta)
+    den = one_minus_e * one_minus_e + 4.0 * e * c * c
+    return np.sign(alpha) * one_minus_e * (1.0 + e) / den, 4.0 * e * np.sin(beta) * c / den
+
+
+def _c34_from_tanh(x, y):
     """(k3, k4) = |2 Re[sech^2(w) tanh(w)]|, |2 Re[sech^2(w)(1 - 3 sech^2(w))]|
-    at w = alpha + i beta, computed through tanh alone (sech^2 = 1 - tanh^2)
-    so large |alpha| stays finite."""
-    t = np.tanh(alpha + 1j * beta)
-    s2 = 1.0 - t * t
-    return np.abs(2.0 * np.real(s2 * t)), np.abs(2.0 * np.real(s2 * (1.0 - 3.0 * s2)))
+    from tanh(w) = x + i y, through sech^2 = 1 - tanh^2 = p + i q; x and y
+    may be floats or arrays."""
+    p = 1.0 - x * x + y * y
+    q = -2.0 * x * y
+    return abs(2.0 * (p * x - q * y)), abs(2.0 * (p - 3.0 * (p * p - q * q)))
+
+
+def _c34_kernel_grids(alpha, beta):
+    """(k3, k4) at w = alpha + i beta over broadcast arrays."""
+    return _c34_from_tanh(*_tanh_parts(alpha, beta))
+
+
+def _c34_kernel_at(alpha, beta):
+    """(k3, k4) at one point w = alpha + i beta, on cmath.tanh."""
+    t = cmath.tanh(complex(alpha, beta))
+    return _c34_from_tanh(t.real, t.imag)
 
 
 def _kernel(alpha, beta, which):
@@ -302,16 +329,23 @@ class GaussianMixture(CgfModel):
         return self._ratio_row(tau, t)[1]
 
     def whitened_mu_norm(self, alpha):
-        """||H(alpha)^{-1/2} mu|| = sqrt(g / (1 + sech^2(alpha) g)) by rank-one inversion."""
-        s2 = float(sech(alpha)) ** 2
-        return math.sqrt(self._g / (1.0 + s2 * self._g)) if self._g else 0.0
+        """||H(alpha)^{-1/2} mu|| = sqrt(g / (1 + sech^2(alpha) g)) by rank-one
+        inversion, elementwise over an array of alpha."""
+        return np.sqrt(self._g / (1.0 + np.square(sech(alpha)) * self._g))
 
-    def _c34_sup(self, tau_radius, t_radius, n_grid=401):
+    def _c34_sup(self, tau_radius, t_radius, n_grid=201):
         """Grid + golden-section suprema of both derivative kernels.
 
         alpha ranges over |alpha| <= ||mu|| * tau_radius; for each alpha,
         beta ranges over |beta| <= ||H(alpha)^{-1/2} mu|| * t_radius, and the
-        kernel is weighted by that whitened norm to the 3rd/4th power.
+        kernel is weighted by that whitened norm to the 3rd/4th power.  Both
+        kernels and the norm are even in alpha and in beta, so the grid covers
+        the quarter alpha >= 0, beta >= 0 only; each grid maximum is refined
+        by golden-section searches on scalar evaluations.
+
+        The region contains a zero of cosh, where both kernels are unbounded,
+        exactly when ||H(0)^{-1/2} mu|| * t_radius >= pi/2; both suprema are
+        then inf.  A pure Gaussian gives (0, 0).
         """
         if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
             raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
@@ -320,27 +354,30 @@ class GaussianMixture(CgfModel):
         if hit is not None:
             return hit
         if self.is_pure_gaussian:
-            self._c34_cache[key] = (0.0, 0.0)
-            return 0.0, 0.0
-        a_max = self._mu_norm * tau_radius
-        alphas = np.linspace(-a_max, a_max, n_grid)
-        rw = np.array([self.whitened_mu_norm(a) for a in alphas])
-        u = np.linspace(-1.0, 1.0, n_grid)
-        agrid = np.repeat(alphas, n_grid)
-        bgrid = (rw[:, None] * (t_radius * u[None, :])).ravel()
-        k3, k4 = _c34_kernel_grids(agrid, bgrid)
-        f3 = k3 * np.repeat(rw**3, n_grid)
-        f4 = k4 * np.repeat(rw**4, n_grid)
+            out = (0.0, 0.0)
+        elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
+            out = (math.inf, math.inf)
+        else:
+            out = self._c34_quarter_sup(tau_radius, t_radius, n_grid)
+        self._c34_cache[key] = out
+        return out
 
-        def refine(fgrid, power):
+    def _c34_quarter_sup(self, tau_radius, t_radius, n_grid):
+        alphas = np.linspace(0.0, self._mu_norm * tau_radius, n_grid)
+        rw = self.whitened_mu_norm(alphas)
+        u = np.linspace(0.0, 1.0, n_grid)
+        k3, k4 = _c34_kernel_grids(alphas[:, None], rw[:, None] * (t_radius * u[None, :]))
+        f3 = (k3 * (rw**3)[:, None]).ravel()
+        f4 = (k4 * (rw**4)[:, None]).ravel()
+
+        def refine(fgrid, which):
+            power = 3 + which
             idx = int(np.argmax(fgrid))
             i, j = divmod(idx, n_grid)
 
             def eval_at(alpha, bfrac):
-                r = self.whitened_mu_norm(alpha)
-                k = c3_kernel(alpha, bfrac * t_radius * r) if power == 3 else \
-                    c4_kernel(alpha, bfrac * t_radius * r)
-                return float(k) * r**power
+                r = float(self.whitened_mu_norm(alpha))
+                return _c34_kernel_at(alpha, bfrac * t_radius * r)[which] * r**power
 
             best = float(fgrid[idx])
             a_lo = alphas[max(i - 1, 0)]
@@ -356,9 +393,7 @@ class GaussianMixture(CgfModel):
                 best = max(best, v)
             return best
 
-        out = (refine(f3, 3), refine(f4, 4))
-        self._c34_cache[key] = out
-        return out
+        return refine(f3, 0), refine(f4, 1)
 
     def c3_sup(self, tau_radius, t_radius):
         """sup of the whitened third-derivative kernel over the (tau, t) region."""

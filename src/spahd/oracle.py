@@ -22,7 +22,7 @@ from scipy.special import gammaln
 from .errors import DimensionError, StandardizationError
 from .model import GaussianMixture, MixtureParams
 from .saddle import c3_ball
-from .spa import check_sample_size, error_bound
+from .spa import budget_total, check_sample_size
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
@@ -177,26 +177,22 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     """
     x = _check_point(x, params.d, "x")
     n = check_sample_size(n)
+    return _clt_compare(GaussianMixture(params), ExactMeanDensity(params, n), x, kappa)[0]
+
+
+def _clt_compare(model, oracle, x, kappa):
+    """(CltComparison, log exact density, log Gaussian limit) at x, for the
+    model of the oracle and its n; shared by clt_ratio and the clt_study rows."""
+    params = oracle.params
     second = params.sigma + np.outer(params.mu, params.mu)
     if np.max(np.abs(second - np.eye(params.d))) > 1e-10:
         raise StandardizationError("clt_ratio needs sigma + mu mu' = identity; "
                                    "use MixtureParams.standardized()")
+    n = oracle.n
     a = x / math.sqrt(n)
-    log_exact = ExactMeanDensity(params, n).log_density(a)
+    log_exact = oracle.log_density(a)
     log_gauss = -0.5 * params.d * _LOG_2PI - 0.5 * float(x @ x)
     ratio = math.exp(log_exact - 0.5 * params.d * math.log(n) - log_gauss)
-    model = GaussianMixture(params)
-    norm_x = float(np.linalg.norm(x))
-    local = c3_ball(model, a) * norm_x**3 / math.sqrt(n)
-    if model.is_pure_gaussian:
-        budget = error_bound(params.d, n, 0.0, 0.0, kappa).total
-    else:
-        tau_radius = max(2.0 * float(np.linalg.norm(a)), 1e-3)
-        t_radius = 2.5 * math.sqrt(params.d / n)
-        budget = error_bound(
-            params.d, n,
-            model.c3_sup(tau_radius, t_radius),
-            model.c4_sup(tau_radius, t_radius),
-            kappa,
-        ).total
-    return CltComparison(ratio=ratio, bound=local + budget)
+    local = c3_ball(model, a) * float(np.linalg.norm(x))**3 / math.sqrt(n)
+    bound = local + budget_total(model, n, float(np.linalg.norm(a)), kappa)
+    return CltComparison(ratio=ratio, bound=bound), log_exact, log_gauss

@@ -104,6 +104,17 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
                        eps_warning=eps > 0.25)
 
 
+def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
+    """Budget total for queries with ||a|| <= a_norm: the model's suprema over
+    tau_radius = max(2 a_norm, 1e-3) and t_radius = 2.5 sqrt(d/n)."""
+    d = model.dim
+    tau_radius = max(2.0 * a_norm, 1e-3)
+    t_radius = 2.5 * math.sqrt(d / n)
+    return error_bound(
+        d, n, model.c3_sup(tau_radius, t_radius), model.c4_sup(tau_radius, t_radius), kappa
+    ).total
+
+
 def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     """Endpoint bounds for the truncated contour mass.
 

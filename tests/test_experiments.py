@@ -8,7 +8,17 @@ import numpy as np
 import pytest
 
 import spahd.experiments
-from spahd import ConfigError, DimensionError, FitError, fit_slope, run_experiment
+import spahd.oracle
+from spahd import (
+    ConfigError,
+    DimensionError,
+    FitError,
+    clt_ratio,
+    exact_mean_density,
+    fit_slope,
+    load_model_file,
+    run_experiment,
+)
 from spahd.experiments import (
     CSV_HEADER,
     ExperimentSpec,
@@ -120,6 +130,39 @@ class TestCorrectionStudy:
         for r in records:
             assert r.status == "ok"  # includes the quad-vs-ratio cross-check
             assert r.i_minus_one > 0
+
+
+class TestCltStudy:
+    @pytest.fixture
+    def standard_file(self, tmp_path):
+        path = tmp_path / "standard.txt"
+        path.write_text("d = 1\nmu = 0.6\nsigma = 0.64\n")
+        return str(path)
+
+    def test_rows_match_clt_ratio_with_one_oracle_per_n(self, standard_file, monkeypatch):
+        builds = []
+        init = spahd.oracle.ExactMeanDensity.__init__
+
+        def counting_init(self, params, n):
+            builds.append(n)
+            init(self, params, n)
+
+        monkeypatch.setattr(spahd.oracle.ExactMeanDensity, "__init__", counting_init)
+        spec = make_spec(standard_file, mode="clt_study", n_grid=(50, 200),
+                         a_points=((0.0,), (0.7,), (-1.5,)))
+        records, _ = run_experiment(spec)
+        assert builds == [50, 200]
+        params = load_model_file(standard_file)
+        for r, x in zip(records, [0.0, 0.7, -1.5] * 2):
+            comparison = clt_ratio(params, r.n, np.array([x]))
+            assert r.status == "ok"
+            assert r.rel_err == r.i_minus_one == abs(comparison.ratio - 1.0)
+            assert r.bound_total == comparison.bound
+            assert r.rho_exact == exact_mean_density(params, r.n, np.array([x / math.sqrt(r.n)]))
+
+    def test_unstandardized_model_fails_each_row(self, model_file):
+        records, _ = run_experiment(make_spec(model_file, mode="clt_study"))
+        assert [r.status for r in records] == ["StandardizationError"] * 2
 
 
 class TestDeterminism:

@@ -18,6 +18,7 @@ from spahd import (
     MixtureParams,
     ModelDomainError,
     PhaseBranchError,
+    error_bound,
     load_model_file,
 )
 from spahd.model import (
@@ -42,6 +43,13 @@ K3_MAX = 0.76980035891950101935  # 4 / (3 sqrt 3)
 
 def mixture_1d(mu=1.0, sigma=1.0):
     return GaussianMixture(MixtureParams(1, np.array([mu]), np.array([[sigma]])))
+
+
+def off_axis_mixture(d, seed=8):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+    return GaussianMixture(MixtureParams(d, rng.normal(size=d), 0.5 * (sigma + sigma.T)))
 
 
 class TestScalarKernels:
@@ -270,21 +278,44 @@ class TestDerivedQuantities:
             math.sqrt(0.64 / h), rel=1e-13
         )
 
-    def test_c34_sup_match_brute_scan(self):
-        # oracle: dense scan over the same (alpha, beta) region the sup uses
+    @pytest.mark.parametrize("model, tau_r, t_r", [
+        (mixture_1d(), 0.5, 0.5),
+        # d = 8, off-axis mu, non-identity sigma
+        (off_axis_mixture(8), 0.4, 0.6),
+        # the sweep region of mu = unit, sigma = identity at d = 64, n = 200,
+        # ||a|| <= 0.3: tau_radius = 2 * 0.3, t_radius = 2.5 sqrt(d / n)
+        (GaussianMixture(MixtureParams(64, np.eye(64)[0], np.eye(64))),
+         0.6, 2.5 * math.sqrt(64 / 200)),
+        # c3 peaks on the beta = 0 edge, c4 on the alpha = 0 edge
+        (mixture_1d(mu=2.0), 1.0, 0.3),
+    ], ids=["d1", "d8_off_axis", "d64_sweep", "edge_maxima"])
+    def test_c34_sup_match_brute_scan(self, model, tau_r, t_r):
+        # oracle: dense scan over the whole symmetric (alpha, beta) region
+        a_max = float(np.linalg.norm(model.params.mu)) * tau_r
+        alpha = np.linspace(-a_max, a_max, 1601)[:, None]
+        rw = model.whitened_mu_norm(alpha)
+        beta = np.linspace(-1.0, 1.0, 81)[None, :] * t_r * rw
+        alpha, beta = np.broadcast_arrays(alpha, beta)
+        best3 = float(np.max(c3_kernel(alpha, beta).reshape(alpha.shape) * rw**3))
+        best4 = float(np.max(c4_kernel(alpha, beta).reshape(alpha.shape) * rw**4))
+        assert model.c3_sup(tau_r, t_r) == pytest.approx(best3, rel=2e-4)
+        assert model.c4_sup(tau_r, t_r) == pytest.approx(best4, rel=2e-4)
+        assert model.c3_sup(tau_r, t_r) >= best3 - 1e-10
+        assert model.c4_sup(tau_r, t_r) >= best4 - 1e-10
+
+    def test_sup_inf_when_region_holds_a_zero_of_cosh(self):
+        # mu = sigma = 1: beta reaches the zero of cosh at (0, pi/2) once
+        # t_radius * ||H(0)^{-1/2} mu|| = t_radius / sqrt(2) >= pi/2
         m = mixture_1d()
-        tau_r, t_r = 0.5, 0.5
-        best3 = best4 = 0.0
-        for a in np.linspace(-tau_r, tau_r, 1601):
-            rw = m.whitened_mu_norm(a)
-            for frac in np.linspace(-1.0, 1.0, 81):
-                b = frac * t_r * rw
-                best3 = max(best3, c3_kernel(a, b) * rw**3)
-                best4 = max(best4, c4_kernel(a, b) * rw**4)
-        assert m.c3_sup(tau_r, t_r) == pytest.approx(best3, rel=2e-4)
-        assert m.c4_sup(tau_r, t_r) == pytest.approx(best4, rel=2e-4)
-        assert m.c3_sup(tau_r, t_r) >= best3 - 1e-10
-        assert m.c4_sup(tau_r, t_r) >= best4 - 1e-10
+        edge = 0.5 * math.pi / m.whitened_mu_norm(0.0)
+        for t_r in (edge * (1 + 1e-9), 3.33, 6.66):
+            assert m.c3_sup(0.5, t_r) == math.inf
+            assert m.c4_sup(0.5, t_r) == math.inf
+        below = [m.c3_sup(0.5, f * edge) for f in (0.9, 0.99, 0.999)]
+        assert all(math.isfinite(v) for v in below)
+        assert below[0] < below[1] < below[2]
+        budget = error_bound(1, 2, m.c3_sup(0.5, 3.33), m.c4_sup(0.5, 3.33))
+        assert budget.total == math.inf
 
     def test_c3_sup_rejects_bad_radius(self):
         with pytest.raises(DimensionError):
