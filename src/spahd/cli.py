@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import numbers
 import sys
 
@@ -18,7 +19,7 @@ from .errors import SpahdError
 from .model import GaussianMixture, load_model_file
 from .oracle import ExactMeanDensity, clt_ratio
 from .saddle import legendre_gap_report, solve_saddle
-from .spa import spa_density
+from .spa import exp_or_inf, spa_density
 from .experiments import load_experiment_spec, run_experiment, emit_plot_data, format_csv
 
 
@@ -92,10 +93,10 @@ def _cmd_eval(args):
         ("underflow", est.underflow),
     ]
     if not args.no_exact:
-        rho_exact = ExactMeanDensity(params, args.n).density(a)
+        log_exact = ExactMeanDensity(params, args.n).log_density(a)
         pairs += [
-            ("rho_exact", rho_exact),
-            ("rel_err", abs(est.density / rho_exact - 1.0)),
+            ("rho_exact", exp_or_inf(log_exact)),
+            ("rel_err", abs(math.expm1(est.log_density - log_exact))),
         ]
     _emit(pairs)
     return 0

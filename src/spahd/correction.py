@@ -20,6 +20,7 @@ and cosh_factor.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +32,7 @@ from .errors import (
     DimensionError,
     QuadratureError,
 )
-from .model import CgfModel, cosh_factor, require_mixture, sech
+from .model import CgfModel, check_point, cosh_factor, require_mixture, sech
 from .saddle import SaddlePoint, whitened_hessian_factors
 from .spa import check_sample_size, tail_bound_terms
 
@@ -89,21 +90,25 @@ class AssumptionReport:
 def g_function(model: CgfModel, saddle: SaddlePoint, t) -> complex:
     """Whitened exponent g(t); g(0) = 0 and g(t) ~ ||t||^2 / 2 near zero."""
     require_mixture(model, "g_function")
-    t = np.asarray(t, dtype=float).reshape(-1)
-    if t.shape != (model.dim,):
-        raise DimensionError(f"t has shape {t.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(t)):
-        raise DimensionError(f"t must be finite, got {t}")
+    t = check_point(t, model.dim, "t")
     s_mat, _ = whitened_hessian_factors(saddle)
     s = s_mat @ t
     log_mag, phase = model.log_ratio(saddle.tau, s[None, :])
     return complex(-float(log_mag[0]), float(s @ saddle.a) - float(phase[0]))
 
 
+@functools.lru_cache(maxsize=8)
+def _leggauss(nodes: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], read-only, once per count."""
+    xi, wi = np.polynomial.legendre.leggauss(nodes)
+    xi.flags.writeable = wi.flags.writeable = False
+    return xi, wi
+
+
 def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
     """1-d nodes and weights over [-m h, m h]."""
     if rule == "gauss_legendre":
-        xi, wi = np.polynomial.legendre.leggauss(nodes_per_axis)
+        xi, wi = _leggauss(nodes_per_axis)
         centers = (np.arange(-m, m) + 0.5) * h
         x = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
         w = np.tile(0.5 * h * wi, 2 * m)
@@ -247,15 +252,10 @@ def check_assumptions(
     """
     require_mixture(model, "check_assumptions")
     n = check_sample_size(n)
-    tau_list = [np.asarray(t, dtype=float).reshape(-1) for t in tau_samples]
+    d = model.dim
+    tau_list = [check_point(t, d, "tau sample") for t in tau_samples]
     if not tau_list:
         raise DimensionError("tau_samples must contain at least one point")
-    d = model.dim
-    for t in tau_list:
-        if t.shape != (d,):
-            raise DimensionError(f"tau sample has shape {t.shape}, expected ({d},)")
-        if not np.all(np.isfinite(t)):
-            raise DimensionError(f"tau samples must be finite, got {t}")
     r0, inside_r, outside_r = _shell_radii(d, n)
     n_radii = len(inside_r) + len(outside_r)
     n_dirs = max(4, sample_count // (n_radii * len(tau_list)))

@@ -39,7 +39,7 @@ from .errors import ConfigError, FitError, SpahdError
 from .model import GaussianMixture, load_model_file, parse_kv_lines
 from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import solve_saddle
-from .spa import budget_total, spa_density
+from .spa import budget_total, exp_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -181,11 +181,6 @@ def _query_points(spec, d):
     return pts
 
 
-def _nan_record(d, n, a_norm, eps, bound, wall_ms, status):
-    nan = float("nan")
-    return ResultRecord(d, n, a_norm, nan, nan, nan, nan, eps, bound, wall_ms, status)
-
-
 def _sweep(spec, per_point):
     """Common d/n/point loop; per_point fills in the mode-specific fields."""
     d_values = spec.d_grid
@@ -194,7 +189,9 @@ def _sweep(spec, per_point):
         params = load_model_file(spec.model_path, d_override=d)
         model = GaussianMixture(params)
         pts = _query_points(spec, params.d)
-        max_norm = max(float(np.linalg.norm(p)) for p in pts)
+        # a non-finite point fails its own row; the budget covers the rest
+        norms = (float(np.linalg.norm(p)) for p in pts)
+        max_norm = max((r for r in norms if math.isfinite(r)), default=0.0)
         for n in spec.n_grid:
             bound = budget_total(model, n, max_norm, spec.kappa)
             eps = params.d**2 / n
@@ -205,9 +202,9 @@ def _sweep(spec, per_point):
                 try:
                     rec = per_point(model, oracle, params.d, n, a, a_norm, eps, bound)
                 except _ROW_ERRORS as exc:
-                    rec = _nan_record(
-                        params.d, n, a_norm, eps, bound, None, type(exc).__name__
-                    )
+                    nan = math.nan
+                    rec = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound,
+                                       None, type(exc).__name__)
                 if spec.timing:
                     wall = (time.perf_counter() - t0) * 1e3
                     rec = ResultRecord(**{**asdict(rec), "wall_ms": wall})
@@ -228,7 +225,7 @@ def run_error_scaling(spec: ExperimentSpec):
         # still gives finite errors
         gap = est.log_density - log_exact
         return ResultRecord(
-            d, n, a_norm, est.density, math.exp(log_exact),
+            d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(math.expm1(gap)), abs(math.expm1(-gap)),
             eps, bound, None, "ok",
         )
@@ -248,7 +245,7 @@ def run_correction_study(spec: ExperimentSpec):
         consistent = (abs((corr.i_value - 1.0) - i_true_m1)
                       <= max(1e-9, 5e-6 * abs(1.0 + i_true_m1)))
         return ResultRecord(
-            d, n, a_norm, est.density, math.exp(log_exact),
+            d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(math.expm1(gap)), corr.abs_err_from_one,
             eps, bound, None, "ok" if consistent else "inconsistent",
         )
@@ -259,10 +256,10 @@ def run_correction_study(spec: ExperimentSpec):
 def run_clt_study(spec: ExperimentSpec):
     def per_point(model, oracle, d, n, x, x_norm, eps, bound):
         comparison, log_exact, log_gauss = _clt_compare(model, oracle, x, spec.kappa)
-        rho_limit = n ** (d / 2.0) * math.exp(log_gauss)
+        rho_limit = exp_or_inf(0.5 * d * math.log(n) + log_gauss)
         gap = abs(comparison.ratio - 1.0)
         return ResultRecord(
-            d, n, x_norm, rho_limit, math.exp(log_exact), gap, gap,
+            d, n, x_norm, rho_limit, exp_or_inf(log_exact), gap, gap,
             eps, comparison.bound, None, "ok",
         )
 

@@ -183,13 +183,6 @@ def _inv_sqrt_psd(m):
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-def _sqrt_psd(m):
-    vals, vecs = np.linalg.eigh(m)
-    if np.min(vals) <= 0:
-        raise ModelDomainError("matrix is not positive definite")
-    return (vecs * np.sqrt(vals)) @ vecs.T
-
-
 class CgfModel(ABC):
     """Capabilities every cgf model exposes to the saddle solver.
 
@@ -316,10 +309,6 @@ class GaussianMixture(CgfModel):
         s = float(sech(self._mu @ tau))
         return self._sigma + (s * s) * np.outer(self._mu, self._mu)
 
-    def ratio_magnitude(self, tau, t):
-        """|mgf(tau + i t) / mgf(tau)|, always <= exp(-t' sigma t / 2)."""
-        return math.exp(self.log_ratio_magnitude(tau, t))
-
     def log_ratio_magnitude(self, tau, t):
         """log |mgf(tau + i t) / mgf(tau)|; -inf at a zero of cosh."""
         return self._ratio_row(tau, t)[0]
@@ -366,20 +355,27 @@ class GaussianMixture(CgfModel):
         alphas = np.linspace(0.0, self._mu_norm * tau_radius, n_grid)
         rw = self.whitened_mu_norm(alphas)
         u = np.linspace(0.0, 1.0, n_grid)
-        k3, k4 = _c34_kernel_grids(alphas[:, None], rw[:, None] * (t_radius * u[None, :]))
-        f3 = (k3 * (rw**3)[:, None]).ravel()
-        f4 = (k4 * (rw**4)[:, None]).ravel()
+        # 64 KiB row blocks stay under glibc's 128 KiB mmap threshold, so their
+        # temporaries reuse heap memory; per-row first maxima keep the argmax order
+        row_max, row_arg = np.empty((2, n_grid)), np.empty((2, n_grid), dtype=np.intp)
+        step = max(1, 65536 // (8 * n_grid))
+        for lo in range(0, n_grid, step):
+            rows = slice(lo, lo + step)
+            ks = _c34_kernel_grids(alphas[rows, None], rw[rows, None] * (t_radius * u))
+            for which, k in enumerate(ks):
+                f = k * (rw[rows] ** (3 + which))[:, None]
+                row_arg[which, rows], row_max[which, rows] = np.argmax(f, 1), np.max(f, 1)
 
-        def refine(fgrid, which):
+        def refine(which):
             power = 3 + which
-            idx = int(np.argmax(fgrid))
-            i, j = divmod(idx, n_grid)
+            i = int(np.argmax(row_max[which]))
+            j = int(row_arg[which, i])
 
             def eval_at(alpha, bfrac):
                 r = float(self.whitened_mu_norm(alpha))
                 return _c34_kernel_at(alpha, bfrac * t_radius * r)[which] * r**power
 
-            best = float(fgrid[idx])
+            best = float(row_max[which, i])
             a_lo = alphas[max(i - 1, 0)]
             a_hi = alphas[min(i + 1, n_grid - 1)]
             b_lo = u[max(j - 1, 0)]
@@ -393,7 +389,7 @@ class GaussianMixture(CgfModel):
                 best = max(best, v)
             return best
 
-        return refine(f3, 0), refine(f4, 1)
+        return refine(0), refine(1)
 
     def c3_sup(self, tau_radius, t_radius):
         """sup of the whitened third-derivative kernel over the (tau, t) region."""
@@ -416,6 +412,16 @@ class GaussianMixture(CgfModel):
             return 0.0
         a = min(radius * self._mu_norm, _K3_ARGMAX)
         return float(c3_kernel(a, 0.0)) * self._mu_norm**3
+
+
+def check_point(x, d, name):
+    """x as a float vector of shape (d,); DimensionError unless it is finite."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    if x.shape != (d,):
+        raise DimensionError(f"{name} has shape {x.shape}, expected ({d},)")
+    if not np.all(np.isfinite(x)):
+        raise DimensionError(f"{name} must be finite, got {x}")
+    return x
 
 
 def require_mixture(model, what):

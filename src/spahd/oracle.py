@@ -16,31 +16,39 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.special import gammaln
 
 from .errors import DimensionError, StandardizationError
-from .model import GaussianMixture, MixtureParams
+from .model import GaussianMixture, MixtureParams, check_point
 from .saddle import c3_ball
-from .spa import budget_total, check_sample_size
+from .spa import budget_total, check_sample_size, exp_or_inf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
 
 
-def _check_point(x, d, name):
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if x.shape != (d,):
-        raise DimensionError(f"{name} has shape {x.shape}, expected ({d},)")
-    if not np.all(np.isfinite(x)):
-        raise DimensionError(f"{name} must be finite, got {x}")
-    return x
+def _log_binom_weights(n):
+    """log C(n, k) - n log 2 for k = 0..n.  Up to n = 256 from exact integer
+    binomials, free of cancellation.  Beyond, from one table lf of log k!:
+    math.lgamma below k = 30, then the Stirling series of log Gamma(z),
+    z = k + 1, through 1/(1680 z^7), which truncates it by under 4e-17."""
+    if n <= 256:
+        logs, c = [], 1
+        for k in range(n + 1):
+            logs.append(math.log(c))
+            c = c * (n - k) // (k + 1)
+        return np.array(logs) - n * math.log(2.0)
+    lf = np.empty(n + 1)
+    lf[:30] = [math.lgamma(k + 1.0) for k in range(30)]
+    z = np.arange(31.0, n + 2.0)
+    zi2 = 1.0 / (z * z)
+    series = (1.0 / 12.0 - zi2 * (1.0 / 360.0 - zi2 * (1.0 / 1260.0 - zi2 / 1680.0))) / z
+    lf[30:] = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + series
+    return lf[n] - lf - lf[::-1] - n * math.log(2.0)
 
 
 def _logsumexp(w):
-    """log sum exp(w) for finite w, split as scipy.special.logsumexp splits it
-    (bit-identical results): the largest terms leave the sum and enter through
-    log1p, which keeps full precision when they dominate."""
+    """log sum exp(w) for finite w: the largest terms leave the sum and enter
+    through log1p, which keeps full precision when they dominate."""
     top = w.max()
     hits = w == top
     terms = np.exp(w - top)
@@ -52,30 +60,28 @@ def _logsumexp(w):
 class ExactMeanDensity:
     """Exact density of the n-sample mean, reusable across query points.
 
-    Precomputes the log binomial weights log C(n,k) - n log 2 (log-Gamma,
-    no factorial overflow) and the Cholesky factor of sigma/n.
+    Precomputes the log binomial weights log C(n,k) - n log 2 (exact
+    binomials, or a table of log k!) and the Cholesky factor of sigma/n.
+    density() is inf above the double range; log_density() stays exact.
     """
 
     def __init__(self, params: MixtureParams, n: int):
         n = check_sample_size(n)
         self.params = params
         self.n = n
-        k = np.arange(n + 1, dtype=float)
-        self.log_binom_weights = (
-            gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0) - n * math.log(2.0)
-        )
-        self._means = (2.0 * k - n) / n
+        self.log_binom_weights = _log_binom_weights(n)
+        self._means = (2.0 * np.arange(n + 1.0) - n) / n
         self._chol = np.linalg.cholesky(params.sigma / n)
         self._log_norm = (
             -0.5 * params.d * _LOG_2PI - float(np.sum(np.log(np.diag(self._chol))))
         )
         # whitened query pieces: |x - m mu|^2 expands in three scalars
-        self._mu_w = solve_triangular(self._chol, params.mu, lower=True)
+        self._mu_w = np.linalg.solve(self._chol, params.mu)
         self._q_mu = float(self._mu_w @ self._mu_w)
 
     def log_density(self, a) -> float:
-        a = _check_point(a, self.params.d, "a")
-        a_w = solve_triangular(self._chol, a, lower=True)
+        a = check_point(a, self.params.d, "a")
+        a_w = np.linalg.solve(self._chol, a)
         q_a = float(a_w @ a_w)
         q_cross = float(a_w @ self._mu_w)
         m = self._means
@@ -83,7 +89,7 @@ class ExactMeanDensity:
         return _logsumexp(self.log_binom_weights - 0.5 * quad) + self._log_norm
 
     def density(self, a) -> float:
-        return math.exp(self.log_density(a))
+        return exp_or_inf(self.log_density(a))
 
 
 def exact_mean_density(params: MixtureParams, n: int, a) -> float:
@@ -143,7 +149,7 @@ def mc_density(params: MixtureParams, n: int, a, config: McOracleConfig | None =
         raise DimensionError(f"mc oracle supports d <= 4, got d={params.d}")
     n = check_sample_size(n)
     cfg = config or McOracleConfig()
-    a = _check_point(a, params.d, "a")
+    a = check_point(a, params.d, "a")
     x = _sample_means(params, n, cfg.samples, cfg.seed)
     if cfg.bandwidth is not None:
         h = np.full(params.d, cfg.bandwidth)
@@ -175,7 +181,7 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     the cubic local term C3(a) ||x||^3 / sqrt(n) at a = x / sqrt(n) plus the
     multiplicative budget total, both up to absolute constants.
     """
-    x = _check_point(x, params.d, "x")
+    x = check_point(x, params.d, "x")
     n = check_sample_size(n)
     return _clt_compare(GaussianMixture(params), ExactMeanDensity(params, n), x, kappa)[0]
 

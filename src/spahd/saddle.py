@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DimensionError, ModelDomainError, NonconvergenceError, StandardizationError
-from .model import CgfModel, require_mixture
+from .model import CgfModel, check_point, require_mixture
 
 
 @dataclass(frozen=True)
@@ -45,11 +44,7 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
     fallback on stagnation).  Raises NonconvergenceError with the last
     residual when the iteration budget runs out.
     """
-    a = np.asarray(a, dtype=float).reshape(-1)
-    if a.shape != (model.dim,):
-        raise DimensionError(f"a has shape {a.shape}, expected ({model.dim},)")
-    if not np.all(np.isfinite(a)):
-        raise DimensionError(f"a must be finite, got {a}")
+    a = check_point(a, model.dim, "a")
     if not (tol > 0):
         raise DimensionError("tol must be > 0")
     if method == "newton":
@@ -65,7 +60,7 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
             tau, res, it = _fixed_point(model, a, tol, max_iter)
     else:
         raise DimensionError(f"unknown method {method!r}")
-    chol = _hessian_chol(model, tau)
+    _, chol = _hessian_chol(model, tau)
     log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     phi_star = float(tau @ a) - model.cgf_real(tau)
     return SaddlePoint(a=a, tau=tau, phi_star=phi_star, hessian_chol=chol,
@@ -73,9 +68,10 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
 
 
 def _hessian_chol(model, tau):
-    """Lower Cholesky factor of the cgf Hessian; rejects a non-SPD Hessian."""
+    """The cgf Hessian and its lower Cholesky factor; rejects a non-SPD Hessian."""
+    h = model.hessian(tau)
     try:
-        return np.linalg.cholesky(model.hessian(tau))
+        return h, np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise ModelDomainError("cgf Hessian is not positive definite") from exc
 
@@ -90,8 +86,9 @@ def _newton(model, a, tol, max_iter):
             raise NonconvergenceError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
-        chol = _hessian_chol(model, tau)
-        delta = -cho_solve((chol, True), r, check_finite=False)
+        # the factor certifies SPD; one solve on H is cheaper than two on it
+        h, _ = _hessian_chol(model, tau)
+        delta = -np.linalg.solve(h, r)
         # Armijo backtracking on f = ||r||^2/2; Newton direction gives
         # directional derivative -||r||^2 exactly
         f0 = 0.5 * res * res

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.special import gammaln
-
 from .errors import DimensionError, SpahdError
 from .saddle import SaddlePoint
 
@@ -29,7 +27,9 @@ _UNDERFLOW_LOG = -745.0
 
 @dataclass(frozen=True)
 class SpaEstimate:
-    """Log-domain saddlepoint density value at one query point."""
+    """Log-domain saddlepoint density value at one query point; density is 0.0
+    below the double range (underflow set) and inf above it (small sigma/n at
+    high d), while log_density stays exact."""
 
     log_density: float
     density: float
@@ -38,6 +38,14 @@ class SpaEstimate:
     n: int
     d: int
     underflow: bool
+
+
+def exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def check_sample_size(n) -> int:
@@ -55,7 +63,7 @@ def spa_density(saddle: SaddlePoint, n: int) -> SpaEstimate:
     exponent = -n * saddle.phi_star
     log_density = log_prefactor + exponent
     underflow = log_density < _UNDERFLOW_LOG
-    density = 0.0 if underflow else math.exp(log_density)
+    density = 0.0 if underflow else exp_or_inf(log_density)
     return SpaEstimate(log_density=log_density, density=density,
                        log_prefactor=log_prefactor, exponent=exponent,
                        n=n, d=d, underflow=underflow)
@@ -90,11 +98,8 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
     if not (c3 >= 0 and c4 >= 0 and kappa > 0):
         raise DimensionError("c3, c4 must be >= 0 and kappa > 0")
     eps = d * d / n
-    try:
-        term_main = math.exp(40.0 * c4 * eps * eps) * (c3 * c3 + c4) * eps
-    except OverflowError:
-        # far outside the bound's regime (eps_warning fires); inf is honest
-        term_main = math.inf
+    # inf far outside the bound's regime, where eps_warning fires
+    term_main = exp_or_inf(40.0 * c4 * eps * eps) * (c3 * c3 + c4) * eps
     term_exp = math.exp(-float(d))
     term_tail = (math.e * eps / (kappa * kappa)) ** (0.5 * d)
     return ErrorBudget(eps=eps, c3=c3, c4=c4, kappa=kappa, r_const=2.5,
@@ -130,13 +135,6 @@ def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     return first, second
 
 
-def sphere_area(d: int) -> float:
-    """Surface area of the unit sphere in R^d: 2 pi^(d/2) / Gamma(d/2)."""
-    if d < 1:
-        raise DimensionError(f"d must be >= 1, got {d}")
-    return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - gammaln(0.5 * d))
-
-
 def log_gamma_ratio(d: int) -> float:
     """log(Gamma(d) / Gamma(d/2)), validated against the duplication identity.
 
@@ -146,18 +144,9 @@ def log_gamma_ratio(d: int) -> float:
     """
     if d < 1:
         raise DimensionError(f"d must be >= 1, got {d}")
-    direct = gammaln(float(d)) - gammaln(0.5 * d)
-    dup = (d - 1.0) * math.log(2.0) + gammaln(0.5 * (d + 1.0)) - 0.5 * math.log(math.pi)
+    direct = math.lgamma(d) - math.lgamma(0.5 * d)
+    dup = (d - 1.0) * math.log(2.0) + math.lgamma(0.5 * (d + 1.0)) - 0.5 * math.log(math.pi)
     if abs(direct - dup) > 1e-10 * max(1.0, abs(direct)):
         raise SpahdError(f"gamma duplication identity violated at d={d}: "
                          f"{direct!r} vs {dup!r}")
     return float(direct)
-
-
-def gamma_ratio(d: int) -> float:
-    """Gamma(d) / Gamma(d/2); overflows to inf for d beyond ~260."""
-    ratio = log_gamma_ratio(d)
-    try:
-        return math.exp(ratio)
-    except OverflowError:
-        return math.inf

@@ -1,4 +1,9 @@
-"""The public surface: exported names and the backend tag stay fixed."""
+"""The public surface: exported names, the backend tag and the import set
+stay fixed."""
+
+import subprocess
+import sys
+from pathlib import Path
 
 import spahd
 
@@ -55,3 +60,13 @@ def test_all_is_pinned():
 
 def test_backend_is_python():
     assert spahd.BACKEND == "python"
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, with this spahd first on its path
+    root = str(Path(spahd.__file__).resolve().parents[1])
+    code = (f"import sys; sys.path.insert(0, {root!r}); import spahd; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"

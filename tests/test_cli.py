@@ -70,6 +70,17 @@ class TestEval:
         assert float(kv["rho_spa"]) == pytest.approx(0.0875710272793962, rel=1e-10)
         assert float(kv["rel_err"]) < 0.01
 
+    def test_underflowed_densities(self, capsys, tmp_path):
+        # both densities underflow to 0.0; rel_err comes from the log gap
+        path = tmp_path / "unit.txt"
+        path.write_text("d = 1\nmu = unit\nsigma = identity\n")
+        rc, kv, _ = run_cli(
+            capsys, ["eval", "--model", str(path), "-a", "0.3", "-n", "100000"]
+        )
+        assert rc == 0
+        assert float(kv["rho_spa"]) == 0.0 and float(kv["rho_exact"]) == 0.0
+        assert 1e-7 < float(kv["rel_err"]) < 1e-6
+
     def test_no_exact_flag(self, capsys, model_file):
         rc, kv, _ = run_cli(
             capsys,

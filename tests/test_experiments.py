@@ -110,6 +110,28 @@ class TestErrorScaling:
         records, _ = run_experiment(make_spec(model_file, a_points=((0.1,), (0.2,))))
         assert [r.status for r in records] == ["ok", "DimensionError"] * 2
 
+    @pytest.mark.parametrize("points", [((math.nan,), (0.1,)), ((0.1,), (math.nan,))])
+    def test_non_finite_point_fails_only_its_row(self, model_file, points):
+        records, _ = run_experiment(make_spec(model_file, a_points=points))
+        finite, _ = run_experiment(make_spec(model_file, a_points=((0.1,),)))
+        expected = ["DimensionError" if math.isnan(p[0]) else "ok" for p in points]
+        assert [r.status for r in records] == expected * 2
+        # the budget covers the finite points only
+        assert [r.bound_total for r in records] == [
+            r.bound_total for r in finite for _ in points
+        ]
+
+    def test_overflowed_densities_give_finite_rows(self, tmp_path):
+        # d = 150, n = 1e5, a = 0: both densities are about e^725
+        path = tmp_path / "scalable.txt"
+        path.write_text("d = 1\nmu = unit\nsigma = identity\n")
+        spec = make_spec(str(path), d_grid=(150,), n_grid=(100000,), a_points=(),
+                         a_shells=((0.0, 1),))
+        (r,), _ = run_experiment(spec)
+        assert r.status == "ok"
+        assert r.rho_spa == math.inf and r.rho_exact == math.inf
+        assert 1e-7 < r.rel_err < 1e-6
+
     def test_eps_and_bound_columns(self, model_file):
         records, _ = run_experiment(make_spec(model_file, n_grid=(100,)))
         r = records[0]
@@ -159,6 +181,19 @@ class TestCltStudy:
             assert r.rel_err == r.i_minus_one == abs(comparison.ratio - 1.0)
             assert r.bound_total == comparison.bound
             assert r.rho_exact == exact_mean_density(params, r.n, np.array([x / math.sqrt(r.n)]))
+
+    def test_overflowed_limit_density(self, tmp_path):
+        # pure Gaussian at d = 150, n = 1e5, x = 0: n^(d/2) gamma_d(0) is
+        # about e^725, and the exact density equals it
+        path = tmp_path / "gauss.txt"
+        path.write_text("d = 150\nsigma = identity\n")
+        spec = make_spec(str(path), mode="clt_study", n_grid=(100000,), a_points=(),
+                         a_shells=((0.0, 1),))
+        (r,), _ = run_experiment(spec)
+        assert r.status == "ok"
+        assert r.rho_spa == math.inf and r.rho_exact == math.inf
+        # the ratio is 1 up to the oracle's log-weight rounding at n = 1e5
+        assert r.rel_err == pytest.approx(0.0, abs=1e-9)
 
     def test_unstandardized_model_fails_each_row(self, model_file):
         records, _ = run_experiment(make_spec(model_file, mode="clt_study"))

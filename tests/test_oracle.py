@@ -2,9 +2,9 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from scipy.special import logsumexp
 
 from spahd import (
     DimensionError,
@@ -16,6 +16,7 @@ from spahd import (
     exact_mean_density,
     mc_density,
 )
+from spahd.oracle import _log_binom_weights
 
 # mpmath 40-digit reference: mu = 1, sigma = 1, a = 0, n = 2
 EXACT_AT_0_N2 = 0.38587166612902681931
@@ -40,7 +41,25 @@ class TestExactDensity:
     def test_binomial_weights_normalized(self):
         for n in [1, 2, 17, 400]:
             oracle = ExactMeanDensity(params_1d(), n)
-            assert logsumexp(oracle.log_binom_weights) == pytest.approx(0.0, abs=1e-12)
+            total = mpmath.fsum(mpmath.exp(w) for w in oracle.log_binom_weights)
+            assert float(mpmath.log(total)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n, bound", [(31, 1e-13), (256, 1e-13), (257, 1e-12), (400, 1e-12)])
+    def test_log_binom_weights_match_mpmath(self, n, bound):
+        # exact binomials up to n = 256; beyond, the log k! table switches
+        # from math.lgamma to the Stirling series at k = 30
+        with mpmath.workdps(40):
+            ref = [float(mpmath.log(mpmath.binomial(n, k)) - n * mpmath.log(2))
+                   for k in range(n + 1)]
+        assert np.max(np.abs(_log_binom_weights(n) - ref)) <= bound
+
+    def test_density_overflow_gives_inf(self):
+        # d = 150, n = 1e5, a = 0: the density is about e^725
+        d, n = 150, 100000
+        oracle = ExactMeanDensity(MixtureParams(d, np.eye(d)[0], np.eye(d)), n)
+        log_rho = oracle.log_density(np.zeros(d))
+        assert 709 < log_rho < 726
+        assert oracle.density(np.zeros(d)) == math.inf
 
     def test_pure_gaussian_closed_form(self):
         rng = np.random.default_rng(12)
