@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import math
 import numbers
 import sys
 
@@ -19,7 +18,7 @@ from .errors import SpahdError
 from .model import GaussianMixture, load_model_file
 from .oracle import ExactMeanDensity, clt_ratio
 from .saddle import legendre_gap_report, solve_saddle
-from .spa import exp_or_inf, spa_density
+from .spa import exp_or_inf, expm1_or_inf, spa_density
 from .experiments import load_experiment_spec, run_experiment, emit_plot_data, format_csv
 
 
@@ -96,7 +95,7 @@ def _cmd_eval(args):
         log_exact = ExactMeanDensity(params, args.n).log_density(a)
         pairs += [
             ("rho_exact", exp_or_inf(log_exact)),
-            ("rel_err", abs(math.expm1(est.log_density - log_exact))),
+            ("rel_err", abs(expm1_or_inf(est.log_density - log_exact))),
         ]
     _emit(pairs)
     return 0

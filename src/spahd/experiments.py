@@ -39,7 +39,7 @@ from .errors import ConfigError, FitError, SpahdError
 from .model import GaussianMixture, load_model_file, parse_kv_lines
 from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import solve_saddle
-from .spa import budget_total, exp_or_inf, spa_density
+from .spa import budget_total, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -78,6 +78,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One CSV row.  A ratio taken from the gap between the two log
+    densities is inf once it passes the double range (a gap above about
+    709 nats), and bound_total is inf once a budget term does; neither
+    fails the row, but a correction_study row with an inf exact ratio is
+    "inconsistent"."""
+
     d: int
     n: int
     a_norm: float
@@ -222,11 +228,11 @@ def run_error_scaling(spec: ExperimentSpec):
     def per_point(model, oracle, d, n, a, a_norm, eps, bound):
         _, est, log_exact = _densities(model, oracle, n, a, spec.tol)
         # both ratios from the log difference, so an underflowed density
-        # still gives finite errors
+        # still gives finite errors, and inf only past the double range
         gap = est.log_density - log_exact
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
-            abs(math.expm1(gap)), abs(math.expm1(-gap)),
+            abs(expm1_or_inf(gap)), abs(expm1_or_inf(-gap)),
             eps, bound, None, "ok",
         )
 
@@ -241,12 +247,13 @@ def run_correction_study(spec: ExperimentSpec):
         corr = correction_integral(model, saddle, n, quad, kappa=spec.kappa)
         gap = est.log_density - log_exact
         # I - 1 against the exact ratio rho_exact / rho_spa - 1
-        i_true_m1 = math.expm1(-gap)
-        consistent = (abs((corr.i_value - 1.0) - i_true_m1)
+        i_true_m1 = expm1_or_inf(-gap)
+        consistent = (math.isfinite(i_true_m1)
+                      and abs((corr.i_value - 1.0) - i_true_m1)
                       <= max(1e-9, 5e-6 * abs(1.0 + i_true_m1)))
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
-            abs(math.expm1(gap)), corr.abs_err_from_one,
+            abs(expm1_or_inf(gap)), corr.abs_err_from_one,
             eps, bound, None, "ok" if consistent else "inconsistent",
         )
 

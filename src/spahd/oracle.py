@@ -4,13 +4,17 @@ The mean of n draws from the symmetric mixture is itself a (n+1)-component
 Gaussian mixture: conditioning on how many draws took the +mu branch gives
 mean (2k - n)/n * mu and covariance sigma/n with Binomial(n, 1/2) weights.
 That finite sum is evaluated in the log domain and serves as the exact
-oracle.  The Monte Carlo oracle is an independent cross-check on the formula
-itself: sample means drawn directly, product-kernel density estimate at the
-query point, bootstrap standard error attached.
+oracle.  Its log terms are concave in k, so a query sums only the window of
+terms near the largest one and bounds the rest by a geometric series, which
+costs O(sqrt n) instead of O(n).  The Monte Carlo oracle is an independent
+cross-check on the formula itself: sample means drawn directly, product-
+kernel density estimate at the query point, bootstrap standard error
+attached.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -25,68 +29,184 @@ from .spa import budget_total, check_sample_size, exp_or_inf
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
 
+# weights come from exact integer binomials up to this n, from Loader's form above
+_EXACT_MAX_N = 256
+# a query sums every term less than this many nats below the largest ...
+_WINDOW_NATS = 40.0
+# ... and widens its window until the cut tails are below this share of the sum
+_TAIL_REL = 1e-16
 
-def _log_binom_weights(n):
-    """log C(n, k) - n log 2 for k = 0..n.  Up to n = 256 from exact integer
-    binomials, free of cancellation.  Beyond, from one table lf of log k!:
-    math.lgamma below k = 30, then the Stirling series of log Gamma(z),
-    z = k + 1, through 1/(1680 z^7), which truncates it by under 4e-17."""
-    if n <= 256:
-        logs, c = [], 1
-        for k in range(n + 1):
-            logs.append(math.log(c))
-            c = c * (n - k) // (k + 1)
-        return np.array(logs) - n * math.log(2.0)
-    lf = np.empty(n + 1)
-    lf[:30] = [math.lgamma(k + 1.0) for k in range(30)]
-    z = np.arange(31.0, n + 2.0)
-    zi2 = 1.0 / (z * z)
-    series = (1.0 / 12.0 - zi2 * (1.0 / 360.0 - zi2 * (1.0 / 1260.0 - zi2 / 1680.0))) / z
-    lf[30:] = (z - 0.5) * np.log(z) - z + 0.5 * _LOG_2PI + series
-    return lf[n] - lf - lf[::-1] - n * math.log(2.0)
+# Stirling error log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (k = 0 unused)
+_STIRLERR_SMALL = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
 
 
-def _logsumexp(w):
-    """log sum exp(w) for finite w: the largest terms leave the sum and enter
-    through log1p, which keeps full precision when they dominate."""
-    top = w.max()
-    hits = w == top
-    terms = np.exp(w - top)
-    terms[hits] = 0.0
-    count = np.count_nonzero(hits)
-    return float(np.log1p(np.sum(terms) / count) + np.log(count) + top)
+# the Stirling series 1/12z - 1/360z^3 + 1/1260z^5 - 1/1680z^7 + 1/1188z^9 of
+# the Stirling error; its first 2, 3 or 4 terms are enough above z = 500, 80
+# or 35, where each cut, like the fifth term's from z = 16, is below 1.1e-16
+_STIRLING_COEFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+
+
+def _stirlerr(z, z_min):
+    """Stirling error log z! - log(sqrt(2 pi z) (z/e)^z) for whole z >= 1,
+    a float or an array whose smallest entry is z_min: the table up to 15,
+    the series beyond."""
+    terms = 2 if z_min > 500 else 3 if z_min > 80 else 4 if z_min > 35 else 5
+    zi = 1.0 / z
+    zi2 = zi * zi
+    acc = _STIRLING_COEFS[terms - 1] * zi2
+    for coef in _STIRLING_COEFS[terms - 2:0:-1]:
+        acc = (coef + acc) * zi2
+    out = (_STIRLING_COEFS[0] + acc) * zi
+    if z_min <= 15:
+        small = z <= 15
+        out[small] = _STIRLERR_SMALL[z[small].astype(int)]
+    return out
+
+
+@functools.lru_cache(maxsize=32)
+def _exact_log_binom(n):
+    """log C(n, k) - n log 2 for every k, from exact integer binomials
+    (a running c = c (n - k) // (k + 1)), free of cancellation; read-only."""
+    logs, c = [], 1
+    for k in range(n + 1):
+        logs.append(math.log(c))
+        c = c * (n - k) // (k + 1)
+    out = np.array(logs) - n * math.log(2.0)
+    out.setflags(write=False)
+    return out
+
+
+def _log_binom_weights(n, k_lo=0, k_hi=None):
+    """log C(n, k) - n log 2 for k = k_lo..k_hi (default: every k).
+
+    Up to n = 256 from exact integer binomials.  Beyond, from Loader's
+    deviance-plus-Stirling-error form (C. Loader, "Fast and Accurate
+    Computation of Binomial Probabilities", 2000), with p = 1/2 and u = (2k - n)/n:
+
+        stirlerr(n) - stirlerr(k) - stirlerr(n - k) - n D(u) - log(2 pi k (n - k) / n) / 2
+
+    where n D(u) = bd0(k, n/2) + bd0(n - k, n/2) = n [u atanh u + log(1 - u^2)/2]
+    is taken from two log1p of nonnegative exact ratios, so every term keeps
+    its relative precision at any k; no term is a difference of log k! values.
+    """
+    k_hi = n if k_hi is None else k_hi
+    if n <= _EXACT_MAX_N:
+        return _exact_log_binom(n)[k_lo:k_hi + 1]
+    lo, hi = max(k_lo, 1), min(k_hi, n - 1)
+    k = np.arange(lo, hi + 1.0)
+    rest = n - k
+    prod = k * rest
+    nu = np.abs(k - rest)
+    # atanh|u| = log1p(nu / min(k, n - k)) / 2 and -log(1 - u^2) = log1p(nu^2 / (4 k (n - k)))
+    two_dev = nu * np.log1p(nu / np.minimum(k, rest)) - n * np.log1p(0.25 * nu * nu / prod)
+    both = _stirlerr(np.concatenate((k, rest)), min(lo, n - hi))
+    head = _stirlerr(float(n), n) - 0.5 * (_LOG_2PI - math.log(n))
+    w = head - both[:len(k)] - both[len(k):] - 0.5 * (two_dev + np.log(prod))
+    if k_lo > 0 and k_hi < n:
+        return w
+    # C(n, 0) = C(n, n) = 1
+    edge = [-n * math.log(2.0)]
+    return np.concatenate((edge if k_lo == 0 else [], w, edge if k_hi == n else []))
+
+
+def _geometric_tail(log_edge, ratio):
+    """sum_{i >= 1} exp(log_edge + i ratio), which bounds the terms past a
+    window edge of log value log_edge when no step beyond it exceeds ratio;
+    inf unless ratio < 0."""
+    if not ratio < 0.0:
+        return math.inf
+    return math.exp(log_edge + ratio - math.log(-math.expm1(ratio)))
 
 
 class ExactMeanDensity:
     """Exact density of the n-sample mean, reusable across query points.
 
-    Precomputes the log binomial weights log C(n,k) - n log 2 (exact
-    binomials, or a table of log k!) and the Cholesky factor of sigma/n.
-    density() is inf above the double range; log_density() stays exact.
+    Precomputes the inverse Cholesky factor of sigma/n and the whitened mu;
+    no work is O(n).  A query finds the largest log term f(k) = log C(n,k) - n log 2
+    - |a - m_k mu|^2_(sigma/n) / 2 from its exact forward difference, sums
+    the O(sqrt n) terms within 40 nats of it (the window grows if it must)
+    and bounds the two cut tails by geometric series; last_window holds
+    (k_lo, k_hi, tail_rel) of the last query, tail_rel <= 1e-16 being that
+    bound relative to the sum.  density() is inf above the double range;
+    log_density() stays exact.
     """
 
     def __init__(self, params: MixtureParams, n: int):
         n = check_sample_size(n)
         self.params = params
         self.n = n
-        self.log_binom_weights = _log_binom_weights(n)
-        self._means = (2.0 * np.arange(n + 1.0) - n) / n
-        self._chol = np.linalg.cholesky(params.sigma / n)
-        self._log_norm = (
-            -0.5 * params.d * _LOG_2PI - float(np.sum(np.log(np.diag(self._chol))))
-        )
-        # whitened query pieces: |x - m mu|^2 expands in three scalars
-        self._mu_w = np.linalg.solve(self._chol, params.mu)
+        chol = np.linalg.cholesky(params.sigma / n)
+        self._log_norm = -0.5 * params.d * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
+        # the whitening x -> L^-1 x, with sigma/n = L L'; a query applies it
+        # once, as a product, which is as precise as a triangular solve here
+        self._whiten = np.linalg.solve(chol, np.eye(params.d))
+        self._mu_w = self._whiten @ params.mu
+        # (sigma/n)^-1 mu, whose product with a is <a_w, mu_w>
+        self._mu_dual = self._whiten.T @ self._mu_w
         self._q_mu = float(self._mu_w @ self._mu_w)
+        self.last_window = None
+
+    @functools.cached_property
+    def log_binom_weights(self):
+        """log C(n, k) - n log 2 for every k = 0..n (built on first use)."""
+        return _log_binom_weights(self.n)
 
     def log_density(self, a) -> float:
         a = check_point(a, self.params.d, "a")
-        a_w = np.linalg.solve(self._chol, a)
-        q_a = float(a_w @ a_w)
-        q_cross = float(a_w @ self._mu_w)
-        m = self._means
-        quad = q_a - 2.0 * m * q_cross + (m * m) * self._q_mu
-        return _logsumexp(self.log_binom_weights - 0.5 * quad) + self._log_norm
+        n, q_mu = self.n, self._q_mu
+        q_cross = float(a @ self._mu_dual)
+        # f(k+1) - f(k) = log((n - k)/(k + 1)) + lead - slope k, exactly; it
+        # falls by at least curv per step, so f is concave with one peak
+        slope = 4.0 * q_mu / (n * n)
+        lead = 2.0 * (q_cross + q_mu * (n - 1.0) / n) / n
+        curv = 4.0 / (n + 2.0) + slope
+
+        def step(k):
+            return math.log((n - k) / (k + 1.0)) + lead - slope * k
+
+        # the peak is the first k with step(k) <= 0 (step(n) = -inf); since
+        # the steps fall by curv or more, it lies within step(mid) / curv of mid
+        mid = n // 2
+        span = step(mid) / curv
+        peak = max(mid - math.floor(-span) - 1, 0) if span <= 0 else mid + 1
+        hi = mid if span <= 0 else min(mid + math.ceil(span) + 1, n)
+        while peak < hi:  # bisection
+            mid = (peak + hi) // 2
+            if step(mid) <= 0.0:
+                hi = mid
+            else:
+                peak = mid + 1
+        # half the squared distance |a - m_k mu|^2 in the sigma/n metric,
+        # expanded about the peak's mean m_p, whose residual is whitened as
+        # is, so no large terms cancel: q_p / 2 + j (quad_j j - lin_j), j = k - peak
+        m_peak = (2.0 * peak - n) / n
+        r_w = self._whiten @ (a - m_peak * self.params.mu)
+        quad_j = 2.0 * q_mu / (n * n)
+        lin_j = 2.0 * float(r_w @ self._mu_w) / n
+        nats = _WINDOW_NATS
+        while True:
+            # j steps from the peak, f is at least curv j (j - 1) / 2 below it
+            reach = math.ceil(0.5 + math.sqrt(0.25 + 2.0 * nats / curv))
+            k_lo, k_hi = max(peak - reach, 0), min(peak + reach, n)
+            j = np.arange(k_lo - peak, k_hi - peak + 1.0)
+            # the log terms f(k) + q_p / 2
+            f = _log_binom_weights(n, k_lo, k_hi) - j * (quad_j * j - lin_j)
+            top = f[peak - k_lo]
+            log_sum = top + math.log(np.exp(f - top).sum())
+            # past each edge the steps are no larger than the edge's own
+            tail = ((_geometric_tail(f[-1] - log_sum, step(k_hi)) if k_hi < n else 0.0)
+                    + (_geometric_tail(f[0] - log_sum, -step(k_lo - 1)) if k_lo > 0 else 0.0))
+            if tail <= _TAIL_REL:
+                break
+            nats *= 2.0
+        self.last_window = (k_lo, k_hi, tail)
+        return log_sum - 0.5 * float(r_w @ r_w) + self._log_norm
 
     def density(self, a) -> float:
         return exp_or_inf(self.log_density(a))
@@ -198,7 +318,7 @@ def _clt_compare(model, oracle, x, kappa):
     a = x / math.sqrt(n)
     log_exact = oracle.log_density(a)
     log_gauss = -0.5 * params.d * _LOG_2PI - 0.5 * float(x @ x)
-    ratio = math.exp(log_exact - 0.5 * params.d * math.log(n) - log_gauss)
+    ratio = exp_or_inf(log_exact - 0.5 * params.d * math.log(n) - log_gauss)
     local = c3_ball(model, a) * float(np.linalg.norm(x))**3 / math.sqrt(n)
     bound = local + budget_total(model, n, float(np.linalg.norm(a)), kappa)
     return CltComparison(ratio=ratio, bound=bound), log_exact, log_gauss

@@ -48,6 +48,14 @@ def exp_or_inf(x: float) -> float:
         return math.inf
 
 
+def expm1_or_inf(x: float) -> float:
+    """expm1(x), or inf where it exceeds the double range."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
 def check_sample_size(n) -> int:
     """n as an int; DimensionError unless it is a positive whole number."""
     if not (n >= 1 and math.isfinite(n) and float(n) == int(n)):
@@ -101,7 +109,7 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
     # inf far outside the bound's regime, where eps_warning fires
     term_main = exp_or_inf(40.0 * c4 * eps * eps) * (c3 * c3 + c4) * eps
     term_exp = math.exp(-float(d))
-    term_tail = (math.e * eps / (kappa * kappa)) ** (0.5 * d)
+    term_tail = _tail_power(eps, d, kappa)
     return ErrorBudget(eps=eps, c3=c3, c4=c4, kappa=kappa, r_const=2.5,
                        term_main=term_main, term_exp=term_exp,
                        term_tail=term_tail,
@@ -131,8 +139,12 @@ def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     if not (kappa > 0):
         raise DimensionError("kappa must be > 0")
     first = math.exp(-float(d)) / math.sqrt(d)
-    second = (math.e * d * d / (n * kappa * kappa)) ** (0.5 * d)
-    return first, second
+    return first, _tail_power(d * d / n, d, kappa)
+
+
+def _tail_power(eps, d, kappa):
+    """(e eps / kappa^2)^(d/2), taken in the log domain: inf above the double range."""
+    return exp_or_inf(0.5 * d * (1.0 + math.log(eps) - 2.0 * math.log(kappa)))
 
 
 def log_gamma_ratio(d: int) -> float:

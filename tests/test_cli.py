@@ -81,6 +81,15 @@ class TestEval:
         assert float(kv["rho_spa"]) == 0.0 and float(kv["rho_exact"]) == 0.0
         assert 1e-7 < float(kv["rel_err"]) < 1e-6
 
+    def test_log_gap_past_double_range(self, capsys, tmp_path):
+        # sigma = 1e-4, n = 1: the log densities differ by about 5000
+        path = tmp_path / "sharp.model"
+        path.write_text("d = 1\nmu = 1.0\nsigma = 0.0001\n")
+        rc, kv, _ = run_cli(capsys, ["eval", "--model", str(path), "-a0.0", "-n", "1"])
+        assert rc == 0
+        assert float(kv["rho_exact"]) == 0.0
+        assert kv["rel_err"] == "inf"
+
     def test_no_exact_flag(self, capsys, model_file):
         rc, kv, _ = run_cli(
             capsys,

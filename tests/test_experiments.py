@@ -132,6 +132,31 @@ class TestErrorScaling:
         assert r.rho_spa == math.inf and r.rho_exact == math.inf
         assert 1e-7 < r.rel_err < 1e-6
 
+    def test_log_gap_past_double_range_gives_inf_rel_err(self, tmp_path):
+        # sigma = 1e-4, n = 1: the spa density at 0 is a Gaussian's, the exact
+        # one sits 5000 nats lower, so expm1 of the gap leaves the double range
+        path = tmp_path / "sharp.txt"
+        path.write_text("d = 1\nmu = 1.0\nsigma = 0.0001\n")
+        spec = make_spec(str(path), n_grid=(1,), a_points=((0.0,),))
+        (r,), _ = run_experiment(spec)
+        assert r.status == "ok"
+        assert r.rho_exact == 0.0 and r.rho_spa > 0.0
+        assert r.rel_err == math.inf
+        assert r.i_minus_one == pytest.approx(1.0)
+
+    def test_budget_past_double_range_keeps_the_rows(self, tmp_path):
+        # d = 300, n = 100: (e eps / kappa^2)^(d/2) is about e^1170, so the
+        # budget total is inf, and every row is still computed and written
+        path = tmp_path / "scalable.txt"
+        path.write_text("d = 1\nmu = unit\nsigma = identity\n")
+        spec = make_spec(str(path), d_grid=(300,), n_grid=(100,), a_points=(),
+                         a_shells=((0.0, 1), (0.05, 2)))
+        records, csv_path = run_experiment(spec, out=tmp_path / "big_d.csv")
+        assert [r.status for r in records] == ["ok"] * 3
+        assert all(r.bound_total == math.inf for r in records)
+        assert all(0.0 < r.rel_err < 1e-3 for r in records)
+        assert read_records(csv_path) == records
+
     def test_eps_and_bound_columns(self, model_file):
         records, _ = run_experiment(make_spec(model_file, n_grid=(100,)))
         r = records[0]

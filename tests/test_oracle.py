@@ -1,6 +1,9 @@
 """Exact and Monte Carlo reference densities, CLT comparison."""
 
+import functools
+import inspect
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -32,6 +35,68 @@ def params_1d(mu=1.0, sigma=1.0):
     return MixtureParams(1, np.array([mu]), np.array([[sigma]]))
 
 
+@functools.lru_cache(maxsize=2)
+def mp_log_binom_weights(n):
+    """log C(n, k) - n log 2 for every k at 40 digits, as floats: mpmath logs
+    of the primes up to n only, log i = log p + log(i / p) for the smallest
+    prime p of i, then the running sum of log((n - k) / (k + 1))."""
+    with mpmath.workdps(40):
+        spf = list(range(n + 1))
+        for p in range(2, math.isqrt(n) + 1):
+            if spf[p] == p:
+                for q in range(p * p, n + 1, p):
+                    if spf[q] == q:
+                        spf[q] = p
+        logs = [mpmath.mpf(0)] * (n + 1)
+        for i in range(2, n + 1):
+            p = spf[i]
+            logs[i] = mpmath.log(i) if p == i else logs[p] + logs[i // p]
+        out, acc = [], -n * mpmath.log(2)
+        for k in range(n + 1):
+            out.append(float(acc))
+            if k < n:
+                acc += logs[n - k] - logs[k + 1]
+    return np.array(out)
+
+
+def mp_log_density(mu, sigma_diag, n, a):
+    """log density of the n-sample mean at a to 40 digits, for a diagonal
+    sigma: the mixture summed in mpmath over every k within sqrt(100 n) of
+    the largest term (each term left out is below e^-199 of it)."""
+    with mpmath.workdps(40):
+        mu, s, a = ([mpmath.mpf(float(x)) for x in v] for v in (mu, sigma_diag, a))
+        q_a = mpmath.fsum(x * x / v for x, v in zip(a, s))
+        c = mpmath.fsum(m * x / v for m, x, v in zip(mu, a, s))
+        g = mpmath.fsum(m * m / v for m, v in zip(mu, s))
+
+        def half_quad(k):
+            m = mpmath.mpf(2 * k - n) / n
+            return n / mpmath.mpf(2) * (q_a - 2 * m * c + m * m * g)
+
+        def log_weight(k):
+            return (mpmath.loggamma(n + 1) - mpmath.loggamma(k + 1)
+                    - mpmath.loggamma(n - k + 1) - n * mpmath.log(2))
+
+        def log_term(k):
+            return log_weight(k) - half_quad(k)
+
+        lo, hi = 0, n  # ternary search on the concave terms
+        while hi - lo > 2:
+            m1, m2 = lo + (hi - lo) // 3, hi - (hi - lo) // 3
+            lo, hi = (m1 + 1, hi) if log_term(m1) < log_term(m2) else (lo, m2 - 1)
+        peak = max(range(lo, hi + 1), key=log_term)
+        top = log_term(peak)
+        reach = math.isqrt(100 * n) + 1
+        k_lo, k_hi = max(peak - reach, 0), min(peak + reach, n)
+        weight = mpmath.exp(log_weight(k_lo) - top)
+        total = mpmath.mpf(0)
+        for k in range(k_lo, k_hi + 1):
+            total += weight * mpmath.exp(-half_quad(k))
+            weight *= mpmath.mpf(n - k) / (k + 1)
+        return float(top + mpmath.log(total) + len(a) / mpmath.mpf(2) * mpmath.log(n / (2 * mpmath.pi))
+                     - mpmath.fsum(mpmath.log(v) for v in s) / 2)
+
+
 class TestExactDensity:
     def test_reference_value(self):
         assert exact_mean_density(params_1d(), 2, np.zeros(1)) == pytest.approx(
@@ -46,8 +111,8 @@ class TestExactDensity:
 
     @pytest.mark.parametrize("n, bound", [(31, 1e-13), (256, 1e-13), (257, 1e-12), (400, 1e-12)])
     def test_log_binom_weights_match_mpmath(self, n, bound):
-        # exact binomials up to n = 256; beyond, the log k! table switches
-        # from math.lgamma to the Stirling series at k = 30
+        # exact binomials up to n = 256; beyond, Loader's form, whose
+        # Stirling errors switch from a table to the series at k = 16
         with mpmath.workdps(40):
             ref = [float(mpmath.log(mpmath.binomial(n, k)) - n * mpmath.log(2))
                    for k in range(n + 1)]
@@ -125,6 +190,95 @@ class TestExactDensity:
     def test_whole_float_n_accepted(self):
         a = np.array([0.2])
         assert exact_mean_density(params_1d(), 200.0, a) == exact_mean_density(params_1d(), 200, a)
+
+
+class TestWindowedOracle:
+    @pytest.mark.parametrize("n", [6400, 100000])
+    def test_loader_weights_match_mpmath(self, n):
+        ref = mp_log_binom_weights(n)
+        err = np.abs(_log_binom_weights(n) - ref)
+        assert np.all(err <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+        near_peak = ref >= ref.max() - 40.0
+        assert np.max(err[near_peak]) <= 1e-13
+
+    @pytest.mark.parametrize("n", [6400, 100000])
+    def test_windows_of_loader_weights_are_slices(self, n):
+        full = _log_binom_weights(n)
+        for k_lo, k_hi in [(0, 0), (0, 5), (17, 40), (n // 2 - 3, n // 2 + 9), (n - 5, n), (n, n)]:
+            assert np.array_equal(_log_binom_weights(n, k_lo, k_hi), full[k_lo:k_hi + 1])
+
+    @pytest.mark.parametrize("d", [1, 64])
+    @pytest.mark.parametrize("radius", [0.01, 0.3])
+    def test_off_centre_density_matches_mpmath(self, d, radius):
+        # n = 1e5, a along mu: the largest term sits about 250 (radius 0.01)
+        # or 7000 (radius 0.3) terms above k = n/2
+        rng = np.random.default_rng(d)
+        mu = rng.normal(size=d)
+        mu *= 0.9 / np.linalg.norm(mu)
+        sigma_diag = rng.uniform(0.5, 2.0, d) if d > 1 else np.ones(1)
+        n = 100000
+        oracle = ExactMeanDensity(MixtureParams(d, mu, np.diag(sigma_diag)), n)
+        a = radius * mu / np.linalg.norm(mu)
+        ref = mp_log_density(mu, sigma_diag, n, a)
+        assert abs(oracle.log_density(a) - ref) <= 1e-13 * max(1.0, abs(ref))
+        k_lo, k_hi, tail_rel = oracle.last_window
+        assert k_lo + k_hi > n and tail_rel <= 1e-16
+
+    @pytest.mark.parametrize("radius", [0.0, 0.1, 0.3])
+    def test_window_is_sublinear_with_certified_tail(self, radius):
+        d, n = 8, 100000
+        rng = np.random.default_rng(8)
+        oracle = ExactMeanDensity(MixtureParams(d, np.eye(d)[0], np.eye(d)), n)
+        for _ in range(3):
+            u = rng.normal(size=d)
+            oracle.log_density(radius * u / np.linalg.norm(u))
+            k_lo, k_hi, tail_rel = oracle.last_window
+            assert 0 < k_lo < k_hi < n
+            assert k_hi - k_lo + 1 <= 12 * math.sqrt(n)
+            assert 0.0 <= tail_rel <= 1e-16
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_n_sum_every_term(self, n):
+        mu, sigma, a = 0.7, 0.9, 0.2
+        oracle = ExactMeanDensity(params_1d(mu, sigma), n)
+        terms = [math.comb(n, k) / 2**n
+                 * math.exp(-0.5 * n * (a - (2 * k - n) / n * mu) ** 2 / sigma)
+                 for k in range(n + 1)]
+        ref = math.log(sum(terms) * math.sqrt(n / (2 * math.pi * sigma)))
+        assert oracle.log_density(np.array([a])) == pytest.approx(ref, rel=1e-14, abs=1e-15)
+        assert oracle.last_window == (0, n, 0.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_peak_at_either_end(self, sign):
+        # n = 500, sigma = 1e-4: at a = +-0.999 mu the largest term is k = n
+        # (or k = 0), and the window ends there
+        n, mu, sigma = 500, 1.0, 1e-4
+        oracle = ExactMeanDensity(params_1d(mu, sigma), n)
+        a = np.array([sign * 0.999 * mu])
+        ref = mp_log_density([mu], [sigma], n, a)
+        assert oracle.log_density(a) == pytest.approx(ref, rel=1e-13)
+        k_lo, k_hi, tail_rel = oracle.last_window
+        assert (k_hi == n and k_lo > 0) if sign > 0 else (k_lo == 0 and k_hi < n)
+        assert tail_rel <= 1e-16
+
+    def test_full_weights_are_built_on_first_use(self):
+        attr = inspect.getattr_static(ExactMeanDensity, "log_binom_weights")
+        assert isinstance(attr, functools.cached_property)
+        oracle = ExactMeanDensity(params_1d(), 100000)
+        assert "log_binom_weights" not in vars(oracle)
+
+    def test_build_and_query_allocate_no_order_n_arrays(self):
+        # one d = 8, n = 1e5 build and query; an (n+1)-long float array alone is 800 KB
+        d = 8
+        params = MixtureParams(d, np.eye(d)[0], np.eye(d))
+        a = np.full(d, 0.05)
+        tracemalloc.start()
+        try:
+            ExactMeanDensity(params, 100000).log_density(a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
 
 class TestMcDensity:

@@ -135,6 +135,13 @@ class TestTailTerms:
         _, second = tail_bound_terms(4, 1600, 1.0)
         assert second == pytest.approx(7.3890560989306502e-4, rel=1e-12)
 
+    def test_far_term_past_double_range_is_inf(self):
+        # d = 300, n = 100: (e d^2 / n)^(d/2) is about e^1170
+        first, second = tail_bound_terms(300, 100)
+        assert first > 0.0 and second == math.inf
+        budget = error_bound(300, 100, 1.0, 1.0)
+        assert budget.term_tail == math.inf and budget.total == math.inf
+
     def test_rejects_nan_kappa(self):
         with pytest.raises(DimensionError):
             tail_bound_terms(2, 100, math.nan)
