@@ -196,7 +196,8 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_correction)
 
     p = sub.add_parser("verify-assumptions",
-                       help="sample the contour-tail and branch assumptions")
+                       help="audit the contour-tail and branch assumptions by "
+                            "scans in beta on whitened shells")
     p.add_argument("--model", required=True)
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("-a", dest="point", type=_floats, action="append",
@@ -204,8 +205,10 @@ def main(argv=None) -> int:
                    help="expansion point; repeat for several")
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=2000,
+                   help="scanned points in total; sets the beta points per shell")
+    p.add_argument("--seed", type=int, default=0,
+                   help="no effect: the audit draws nothing at random")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("clt", help="scaled-mean density against its Gaussian limit")

@@ -5,17 +5,22 @@ After whitening with S = H^{-1/2} the correction factor is
     I(a) = (n / 2 pi)^{d/2} * integral over R^d of exp(-n g(t)) dt,
     g(t) = -phi(tau + i S t) + phi(tau) + i <S t, a>,
 
-with g(t) ~ ||t||^2 / 2 near the origin, so the integrand is a perturbed
-standard Gaussian at scale 1/sqrt(n).  For the mixture, M1 = S sigma S
-equals I - sech^2(alpha) v2 v2' with v2 = S mu, and the integrand sees t only
-through t' M1 t and beta = <v2, t>; the directions orthogonal to v2 are an
-exact standard Gaussian and integrate to one, which leaves a 1-d integral
-along v2 at any d, on panels of width 1/sqrt(n).  The panels reach until the
-Gaussian envelope at the ends is below 1e-16, and every result is validated
-by a second pass at a finer rule.  The quadrature, g_function and the
-assumption audit accept a GaussianMixture only (ConfigError otherwise): they
-read its ratio mgf(tau + i s) / mgf(tau) through GaussianMixture.log_ratio
-and cosh_factor.
+with g(t) ~ ||t||^2 / 2 near the origin.  For the mixture, with alpha =
+<mu, tau> and v2 = S mu, the term <S t, sigma tau> of the mgf ratio's phase
+cancels against <S t, a>, and
+
+    -g(t) = -||t||^2/2 + sech^2(alpha) beta^2/2 + log(cosh(alpha + i beta)/cosh(alpha))
+            - i tanh(alpha) beta,    beta = <v2, t>,
+
+so g sees the model only through alpha and ||v2|| (whitened_mu_norm).
+Orthogonal to v2 the integrand is an exact standard Gaussian at scale
+1/sqrt(n) and integrates to one, which leaves a 1-d integral along v2 at
+any d, on panels of width 1/sqrt(n).  The panels reach until the Gaussian
+envelope at the ends is below 1e-16, and every result is validated by a
+second pass at a finer rule.  The assumption audits scan the same
+(||t||, beta) plane in beta, so they miss no direction and cost the same at
+every d.  The quadrature, g_function and the audits accept a
+GaussianMixture only (ConfigError otherwise).
 """
 
 from __future__ import annotations
@@ -26,13 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    AssumptionViolationError,
-    ConfigError,
-    DimensionError,
-    QuadratureError,
-)
-from .model import CgfModel, check_point, cosh_factor, require_mixture, sech
+from .errors import AssumptionViolationError, ConfigError, DimensionError, QuadratureError
+from .model import CgfModel, check_point, cosh_factor, is_count, require_mixture, sech
 from .saddle import SaddlePoint, whitened_hessian_factors
 from .spa import check_sample_size, tail_bound_terms
 
@@ -40,6 +40,10 @@ _SURFACE_FLOOR = 1e-16
 _PANEL_CAP = 200
 _AGREEMENT_RTOL = 1e-6
 _ENV_SLACK = 1e-3
+# x2 at or above this marks a zero of cosh, where -g has no log branch
+_ZERO_X2 = 1.0 - 1e-15
+# beta points of the trust-ball branch check
+_BALL_POINTS = 1536
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,11 @@ class QuadSpec:
     rule: str = "gauss_legendre"
 
     def __post_init__(self):
-        if self.nodes_per_axis < 16:
-            raise ConfigError(f"nodes_per_axis must be >= 16, got {self.nodes_per_axis}")
-        if self.trunc_radius < 2.5:
-            raise ConfigError(f"trunc_radius must be >= 2.5, got {self.trunc_radius}")
+        if not is_count(self.nodes_per_axis, 16):
+            raise ConfigError(f"nodes_per_axis must be a whole number >= 16, got {self.nodes_per_axis}")
+        if not (2.5 <= self.trunc_radius < math.inf):
+            raise ConfigError(f"trunc_radius must be finite and >= 2.5, got {self.trunc_radius}")
+        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
         if self.rule not in ("gauss_legendre", "trapezoid"):
             raise ConfigError(f"unknown rule {self.rule!r}")
 
@@ -76,7 +81,8 @@ class CorrectionResult:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Sampled evidence for the contour-tail and branch assumptions."""
+    """Evidence for the contour-tail and branch assumptions, from scans over
+    beta on whitened shells; samples counts the (||t||, beta) points."""
 
     kappa_est: float
     delta_arg: float
@@ -121,20 +127,27 @@ def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
     return x, w
 
 
-def _ball_phase_check(model, saddle, s_mat, r0, n_dirs=192, n_radii=8, seed=0):
-    """Reject if the complex exponent leaves the principal branch inside the
-    trust ball ||t|| <= r0, where the quadrature treats the phase as smooth."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA11]))
-    u = rng.standard_normal((n_dirs, model.dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    radii = r0 * (np.arange(1, n_radii + 1) / n_radii)
-    t = (radii[:, None, None] * u[None, :, :]).reshape(-1, model.dim)
-    alpha = float(model.params.mu @ saddle.tau)
-    beta = t @ (s_mat @ model.params.mu)
+def _exponent(alpha, r, beta):
+    """(log |e^{-g}|, arg e^{-g}, x2) at whitened ||t|| = r and <v2, t> = beta.
+
+    log |e^{-g}| = -r^2/2 + sech^2(alpha) beta^2/2 + log1p(-x2)/2, even in
+    beta and -inf at a zero of cosh (x2 = 1); the phase Arg cosh(alpha + i beta)
+    - tanh(alpha) beta is odd in beta.  r and beta broadcast.
+    """
     x2, arg = cosh_factor(alpha, beta)
-    if np.any(x2 >= 1.0 - 1e-15):
+    with np.errstate(divide="ignore"):
+        log_mag = 0.5 * (float(sech(alpha)) ** 2 * beta * beta - r * r
+                         + np.log1p(-np.minimum(x2, 1.0)))
+    return log_mag, arg - math.tanh(alpha) * beta, x2
+
+
+def _ball_phase_check(alpha, v2_norm, r0):
+    """Reject if e^{-g} reaches a zero of cosh or its phase reaches pi inside
+    the trust ball ||t|| <= r0, that is over |beta| <= ||v2|| r0, where the
+    quadrature treats the phase as smooth."""
+    _, phase, x2 = _exponent(alpha, 0.0, v2_norm * r0 * np.linspace(0.0, 1.0, _BALL_POINTS))
+    if np.any(x2 >= _ZERO_X2):
         raise AssumptionViolationError("zero of the complex exponent inside the trust ball")
-    phase = t @ (s_mat @ saddle.a) - math.tanh(alpha) * beta + arg
     worst = float(np.max(np.abs(phase)))
     if worst >= math.pi:
         raise AssumptionViolationError(
@@ -166,36 +179,28 @@ def correction_integral(
     Integrates along v2 alone, at any d.  Raises ConfigError for a model
     that is not a GaussianMixture, QuadratureError when the coarse and fine
     passes disagree beyond 1e-6 relative, and AssumptionViolationError when
-    the phase-branch check fails inside the trust ball.  The returned value
-    is from the finer pass.
+    the trust ball reaches a zero of cosh or a phase |Im g| >= pi.  The
+    returned value is from the finer pass.
     """
     require_mixture(model, "correction_integral")
     d = model.dim
     n = check_sample_size(n)
     spec = spec or QuadSpec()
-    s_mat, _ = whitened_hessian_factors(saddle)
-    _ball_phase_check(model, saddle, s_mat, spec.trunc_radius * math.sqrt(d / n))
-
-    # M1 = S sigma S = I - sech^2(alpha) v2 v2' with v2 = S mu, and the
-    # integrand sees t only through t' M1 t and beta = <v2, t>.  Orthogonal
-    # to v2 it is the standard Gaussian at scale 1/sqrt(n) and integrates
-    # to one, so I(a) is exactly the 1-d integral along v2, where M1 has
-    # the eigenvalue lam.
     alpha = float(model.params.mu @ saddle.tau)
-    v2_norm = float(np.linalg.norm(s_mat @ model.params.mu))
+    v2_norm = float(model.whitened_mu_norm(alpha))
+    _ball_phase_check(alpha, v2_norm, spec.trunc_radius * math.sqrt(d / n))
+
+    # along v2, ||t|| = |x| and beta = ||v2|| x, so log |e^{-g}| is
+    # -lam x^2 / 2 + log1p(-x2) / 2 with lam the eigenvalue of S sigma S on v2
     lam = 1.0 - float(sech(alpha)) ** 2 * v2_norm**2
-    ta = math.tanh(alpha)
     h = 1.0 / math.sqrt(n)
     m = _panel_count_mixture(lam, spec.trunc_radius)
 
     def integral(nodes_per_axis):
         x, w = _axis_rule(m, h, nodes_per_axis, spec.rule)
-        beta = v2_norm * x
-        x2, arg = cosh_factor(alpha, beta)
-        with np.errstate(divide="ignore"):
-            re = -0.5 * lam * x * x + 0.5 * np.log1p(-np.minimum(x2, 1.0))
-        mag = np.exp(n * re)
-        phase = n * (arg - ta * beta)
+        log_mag, phase, _ = _exponent(alpha, x, v2_norm * x)
+        mag = np.exp(n * log_mag)
+        phase = n * phase
         total = complex(np.sum(w * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))))
         return (n / (2.0 * math.pi)) ** 0.5 * total, len(x)
 
@@ -237,76 +242,59 @@ def check_assumptions(
     sample_count: int = 2000,
     seed: int = 0,
 ) -> AssumptionReport:
-    """Sample the contour assumptions around the given expansion points.
+    """Audit the contour assumptions around the given expansion points.
 
-    For each tau the exponent ratio m(s) = |e^{phi(tau+is) - phi(tau)}| is
-    probed on whitened shells.  Outside the trust ball a point is covered by
-    the Gaussian envelope m(s) <= exp(-kappa^2 ||s||^2 / 2) at the nominal
-    kappa = 1 (with a 0.1% slack, since at the ball boundary the envelope
-    holds with near-equality and exact-threshold failures mean nothing), or
-    by n-th power underflow (n log m below the double floor); points covered
-    by neither count as exp_branch_violations.  kappa_est is the largest
-    envelope rate valid at every sampled point, delta_mod the smallest
-    magnitude gap outside the ball, delta_arg the phase margin to the branch
-    edge inside it.
+    For each tau, m = |e^{-g}| = |mgf(tau + i s) / mgf(tau)| is scanned on
+    whitened shells ||t|| = r over evenly spaced beta = <v2, t> in
+    [0, ||v2|| r], which covers every direction since m is even in beta.
+    Outside the trust ball a point is covered by the Gaussian envelope
+    m <= exp(-kappa^2 r^2 / 2) at the nominal kappa = 1 (with a 0.1% slack,
+    since at the ball boundary the envelope holds with near-equality), or by
+    n-th power underflow (n log m below the double floor); points covered by
+    neither count as exp_branch_violations.  kappa_est is the largest
+    envelope rate valid at every scanned point, delta_mod the smallest
+    magnitude gap outside the ball, delta_arg the margin of |Im g| to pi
+    inside it (at most 0 at a zero of cosh).  sample_count sets the beta
+    points per shell (at least 4); seed has no effect, nothing is random.
     """
     require_mixture(model, "check_assumptions")
     n = check_sample_size(n)
+    sample_count = check_sample_size(sample_count, "sample_count")
     d = model.dim
     tau_list = [check_point(t, d, "tau sample") for t in tau_samples]
     if not tau_list:
         raise DimensionError("tau_samples must contain at least one point")
-    r0, inside_r, outside_r = _shell_radii(d, n)
-    n_radii = len(inside_r) + len(outside_r)
-    n_dirs = max(4, sample_count // (n_radii * len(tau_list)))
-    kappa_min = math.inf
+    _, inside_r, outside_r = _shell_radii(d, n)
+    radii = np.concatenate([inside_r, outside_r])[:, None]
+    n_in = len(inside_r)
+    u = np.linspace(0.0, 1.0, max(4, sample_count // (len(radii) * len(tau_list))))
+    r = np.repeat(outside_r, len(u))
+    kappa_est = delta_mod = math.inf
     delta_arg = math.pi
-    delta_mod = math.inf
-    mag_viol = 0
-    exp_viol = 0
-    samples = 0
-    underflow_only = True
-    for idx, tau in enumerate(tau_list):
-        hess = model.hessian(tau)
-        evals, evecs = np.linalg.eigh(hess)
-        s_mat = (evecs / np.sqrt(evals)) @ evecs.T
-        rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        u = rng.standard_normal((n_dirs, d))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
-
-        def shell_points(radii):
-            return (radii[:, None, None] * u[None, :, :]).reshape(-1, d) @ s_mat.T
-
-        _, phase = model.log_ratio(tau, shell_points(inside_r))
-        delta_arg = min(delta_arg, float(np.min(math.pi - np.abs(phase))))
-        log_m, _ = model.log_ratio(tau, shell_points(outside_r))
-        samples += len(phase) + len(log_m)
+    mag_viol = exp_viol = samples = 0
+    for tau in tau_list:
+        alpha = float(model.params.mu @ tau)
+        beta = float(model.whitened_mu_norm(alpha)) * radii * u
+        log_mag, phase, x2 = _exponent(alpha, radii, beta)
+        samples += log_mag.size
+        delta_arg = min(delta_arg, math.pi - float(np.max(np.abs(phase[:n_in]))))
+        if np.any(x2[:n_in] >= _ZERO_X2):
+            delta_arg = min(delta_arg, 0.0)
+        log_m = log_mag[n_in:].ravel()
         flat = log_m >= 0.0
         mag_viol += int(np.count_nonzero(flat))
-        log_m = log_m[~flat]
-        if not log_m.size:
-            continue
-        r = np.repeat(outside_r, n_dirs)[~flat]
-        delta_mod = min(delta_mod, float(np.min(-log_m)))
-        # the envelope rate lives in the whitened variable the correction
-        # integral runs over, so the radius is r, not ||s||
-        point_kappa = np.sqrt(-2.0 * log_m) / r
-        covered_env = log_m <= -0.5 * r * r * (1.0 - _ENV_SLACK)
+        log_m, r_out = log_m[~flat], r[~flat]
+        covered_env = log_m <= -0.5 * r_out * r_out * (1.0 - _ENV_SLACK)
         covered_pow = n * log_m <= -745.0
         exp_viol += int(np.count_nonzero(~(covered_env | covered_pow)))
-        if not np.all(covered_pow):
-            underflow_only = False
-            kappa_min = min(kappa_min, float(np.min(point_kappa[~covered_pow])))
-    if underflow_only:
-        note = "n-th power underflows at every sampled point beyond the trust ball"
-        kappa_est = math.inf
-    else:
-        note = ""
-        kappa_est = kappa_min
+        delta_mod = min(delta_mod, float(np.min(-log_m, initial=math.inf)))
+        point_kappa = np.sqrt(-2.0 * log_m[~covered_pow]) / r_out[~covered_pow]
+        kappa_est = min(kappa_est, float(np.min(point_kappa, initial=math.inf)))
+    notes = []
+    if kappa_est == math.inf:
+        notes.append("n-th power underflows at every scanned point beyond the trust ball")
     if mag_viol:
-        note = (note + "; " if note else "") + (
-            f"{mag_viol} sampled points show no magnitude decay"
-        )
+        notes.append(f"{mag_viol} scanned points show no magnitude decay")
     return AssumptionReport(
         kappa_est=kappa_est,
         delta_arg=delta_arg,
@@ -314,5 +302,5 @@ def check_assumptions(
         magnitude_violations=mag_viol,
         exp_branch_violations=exp_viol,
         samples=samples,
-        note=note,
+        note="; ".join(notes),
     )

@@ -368,7 +368,7 @@ def fit_slope(xs, ys) -> SlopeFit:
     """Least-squares slope of log y against log x.
 
     Refuses fits that cannot mean anything: fewer than 4 points, any
-    non-positive value, or an x spread under half a decade.
+    non-positive or non-finite value, or an x spread under half a decade.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -376,6 +376,8 @@ def fit_slope(xs, ys) -> SlopeFit:
         raise FitError("x and y must be 1-d arrays of equal length")
     if len(xs) < 4:
         raise FitError(f"need at least 4 points for a slope, got {len(xs)}")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise FitError("log fit needs finite values")
     if np.any(xs <= 0) or np.any(ys <= 0):
         raise FitError("log fit needs strictly positive values")
     lx, ly = np.log10(xs), np.log10(ys)

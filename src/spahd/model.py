@@ -424,6 +424,15 @@ def check_point(x, d, name):
     return x
 
 
+def is_count(x, minimum=1) -> bool:
+    """True when x is a whole number >= minimum; NaN, inf, numbers past the
+    double range and non-numbers are not."""
+    try:
+        return bool(x >= minimum) and float(x).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
 def require_mixture(model, what):
     """ConfigError unless model is a GaussianMixture, whose structure `what` uses."""
     if not isinstance(model, GaussianMixture):

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionError, StandardizationError
-from .model import GaussianMixture, MixtureParams, check_point
+from .model import GaussianMixture, MixtureParams, check_point, is_count
 from .saddle import c3_ball
 from .spa import budget_total, check_sample_size, exp_or_inf
 
@@ -219,7 +219,8 @@ def exact_mean_density(params: MixtureParams, n: int, a) -> float:
 
 @dataclass(frozen=True)
 class McOracleConfig:
-    """Monte Carlo oracle settings; samples below 1e4 are refused."""
+    """Monte Carlo oracle settings; samples below 1e4 are refused, and so
+    are counts that are not whole numbers and a non-finite bandwidth."""
 
     samples: int = 20000
     seed: int = 0
@@ -227,12 +228,14 @@ class McOracleConfig:
     bootstrap: int = 200
 
     def __post_init__(self):
-        if self.samples < 10000:
-            raise DimensionError(f"samples must be >= 1e4, got {self.samples}")
-        if self.bootstrap < 1:
-            raise DimensionError("bootstrap count must be >= 1")
-        if self.bandwidth is not None and self.bandwidth <= 0:
-            raise DimensionError("bandwidth must be > 0")
+        if not is_count(self.samples, 10000):
+            raise DimensionError(f"samples must be a whole number >= 1e4, got {self.samples}")
+        if not is_count(self.bootstrap):
+            raise DimensionError(f"bootstrap count must be a whole number >= 1, got {self.bootstrap}")
+        if self.bandwidth is not None and not (0 < self.bandwidth < math.inf):
+            raise DimensionError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
+        object.__setattr__(self, "samples", int(self.samples))
+        object.__setattr__(self, "bootstrap", int(self.bootstrap))
 
 
 def _sample_means(params, n, count, seed):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ModelDomainError, NonconvergenceError, StandardizationError
-from .model import CgfModel, check_point, require_mixture
+from .model import CgfModel, check_point, is_count, require_mixture
 
 
 @dataclass(frozen=True)
@@ -42,11 +42,14 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
 
     method: 'newton', 'fixed_point', or 'auto' (Newton with fixed-point
     fallback on stagnation).  Raises NonconvergenceError with the last
-    residual when the iteration budget runs out.
+    residual when the iteration budget runs out, and DimensionError unless
+    tol is finite and > 0 and max_iter is a positive whole number.
     """
     a = check_point(a, model.dim, "a")
-    if not (tol > 0):
-        raise DimensionError("tol must be > 0")
+    if not (0 < tol < math.inf):
+        raise DimensionError(f"tol must be finite and > 0, got {tol!r}")
+    if not is_count(max_iter):
+        raise DimensionError(f"max_iter must be a positive integer, got {max_iter!r}")
     if method == "newton":
         tau, res, it = _newton(model, a, tol, max_iter)
     elif method == "fixed_point":

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DimensionError, SpahdError
+from .model import is_count
 from .saddle import SaddlePoint
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -56,10 +57,10 @@ def expm1_or_inf(x: float) -> float:
         return math.inf
 
 
-def check_sample_size(n) -> int:
+def check_sample_size(n, name="n") -> int:
     """n as an int; DimensionError unless it is a positive whole number."""
-    if not (n >= 1 and math.isfinite(n) and float(n) == int(n)):
-        raise DimensionError(f"n must be a positive integer, got {n!r}")
+    if not is_count(n):
+        raise DimensionError(f"{name} must be a positive integer, got {n!r}")
     return int(n)
 
 
@@ -101,8 +102,7 @@ class ErrorBudget:
 
 def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> ErrorBudget:
     """Assemble the error budget for given derivative suprema and kappa."""
-    if not (d >= 1 and n >= 1):
-        raise DimensionError(f"d and n must be >= 1, got d={d}, n={n}")
+    d, n = check_sample_size(d, "d"), check_sample_size(n)
     if not (c3 >= 0 and c4 >= 0 and kappa > 0):
         raise DimensionError("c3, c4 must be >= 0 and kappa > 0")
     eps = d * d / n
@@ -134,8 +134,7 @@ def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     Returns (exp(-d)/sqrt(d), (e d^2 / (n kappa^2))^(d/2)): the near-shell
     and far-field contributions outside the radius-2.5 sqrt(d/n) ball.
     """
-    if not (d >= 1 and n >= 1):
-        raise DimensionError(f"d and n must be >= 1, got d={d}, n={n}")
+    d, n = check_sample_size(d, "d"), check_sample_size(n)
     if not (kappa > 0):
         raise DimensionError("kappa must be > 0")
     first = math.exp(-float(d)) / math.sqrt(d)

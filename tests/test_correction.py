@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spahd.correction
 from spahd import (
@@ -28,8 +30,10 @@ from spahd import (
     solve_saddle,
     spa_density,
 )
+from spahd.correction import _shell_radii
 from spahd.model import cosh_factor
-from spahd.saddle import fixed_point_matrix
+from spahd.oracle import ExactMeanDensity
+from spahd.saddle import fixed_point_matrix, whitened_hessian_factors
 
 # mpmath 40-digit references, mu = 1, sigma = 1, a = 0
 I_AT_0_N2 = 0.96723682869799197258
@@ -151,6 +155,79 @@ class TestCorrectionIntegral:
         with pytest.raises(ConfigError):
             QuadSpec(rule="simpson")
 
+    @pytest.mark.parametrize("kw", [
+        {"trunc_radius": math.nan}, {"trunc_radius": math.inf},
+        {"nodes_per_axis": math.nan}, {"nodes_per_axis": 20.5}, {"nodes_per_axis": math.inf},
+    ])
+    def test_spec_rejects_non_finite_and_fractional(self, kw):
+        with pytest.raises(ConfigError):
+            QuadSpec(**kw)
+
+    def test_spec_whole_float_count_is_an_int(self):
+        spec = QuadSpec(nodes_per_axis=20.0)
+        assert type(spec.nodes_per_axis) is int
+        assert quad_i(mixture([1.0], [[1.0]]), [0.0], 2, spec=spec).i_value.real == pytest.approx(
+            I_AT_0_N2, rel=1e-12)
+
+    def test_sample_size_past_double_range(self):
+        m = mixture([1.0], [[1.0]])
+        with pytest.raises(DimensionError):
+            quad_i(m, [0.0], 10**400)
+        with pytest.raises(DimensionError):
+            check_assumptions(m, [np.zeros(1)], 10**400)
+
+    def test_uses_alpha_and_whitened_norm_only(self, monkeypatch):
+        # the quadrature and both audits need no whitening matrix, no
+        # eigendecomposition and no random directions at any d
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        d = 64
+        mu = np.zeros(d)
+        mu[0] = 0.9
+        m = mixture(mu, np.eye(d))
+        sp = solve_saddle(m, np.full(d, 0.01))
+        monkeypatch.setattr(spahd.correction, "whitened_hessian_factors", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert correction_integral(m, sp, 400).i_value.real > 0
+        assert check_assumptions(m, [sp.tau], 400).samples == 2000
+
+
+def unit(d, axis, scale):
+    v = np.zeros(d)
+    v[axis] = scale
+    return v
+
+
+def oracle_gap(m, a, n):
+    sp = solve_saddle(m, a)
+    i_quad = correction_integral(m, sp, n).i_value
+    i_true = math.exp(ExactMeanDensity(m.params, n).log_density(a) - spa_density(sp, n).log_density)
+    return abs(i_quad - i_true)
+
+
+class TestTrustBallBranch:
+    """The ball check reads the phase of e^{-g} itself, at any d."""
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_zero_of_cosh_inside_ball(self, d):
+        # a = 0 puts alpha = 0, and ||v2|| r0 = 1.92 reaches beta = pi/2
+        m = mixture(unit(d, 0, 1.2), np.eye(d))
+        with pytest.raises(AssumptionViolationError):
+            quad_i(m, np.zeros(d), d)
+
+    @pytest.mark.parametrize("d", [2, 8, 64])
+    @pytest.mark.parametrize("factor", [1, 4])
+    def test_linear_phase_term_is_not_a_branch(self, d, factor):
+        # <s, sigma tau> reaches 7.5 here, but it cancels against <s, a>
+        # in g; the integral across it still matches the exact oracle
+        m = mixture(unit(d, 0, 0.5), np.eye(d))
+        assert oracle_gap(m, unit(d, 1, 3.0), factor * d) <= 1e-10
+
+    def test_linear_phase_term_is_not_a_branch_d1(self):
+        assert oracle_gap(mixture([1.0], [[1.0]]), np.array([2.0]), 1) <= 1e-10
+
 
 class TestGFunction:
     def test_zero_at_origin(self):
@@ -183,6 +260,24 @@ class TestGFunction:
         h = 1e-4
         val = g_function(m, sp, np.array([h]))
         assert val.real / h**2 == pytest.approx(0.5, abs=1e-4)
+
+
+    def test_reduced_exponent_matches_whitened_form(self):
+        # -g(t) from alpha, ||t|| and beta = <v2, t> alone equals the form
+        # built from the whitening matrix and the full mgf ratio
+        sigma = np.array([[1.1, 0.25, 0.0], [0.25, 0.8, -0.1], [0.0, -0.1, 0.9]])
+        m = mixture([0.7, -0.2, 0.4], sigma)
+        sp = solve_saddle(m, np.array([0.3, 0.1, -0.2]))
+        alpha = float(m.params.mu @ sp.tau)
+        v2 = whitened_hessian_factors(sp)[0] @ m.params.mu
+        assert float(m.whitened_mu_norm(alpha)) == pytest.approx(np.linalg.norm(v2), rel=1e-14)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            t = rng.normal(size=3) * rng.uniform(0.1, 3.0)
+            log_mag, phase, _ = spahd.correction._exponent(alpha, np.linalg.norm(t), v2 @ t)
+            g = g_function(m, sp, t)
+            assert -g.real == pytest.approx(float(log_mag), rel=1e-12, abs=1e-13)
+            assert -g.imag == pytest.approx(float(phase), rel=1e-12, abs=1e-13)
 
 
 class StandardGaussian(CgfModel):
@@ -273,8 +368,88 @@ class TestCheckAssumptions:
         with pytest.raises(DimensionError):
             check_assumptions(m, [np.array([tau])], n, sample_count=100)
 
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_same_rate_at_every_d(self, d):
+        # the rate sqrt(1 - sech^2(alpha) ||v2||^2) = 0.6402 does not
+        # depend on d, only the shells do; random directions in R^d stop
+        # seeing it as d grows
+        m = mixture(unit(d, 0, 1.2), np.eye(d))
+        rep = check_assumptions(m, [np.zeros(d)], 50)
+        assert 0.6403 <= round(rep.kappa_est, 4) <= 0.6405
+        assert rep.exp_branch_violations > 0
+        assert rep.samples == 2000
+        if d == 64:
+            # ||v2|| r0 = 2.17 reaches the zero of cosh at beta = pi/2
+            assert rep.delta_arg <= 1e-12
+
+    @pytest.mark.parametrize("count", [math.nan, math.inf, -5, 0, 2.5,
+                                       pytest.param(10**400, id="10**400")])
+    def test_rejects_bad_sample_count(self, count):
+        m = mixture([0.6], [[0.64]])
+        with pytest.raises(DimensionError):
+            check_assumptions(m, [np.zeros(1)], 200, sample_count=count)
+
     def test_report_holds_python_floats(self):
         m = mixture([0.6], [[0.64]])
         rep = check_assumptions(m, [np.zeros(1), np.array([0.2])], 200, sample_count=500)
         for value in (rep.kappa_est, rep.delta_arg, rep.delta_mod):
             assert type(value) is float
+
+
+def brute_kappa(model, taus, n, points=200_000):
+    """Envelope rate from a dense beta scan on the audit's outer shells, with
+    ||v2|| from a linear solve on the Hessian."""
+    mu = model.params.mu
+    u = np.linspace(0.0, 1.0, points)
+    best = math.inf
+    for tau in taus:
+        alpha = float(mu @ tau)
+        v2_norm = math.sqrt(float(mu @ np.linalg.solve(model.hessian(tau), mu)))
+        c = 1.0 / math.cosh(alpha) ** 2
+        for r in _shell_radii(model.dim, n)[2]:
+            beta = v2_norm * r * u
+            with np.errstate(divide="ignore"):
+                log_m = 0.5 * (c * beta * beta - r * r
+                               + np.log1p(-np.minimum(c * np.sin(beta) ** 2, 1.0)))
+            keep = (log_m < 0.0) & (n * log_m > -745.0)
+            if keep.any():
+                best = min(best, float(np.min(np.sqrt(-2.0 * log_m[keep]) / r)))
+    return best
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    d=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    mu_norm=st.floats(0.0, 2.0),
+    tau_scale=st.floats(0.0, 0.5),
+    n=st.integers(1, 5000),
+    n_tau=st.integers(1, 2),
+    bad=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_audit_is_rotation_invariant_and_exact_in_beta(d, seed, mu_norm, tau_scale, n, n_tau, bad):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma = q @ np.diag(rng.uniform(0.3, 2.0, d)) @ q.T
+    mu = rng.normal(size=d)
+    mu *= mu_norm / np.linalg.norm(mu)
+    taus = [tau_scale * rng.normal(size=d) / math.sqrt(d) for _ in range(n_tau)]
+    m = mixture(mu, sigma)
+    rep = check_assumptions(m, taus, n)
+
+    rot = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    turned = check_assumptions(
+        mixture(rot @ mu, rot @ sigma @ rot.T), [rot @ t for t in taus], n)
+    for field in ("kappa_est", "delta_arg", "delta_mod"):
+        assert getattr(turned, field) == pytest.approx(getattr(rep, field), rel=1e-12, abs=1e-12)
+    for field in ("magnitude_violations", "exp_branch_violations", "samples", "note"):
+        assert getattr(turned, field) == getattr(rep, field)
+
+    assert rep.kappa_est == pytest.approx(brute_kappa(m, taus, n), rel=1e-9)
+
+    with pytest.raises(DimensionError):
+        check_assumptions(m, [np.full(d, bad)], n)
+    with pytest.raises(DimensionError):
+        check_assumptions(m, taus, bad)
+    with pytest.raises(DimensionError):
+        check_assumptions(m, taus, n, sample_count=bad)

@@ -345,6 +345,16 @@ class TestFitSlope:
         with pytest.raises(FitError):  # shape mismatch
             fit_slope([1, 2, 4, 8], [1, 2, 4])
 
+    @pytest.mark.parametrize("xs, ys", [
+        ([1, 2, 4, 8], [1, 2, math.nan, 4]),
+        ([1, 2, 4, math.inf], [1, 2, 3, 4]),
+        ([1, 2, 4, 8], [1, 2, 3, math.inf]),
+        ([math.nan, 2, 4, 8], [1, 2, 3, 4]),
+    ])
+    def test_refuses_non_finite(self, xs, ys):
+        with pytest.raises(FitError):
+            fit_slope(xs, ys)
+
 
 def test_csv_header_is_stable():
     # downstream tooling keys on these exact column names

@@ -182,6 +182,10 @@ class TestExactDensity:
         with pytest.raises(DimensionError):
             ExactMeanDensity(params_1d(), 0)
 
+    def test_n_past_double_range(self):
+        with pytest.raises(DimensionError):
+            exact_mean_density(params_1d(), 10**400, np.zeros(1))
+
     @pytest.mark.parametrize("n, a", BAD_N_OR_POINT)
     def test_exact_mean_density_typed_errors(self, n, a):
         with pytest.raises(DimensionError):
@@ -313,6 +317,20 @@ class TestMcDensity:
             McOracleConfig(bootstrap=0)
         with pytest.raises(DimensionError):
             McOracleConfig(bandwidth=0.0)
+
+    @pytest.mark.parametrize("kw", [
+        {"samples": math.nan}, {"samples": 20000.5}, {"samples": math.inf},
+        {"bootstrap": math.nan}, {"bootstrap": 2.5},
+        {"bandwidth": math.nan}, {"bandwidth": math.inf},
+    ])
+    def test_config_rejects_non_finite_and_fractional(self, kw):
+        with pytest.raises(DimensionError):
+            McOracleConfig(**kw)
+
+    def test_config_whole_float_counts(self):
+        c = McOracleConfig(samples=10000.0, bootstrap=20.0)
+        assert type(c.samples) is int and type(c.bootstrap) is int
+        assert mc_density(params_1d(), 10, np.zeros(1), c)[1] > 0
 
     def test_dimension_cap(self):
         p = MixtureParams(5, np.zeros(5), np.eye(5))

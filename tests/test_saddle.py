@@ -121,6 +121,24 @@ class TestSolver:
             solve_saddle(m, np.zeros(2), tol=math.nan)
 
     @pytest.mark.parametrize("method", ["newton", "fixed_point", "auto"])
+    @pytest.mark.parametrize("max_iter", [math.nan, math.inf, 0, 2.5, -3,
+                                          pytest.param(10**400, id="10**400")])
+    def test_rejects_bad_iteration_budget(self, method, max_iter):
+        # a NaN or infinite budget would let a stalled iteration run forever
+        with pytest.raises(DimensionError):
+            solve_saddle(mixture([1.0], [[1.0]]), np.array([0.5]), method=method,
+                         max_iter=max_iter)
+
+    def test_rejects_infinite_tol(self):
+        # tol = inf would accept the seed tau = a as solved
+        with pytest.raises(DimensionError):
+            solve_saddle(mixture([1.0], [[1.0]]), np.array([0.5]), tol=math.inf)
+
+    def test_whole_float_budget(self):
+        m = mixture([1.0], [[1.0]])
+        assert solve_saddle(m, np.array([0.5]), max_iter=100.0) == solve_saddle(m, np.array([0.5]))
+
+    @pytest.mark.parametrize("method", ["newton", "fixed_point", "auto"])
     def test_nan_residual_is_not_converged(self, method):
         class NanGradient(GaussianMixture):
             def grad(self, tau):

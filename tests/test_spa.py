@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spahd import DimensionError, GaussianMixture, MixtureParams, error_bound, spa_density, solve_saddle
-from spahd.spa import log_gamma_ratio, tail_bound_terms
+from spahd.spa import check_sample_size, log_gamma_ratio, tail_bound_terms
 
 # mpmath 40-digit references
 SPA_AT_0_N2 = 0.39894228040143267794  # mu = 1, sigma = 1, a = 0, n = 2
@@ -86,6 +86,11 @@ class TestSpaDensity:
         assert est.n == 200
         assert est == spa_density(sp, 200)
 
+    def test_n_past_double_range(self):
+        # float(10**400) overflows; that is a bad size, not an OverflowError
+        with pytest.raises(DimensionError):
+            check_sample_size(10**400)
+
 
 class TestErrorBudget:
     def test_reference_terms(self):
@@ -121,6 +126,16 @@ class TestErrorBudget:
             error_bound(2, 100, -1.0, 1.0)
         with pytest.raises(DimensionError):
             error_bound(2, 100, 1.0, 1.0, kappa=0.0)
+
+    @pytest.mark.parametrize("d, n", [
+        (1, math.inf), (1, math.nan), (math.inf, 100), (2.5, 100),
+        pytest.param(1, 10**400, id="1-10**400"),
+    ])
+    def test_rejects_bad_sizes(self, d, n):
+        with pytest.raises(DimensionError):
+            error_bound(d, n, 1.0, 1.0)
+        with pytest.raises(DimensionError):
+            tail_bound_terms(d, n)
 
     def test_rejects_nan(self):
         for c3, c4, kappa in [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)]:
