@@ -25,6 +25,7 @@ Modes differ in how i_minus_one is obtained:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -187,8 +188,13 @@ def _query_points(spec, d):
     return pts
 
 
-def _sweep(spec, per_point):
-    """Common d/n/point loop; per_point fills in the mode-specific fields."""
+def _sweep(spec, per_point, clt=False):
+    """Common d/n/point loop; per_point fills in the mode-specific fields.
+
+    bound, passed to per_point and reported by failed rows, gives the budget
+    total over the sweep's ball: max ||a||, or max ||x|| / sqrt(n) for clt
+    rows.  It is computed once per (d, n), and only when a row asks for it.
+    """
     d_values = spec.d_grid
     records = []
     for d in d_values or (None,):
@@ -199,7 +205,8 @@ def _sweep(spec, per_point):
         norms = (float(np.linalg.norm(p)) for p in pts)
         max_norm = max((r for r in norms if math.isfinite(r)), default=0.0)
         for n in spec.n_grid:
-            bound = budget_total(model, n, max_norm, spec.kappa)
+            radius = max_norm / math.sqrt(n) if clt else max_norm
+            bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             eps = params.d**2 / n
             oracle = ExactMeanDensity(params, n)
             for a in pts:
@@ -209,7 +216,7 @@ def _sweep(spec, per_point):
                     rec = per_point(model, oracle, params.d, n, a, a_norm, eps, bound)
                 except _ROW_ERRORS as exc:
                     nan = math.nan
-                    rec = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound,
+                    rec = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound(),
                                        None, type(exc).__name__)
                 if spec.timing:
                     wall = (time.perf_counter() - t0) * 1e3
@@ -233,7 +240,7 @@ def run_error_scaling(spec: ExperimentSpec):
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(expm1_or_inf(gap)), abs(expm1_or_inf(-gap)),
-            eps, bound, None, "ok",
+            eps, bound(), None, "ok",
         )
 
     return _sweep(spec, per_point)
@@ -254,7 +261,7 @@ def run_correction_study(spec: ExperimentSpec):
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(expm1_or_inf(gap)), corr.abs_err_from_one,
-            eps, bound, None, "ok" if consistent else "inconsistent",
+            eps, bound(), None, "ok" if consistent else "inconsistent",
         )
 
     return _sweep(spec, per_point)
@@ -270,7 +277,7 @@ def run_clt_study(spec: ExperimentSpec):
             eps, comparison.bound, None, "ok",
         )
 
-    return _sweep(spec, per_point)
+    return _sweep(spec, per_point, clt=True)
 
 
 _RUNNERS = {

@@ -58,6 +58,12 @@ def sech(x):
     return 2.0 * e / (1.0 + e * e)
 
 
+def _sech_float(x: float) -> float:
+    """sech on one float, in the operations of sech."""
+    e = math.exp(-abs(x))
+    return 2.0 * e / (1.0 + e * e)
+
+
 def _tanh_parts(alpha, beta):
     """(Re, Im) of tanh(alpha + i beta) in real arithmetic, finite at any alpha.
 
@@ -235,8 +241,11 @@ class GaussianMixture(CgfModel):
         self._mu = params.mu
         self._sigma = params.sigma
         self._mu_norm = float(np.linalg.norm(self._mu))
-        # g = mu' sigma^{-1} mu, fixed ingredient of ||H^{-1/2} mu||
-        self._g = float(self._mu @ np.linalg.solve(self._sigma, self._mu)) if self._mu_norm else 0.0
+        # w = sigma^{-1} mu and g = <mu, w>, the fixed ingredients of the scalar
+        # saddle equation and of ||H^{-1/2} mu||; log det sigma for log det H
+        self._w = np.linalg.solve(self._sigma, self._mu)
+        self._g = float(self._mu @ self._w)
+        self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(self._sigma)))))
         self._c34_cache: dict[tuple[float, float], tuple[float, float]] = {}
 
     @property
@@ -366,26 +375,33 @@ class GaussianMixture(CgfModel):
                 f = k * (rw[rows] ** (3 + which))[:, None]
                 row_arg[which, rows], row_max[which, rows] = np.argmax(f, 1), np.max(f, 1)
 
+        g = self._g
+
+        def norm_at(alpha):
+            # whitened_mu_norm on one float, in the same operations
+            s = _sech_float(alpha)
+            return math.sqrt(g / (1.0 + s * s * g))
+
         def refine(which):
             power = 3 + which
             i = int(np.argmax(row_max[which]))
             j = int(row_arg[which, i])
 
-            def eval_at(alpha, bfrac):
-                r = float(self.whitened_mu_norm(alpha))
+            def eval_at(alpha, bfrac, r):
                 return _c34_kernel_at(alpha, bfrac * t_radius * r)[which] * r**power
 
             best = float(row_max[which, i])
-            a_lo = alphas[max(i - 1, 0)]
-            a_hi = alphas[min(i + 1, n_grid - 1)]
-            b_lo = u[max(j - 1, 0)]
-            b_hi = u[min(j + 1, n_grid - 1)]
-            a_star = alphas[i]
-            b_star = u[j]
+            a_lo = float(alphas[max(i - 1, 0)])
+            a_hi = float(alphas[min(i + 1, n_grid - 1)])
+            b_lo = float(u[max(j - 1, 0)])
+            b_hi = float(u[min(j + 1, n_grid - 1)])
+            a_star = float(alphas[i])
+            b_star = float(u[j])
             for _ in range(2):
-                b_star, v = _golden_max(lambda b: eval_at(a_star, b), b_lo, b_hi)
+                r_star = norm_at(a_star)
+                b_star, v = _golden_max(lambda b: eval_at(a_star, b, r_star), b_lo, b_hi)
                 best = max(best, v)
-                a_star, v = _golden_max(lambda a: eval_at(a, b_star), a_lo, a_hi)
+                a_star, v = _golden_max(lambda a: eval_at(a, b_star, norm_at(a)), a_lo, a_hi)
                 best = max(best, v)
             return best
 

@@ -220,7 +220,8 @@ def exact_mean_density(params: MixtureParams, n: int, a) -> float:
 @dataclass(frozen=True)
 class McOracleConfig:
     """Monte Carlo oracle settings; samples below 1e4 are refused, and so
-    are counts that are not whole numbers and a non-finite bandwidth."""
+    are counts and seeds that are not whole numbers, a negative seed and a
+    non-finite bandwidth."""
 
     samples: int = 20000
     seed: int = 0
@@ -232,10 +233,12 @@ class McOracleConfig:
             raise DimensionError(f"samples must be a whole number >= 1e4, got {self.samples}")
         if not is_count(self.bootstrap):
             raise DimensionError(f"bootstrap count must be a whole number >= 1, got {self.bootstrap}")
+        if not is_count(self.seed, 0):
+            raise DimensionError(f"seed must be a whole number >= 0, got {self.seed}")
         if self.bandwidth is not None and not (0 < self.bandwidth < math.inf):
             raise DimensionError(f"bandwidth must be finite and > 0, got {self.bandwidth}")
-        object.__setattr__(self, "samples", int(self.samples))
-        object.__setattr__(self, "bootstrap", int(self.bootstrap))
+        for name in ("samples", "seed", "bootstrap"):
+            object.__setattr__(self, name, int(getattr(self, name)))
 
 
 def _sample_means(params, n, count, seed):
@@ -251,7 +254,7 @@ def _sample_means(params, n, count, seed):
     chunk_idx = 0
     while pos < count:
         take = min(_MC_CHUNK, count - pos)
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), chunk_idx]))
+        rng = np.random.default_rng(np.random.SeedSequence([seed, chunk_idx]))
         k = rng.binomial(n, 0.5, size=take)
         z = rng.standard_normal((take, d))
         out[pos:pos + take] = (
@@ -284,7 +287,7 @@ def mc_density(params: MixtureParams, n: int, a, config: McOracleConfig | None =
     log_k = -0.5 * np.sum(u * u, axis=1) - np.sum(np.log(h)) - 0.5 * params.d * _LOG_2PI
     v = np.exp(log_k)
     est = float(np.mean(v))
-    boot_rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 0xB007]))
+    boot_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB007]))
     boot = np.empty(cfg.bootstrap)
     for b in range(cfg.bootstrap):
         idx = boot_rng.integers(0, cfg.samples, cfg.samples)

@@ -1,99 +1,166 @@
 """Saddle equation solver and Legendre transform.
 
-Solves grad cgf(tau) = a by damped Newton, seeded at tau = a (exact for a
-standardized Gaussian, a valid seed in general because the cgf is strictly
-convex).  When Newton stalls, a damped fixed-point iteration on
+Solves grad cgf(tau) = a.  For the mixture the equation sigma tau +
+tanh(alpha) mu = a, alpha = <mu, tau>, reduces to one scalar equation
 
-    tau <- (H0 + B(tau))^{-1} a,   B(tau) = int_0^1 (1-l) grad^3 cgf(l tau)[tau] dl
+    alpha + g tanh(alpha) = <w, a>,   w = sigma^{-1} mu,  g = <mu, w>,
 
-takes over; H0 is the Hessian at 0, so for standardized models this is the
-classical contraction with ||B|| <= 1/2 on the admissible ball ||a|| small
-enough that 2 ||a|| C3(a) <= 1.
+whose left side is strictly increasing with slope >= 1, so its root is
+unique and lies within g of <w, a>.  A safeguarded scalar Newton finds it,
+tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
+from the matrix determinant lemma.  The gradient residual certifies the
+result; where rounding keeps it above tol (sigma far from well conditioned),
+a damped Newton seeded at tau = a takes over.
+
+method="fixed_point" is a separate d-dimensional iteration,
+
+    tau <- (H0 + B(tau))^{-1} a,   B(tau) = int_0^1 (1-l) grad^3 cgf(l tau)[tau] dl,
+
+with H0 the Hessian at 0, so for standardized models this is the classical
+contraction with ||B|| <= 1/2 on the admissible ball ||a|| small enough
+that 2 ||a|| C3(a) <= 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, ModelDomainError, NonconvergenceError, StandardizationError
-from .model import CgfModel, check_point, is_count, require_mixture
+from .model import (CgfModel, GaussianMixture, check_point, is_count, require_mixture,
+                    _sech_float)
+
+_EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Solved saddle at query point a, with the factors reused downstream."""
+    """Solved saddle at query point a, with the factors reused downstream.
+
+    hessian_chol, the lower Cholesky factor of H(tau), is built on first use.
+    """
 
     a: np.ndarray
     tau: np.ndarray
     phi_star: float
-    hessian_chol: np.ndarray
     log_det_h: float
     residual: float
     iterations: int
     method: str
+    _model: CgfModel = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def hessian_chol(self) -> np.ndarray:
+        return _cholesky(self._model.hessian(self.tau))
 
 
 def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
                  method: str = "auto") -> SaddlePoint:
     """Solve grad cgf(tau) = a to gradient residual <= tol.
 
-    method: 'newton', 'fixed_point', or 'auto' (Newton with fixed-point
-    fallback on stagnation).  Raises NonconvergenceError with the last
-    residual when the iteration budget runs out, and DimensionError unless
-    tol is finite and > 0 and max_iter is a positive whole number.
+    method: 'newton' (the scalar route of the module docstring, with its
+    damped Newton fallback), 'fixed_point', or 'auto', which is 'newton'
+    with no fixed-point fallback.  Both routes need a
+    GaussianMixture (ConfigError otherwise) unless the seed tau = a already
+    meets tol.  iterations counts scalar and d-dimensional steps alike, and
+    they share max_iter.  Raises NonconvergenceError with the last residual
+    when the budget runs out, and DimensionError unless tol is finite and
+    > 0 and max_iter is a positive whole number.
     """
     a = check_point(a, model.dim, "a")
     if not (0 < tol < math.inf):
         raise DimensionError(f"tol must be finite and > 0, got {tol!r}")
     if not is_count(max_iter):
         raise DimensionError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if method == "newton":
-        tau, res, it = _newton(model, a, tol, max_iter)
+    if method in ("newton", "auto"):
+        method = "newton"
+        tau, res, it = _scalar_newton(model, a, tol, max_iter)
     elif method == "fixed_point":
         tau, res, it = _fixed_point(model, a, tol, max_iter)
-    elif method == "auto":
-        method = "newton"
-        try:
-            tau, res, it = _newton(model, a, tol, max_iter)
-        except NonconvergenceError:
-            method = "fixed_point"
-            tau, res, it = _fixed_point(model, a, tol, max_iter)
     else:
         raise DimensionError(f"unknown method {method!r}")
-    _, chol = _hessian_chol(model, tau)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol))))
     phi_star = float(tau @ a) - model.cgf_real(tau)
-    return SaddlePoint(a=a, tau=tau, phi_star=phi_star, hessian_chol=chol,
-                       log_det_h=log_det, residual=res, iterations=it, method=method)
+    return SaddlePoint(a=a, tau=tau, phi_star=phi_star, log_det_h=_log_det_hessian(model, tau),
+                       residual=res, iterations=it, method=method, _model=model)
 
 
-def _hessian_chol(model, tau):
-    """The cgf Hessian and its lower Cholesky factor; rejects a non-SPD Hessian."""
-    h = model.hessian(tau)
+def _log_det_hessian(model, tau):
+    if isinstance(model, GaussianMixture):
+        # det(sigma + sech^2(alpha) mu mu') = det(sigma) (1 + sech^2(alpha) g)
+        s = _sech_float(float(model.params.mu @ tau))
+        return model._log_det_sigma + math.log1p(s * s * model._g)
+    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(model.hessian(tau))))))
+
+
+def _cholesky(h):
+    """Lower Cholesky factor of a cgf Hessian; rejects a non-SPD Hessian."""
     try:
-        return h, np.linalg.cholesky(h)
+        return np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise ModelDomainError("cgf Hessian is not positive definite") from exc
 
 
-def _newton(model, a, tol, max_iter):
+def _scalar_newton(model, a, tol, max_iter):
+    """The 'newton' route: (tau, residual, iterations)."""
+    if not isinstance(model, GaussianMixture):
+        res = float(np.linalg.norm(model.grad(a) - a))
+        if res <= tol:
+            return a.copy(), res, 0
+        require_mixture(model, "solve_saddle")
+    w, g = model._w, model._g
+    c = float(w @ a)
+    b = np.linalg.solve(model.params.sigma, a)
+    lo, hi = c - g, c + g
+    alpha = c / (1.0 + g)
+    it = 0
+    while True:
+        t = math.tanh(alpha)
+        f = alpha + g * t - c
+        # f is known to a few roundings of its terms; past that, stop
+        if abs(f) <= 4.0 * _EPS * (abs(alpha) + g * abs(t) + abs(c)):
+            break
+        if it >= max_iter:
+            res = float(np.linalg.norm(model.grad(b - t * w) - a))
+            raise NonconvergenceError(
+                f"scalar Newton did not reach its root in {max_iter} iterations "
+                f"(residual {res:.3e})", residual=res, iterations=it)
+        if f > 0.0:
+            hi = alpha
+        else:
+            lo = alpha
+        s = _sech_float(alpha)
+        step = alpha - f / (1.0 + g * s * s)
+        step = step if lo < step < hi else 0.5 * (lo + hi)
+        if step == alpha:
+            break
+        alpha = step
+        it += 1
+    tau = b - math.tanh(alpha) * w
+    res = float(np.linalg.norm(model.grad(tau) - a))
+    if res <= tol:
+        return tau, res, it
+    # Rounding in b, w and the residual itself can leave an ill-conditioned
+    # sigma above tol; Newton steps from this tau then wander at that floor,
+    # so the d-dimensional search restarts from tau = a instead.
+    return _damped_newton(model, a, tol, max_iter, it)
+
+
+def _damped_newton(model, a, tol, max_iter, it):
+    """Newton with Armijo backtracking on ||grad - a||^2 / 2, seeded at
+    tau = a, continuing an iteration count of it."""
     tau = a.copy()
     r = model.grad(tau) - a
     res = float(np.linalg.norm(r))
-    it = 0
     while not (res <= tol):
         if it >= max_iter:
             raise NonconvergenceError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
-        # the factor certifies SPD; one solve on H is cheaper than two on it
-        h, _ = _hessian_chol(model, tau)
-        delta = -np.linalg.solve(h, r)
-        # Armijo backtracking on f = ||r||^2/2; Newton direction gives
-        # directional derivative -||r||^2 exactly
+        delta = -np.linalg.solve(model.hessian(tau), r)
+        # the Newton direction gives directional derivative -||r||^2 exactly
         f0 = 0.5 * res * res
         step = 1.0
         accepted = False
@@ -201,7 +268,8 @@ def legendre_gap_report(model: CgfModel, a, tol: float = 1e-12) -> LegendreGapRe
 
 
 def whitened_hessian_factors(saddle: SaddlePoint):
-    """(H^{-1/2}, log det H) from a solved saddle; fresh eigh of L L'."""
+    """(H^{-1/2}, log det H) from a solved saddle, by eigh of L L' with L its
+    hessian_chol."""
     h = saddle.hessian_chol @ saddle.hessian_chol.T
     vals, vecs = np.linalg.eigh(h)
     inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T

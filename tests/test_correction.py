@@ -137,6 +137,20 @@ class TestCorrectionIntegral:
         with pytest.raises(ConfigError):
             fixed_point_matrix(m, np.zeros(4))
 
+    def test_generic_model_saddle_needs_the_seed(self):
+        # a non-mixture model keeps tau = a when that seed meets tol; every
+        # other solve needs the mixture's structure and raises a typed error
+        class ScaledGaussian(StandardGaussian):
+            def grad(self, tau):
+                return 2.0 * np.asarray(tau, dtype=float)
+
+        sp = solve_saddle(StandardGaussian(d=3), np.full(3, 0.5))
+        assert sp.iterations == 0 and np.array_equal(sp.tau, np.full(3, 0.5))
+        assert sp.log_det_h == 0.0 and np.array_equal(sp.hessian_chol, np.eye(3))
+        for method in ("newton", "fixed_point", "auto"):
+            with pytest.raises(ConfigError):
+                solve_saddle(ScaledGaussian(d=3), np.full(3, 0.5), method=method)
+
     def test_rejects_non_integer_n(self):
         m = mixture([1.0], [[1.0]])
         with pytest.raises(DimensionError):

@@ -13,12 +13,14 @@ from spahd import (
     ConfigError,
     DimensionError,
     FitError,
+    GaussianMixture,
     clt_ratio,
     exact_mean_density,
     fit_slope,
     load_model_file,
     run_experiment,
 )
+from spahd.spa import budget_total
 from spahd.experiments import (
     CSV_HEADER,
     ExperimentSpec,
@@ -219,6 +221,36 @@ class TestCltStudy:
         assert r.rho_spa == math.inf and r.rho_exact == math.inf
         # the ratio is 1 up to the oracle's log-weight rounding at n = 1e5
         assert r.rel_err == pytest.approx(0.0, abs=1e-9)
+
+    def test_failed_row_reports_the_budget_of_the_scaled_ball(self, standard_file):
+        # the rows query a = x / sqrt(n), so a failed row's budget covers
+        # ||a|| <= max ||x|| / sqrt(n), not max ||x||
+        spec = make_spec(standard_file, mode="clt_study", n_grid=(50, 200),
+                         a_points=((0.0,), (1.5,), (-0.8,), (math.nan,)))
+        records, _ = run_experiment(spec)
+        model = GaussianMixture(load_model_file(standard_file))
+        failed = [r for r in records if r.status != "ok"]
+        assert [(r.n, r.status) for r in failed] == [(50, "DimensionError"),
+                                                    (200, "DimensionError")]
+        for r in failed:
+            assert r.bound_total == budget_total(model, r.n, 1.5 / math.sqrt(r.n))
+
+    def test_one_cold_suprema_pair_per_row(self, standard_file, monkeypatch):
+        # each clt row needs the suprema at its own radius; a sweep with no
+        # failed row computes no other pair
+        calls = []
+        quarter_sup = GaussianMixture._c34_quarter_sup
+
+        def counting(self, *args):
+            calls.append(args)
+            return quarter_sup(self, *args)
+
+        monkeypatch.setattr(GaussianMixture, "_c34_quarter_sup", counting)
+        spec = make_spec(standard_file, mode="clt_study", n_grid=(50, 200),
+                         a_points=((0.0,), (1.5,), (-0.8,)))
+        records, _ = run_experiment(spec)
+        assert all(r.status == "ok" for r in records)
+        assert len(calls) == len(records) == 6
 
     def test_unstandardized_model_fails_each_row(self, model_file):
         records, _ = run_experiment(make_spec(model_file, mode="clt_study"))

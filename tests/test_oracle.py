@@ -327,6 +327,19 @@ class TestMcDensity:
         with pytest.raises(DimensionError):
             McOracleConfig(**kw)
 
+    @pytest.mark.parametrize("seed", [math.nan, math.inf, -1, 2.5, "7",
+                                      pytest.param(10**400, id="10**400")])
+    def test_config_rejects_bad_seed(self, seed):
+        with pytest.raises(DimensionError):
+            McOracleConfig(seed=seed)
+
+    def test_config_whole_float_seed_is_an_int(self):
+        c = McOracleConfig(seed=3.0)
+        assert type(c.seed) is int
+        p = params_1d()
+        assert mc_density(p, 10, np.zeros(1), c) == mc_density(p, 10, np.zeros(1),
+                                                               McOracleConfig(seed=3))
+
     def test_config_whole_float_counts(self):
         c = McOracleConfig(samples=10000.0, bootstrap=20.0)
         assert type(c.samples) is int and type(c.bootstrap) is int

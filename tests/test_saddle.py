@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spahd import (
     DimensionError,
     GaussianMixture,
     MixtureParams,
     NonconvergenceError,
+    SpahdError,
     StandardizationError,
     legendre_gap_report,
     solve_saddle,
@@ -216,3 +219,68 @@ class TestWhitening:
             h = m.hessian(sp.tau)
             assert np.allclose(s @ h @ s, np.eye(d), atol=1e-11)
             assert log_det == pytest.approx(np.linalg.slogdet(h)[1], rel=1e-10)
+
+
+class TestScalarRoute:
+    def test_runs_no_factorization(self, monkeypatch):
+        # a mixture solve needs one solve with sigma and no Cholesky or eigh
+        def refuse(*args, **kwargs):
+            raise AssertionError("called")
+
+        rng = np.random.default_rng(11)
+        d = 64
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        m = mixture(rng.normal(size=d) / 4.0, q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T)
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        sp = solve_saddle(m, rng.normal(size=d) * 0.1)
+        assert sp.residual <= 1e-12 and sp.method == "newton"
+
+    def test_solves_what_the_damped_newton_solved(self):
+        # 100 draws per condition number kappa, eigenvalues geomspace(1, 1/kappa);
+        # the indices a d-dimensional damped Newton seeded at tau = a brings
+        # to tol = 1e-12 must stay solved
+        solved_before = {
+            1e2: range(100),
+            1e6: [2, 7, 8, 9, 10, 12, 21, 24, 32, 33, 36, 37, 40, 43, 46, 48, 52, 53,
+                  54, 55, 56, 57, 58, 63, 64, 67, 69, 71, 79, 82, 83, 84, 89, 90, 93],
+            1e10: [40, 79, 90],
+        }
+        for kappa, indices in solved_before.items():
+            rng = np.random.default_rng(2024)
+            solved = set()
+            for i in range(100):
+                d = int(rng.integers(2, 20))
+                q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+                sigma = q @ np.diag(np.geomspace(1, 1 / kappa, d)) @ q.T
+                mu = rng.normal(size=d) * rng.uniform(0.3, 1.5)
+                a = rng.normal(size=d) * 0.5
+                try:
+                    solve_saddle(mixture(mu, sigma), a, tol=1e-12)
+                    solved.add(i)
+                except SpahdError:
+                    pass
+            assert set(indices) <= solved, kappa
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    d=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    log_kappa=st.floats(0.0, 3.0),
+    mu_norm=st.floats(0.0, 2.0),
+    a_scale=st.floats(0.0, 1.0),
+)
+def test_scalar_route_matches_fixed_point(d, seed, log_kappa, mu_norm, a_scale):
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma = q @ np.diag(np.geomspace(1.0, 10.0**-log_kappa, d)) @ q.T
+    mu = rng.normal(size=d)
+    m = mixture(mu * (mu_norm / np.linalg.norm(mu)), sigma)
+    a = rng.normal(size=d) * a_scale
+    sp = solve_saddle(m, a)
+    fixed = solve_saddle(m, a, method="fixed_point", max_iter=1000)
+    assert np.max(np.abs(sp.tau - fixed.tau)) <= 1e-10 * max(1.0, float(np.linalg.norm(sp.tau)))
+    h = m.hessian(sp.tau)
+    assert sp.log_det_h == pytest.approx(np.linalg.slogdet(h)[1], rel=1e-12, abs=1e-12)
+    assert np.allclose(sp.hessian_chol @ sp.hessian_chol.T, h, rtol=0.0, atol=1e-12)
