@@ -55,7 +55,7 @@ def _add_model_args(p, point_flag="-a", point_help="query point"):
 
 
 def _cmd_solve(args):
-    params, model = _load(args)
+    _, model = _load(args)
     saddle = solve_saddle(model, np.asarray(args.point), tol=args.tol)
     pairs = [
         ("tau", " ".join(repr(float(v)) for v in saddle.tau)),
@@ -65,16 +65,15 @@ def _cmd_solve(args):
         ("iterations", saddle.iterations),
         ("method", saddle.method),
     ]
-    if params.d >= 1:
-        try:
-            report = legendre_gap_report(model, np.asarray(args.point), tol=args.tol)
-            pairs += [
-                ("gap", report.gap),
-                ("gap_bound", report.bound),
-                ("admissible", report.admissible),
-            ]
-        except SpahdError:
-            pass  # unstandardized model: the gap report has no reference scale
+    try:
+        report = legendre_gap_report(model, np.asarray(args.point), tol=args.tol)
+        pairs += [
+            ("gap", report.gap),
+            ("gap_bound", report.bound),
+            ("admissible", report.admissible),
+        ]
+    except SpahdError:
+        pass  # unstandardized model: the gap report has no reference scale
     _emit(pairs)
     return 0
 

@@ -12,7 +12,8 @@ cancels against <S t, a>, and
     -g(t) = -||t||^2/2 + sech^2(alpha) beta^2/2 + log(cosh(alpha + i beta)/cosh(alpha))
             - i tanh(alpha) beta,    beta = <v2, t>,
 
-so g sees the model only through alpha and ||v2|| (whitened_mu_norm).
+so g sees the model only through alpha and ||v2|| (whitened_mu_norm);
+g_function evaluates this same reduced form.
 Orthogonal to v2 the integrand is an exact standard Gaussian at scale
 1/sqrt(n) and integrates to one, which leaves a 1-d integral along v2 at
 any d, on panels of width 1/sqrt(n).  The panels reach until the Gaussian
@@ -32,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, ConfigError, DimensionError, QuadratureError
-from .model import CgfModel, check_point, cosh_factor, is_count, require_mixture, sech
-from .saddle import SaddlePoint, whitened_hessian_factors
+from .model import GaussianMixture, check_point, cosh_factor, is_count, require_mixture, sech
+from .saddle import SaddlePoint
 from .spa import check_sample_size, tail_bound_terms
 
 _SURFACE_FLOOR = 1e-16
@@ -93,14 +94,19 @@ class AssumptionReport:
     note: str
 
 
-def g_function(model: CgfModel, saddle: SaddlePoint, t) -> complex:
-    """Whitened exponent g(t); g(0) = 0 and g(t) ~ ||t||^2 / 2 near zero."""
+def g_function(model: GaussianMixture, saddle: SaddlePoint, t) -> complex:
+    """Whitened exponent g(t); g(0) = 0 and g(t) ~ ||t||^2 / 2 near zero.
+
+    The reduced form of the module docstring at beta = <v2, t>, with
+    v2 = H^{-1/2} mu for the symmetric root of H(tau).
+    """
     require_mixture(model, "g_function")
     t = check_point(t, model.dim, "t")
-    s_mat, _ = whitened_hessian_factors(saddle)
-    s = s_mat @ t
-    log_mag, phase = model.log_ratio(saddle.tau, s[None, :])
-    return complex(-float(log_mag[0]), float(s @ saddle.a) - float(phase[0]))
+    mu = model.params.mu
+    vals, vecs = np.linalg.eigh(model.hessian(saddle.tau))
+    v2 = vecs @ ((vecs.T @ mu) / np.sqrt(vals))
+    log_mag, phase, _ = _exponent(float(mu @ saddle.tau), float(np.linalg.norm(t)), float(v2 @ t))
+    return complex(-float(log_mag), -float(phase))
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,7 +174,7 @@ def _panel_count_mixture(lam, trunc_radius):
 
 
 def correction_integral(
-    model: CgfModel,
+    model: GaussianMixture,
     saddle: SaddlePoint,
     n: int,
     spec: QuadSpec | None = None,
@@ -236,7 +242,7 @@ def _shell_radii(d, n, trunc_radius=2.5):
 
 
 def check_assumptions(
-    model: CgfModel,
+    model: GaussianMixture,
     tau_samples,
     n: int,
     sample_count: int = 2000,

@@ -201,16 +201,17 @@ def _sweep(spec, per_point, clt=False):
         params = load_model_file(spec.model_path, d_override=d)
         model = GaussianMixture(params)
         pts = _query_points(spec, params.d)
-        # a non-finite point fails its own row; the budget covers the rest
-        norms = (float(np.linalg.norm(p)) for p in pts)
+        # a non-finite point fails its own row; the budget covers the rest.
+        # A norm past the double range reads inf, and its row fails too
+        with np.errstate(over="ignore"):
+            norms = [float(np.linalg.norm(p)) for p in pts]
         max_norm = max((r for r in norms if math.isfinite(r)), default=0.0)
         for n in spec.n_grid:
             radius = max_norm / math.sqrt(n) if clt else max_norm
             bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             eps = params.d**2 / n
             oracle = ExactMeanDensity(params, n)
-            for a in pts:
-                a_norm = float(np.linalg.norm(a))
+            for a, a_norm in zip(pts, norms):
                 t0 = time.perf_counter() if spec.timing else None
                 try:
                     rec = per_point(model, oracle, params.d, n, a, a_norm, eps, bound)

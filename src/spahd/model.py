@@ -6,13 +6,13 @@ The central object is the symmetric two-component Gaussian mixture
     mgf(z) = exp(z' sigma z / 2) * cosh(<mu, z>)
 
 stays positive on the real axis and extends to complex arguments
-z = tau + i t.  The CgfModel contract lists what a model exposes: real and
+z = tau + i t.  GaussianMixture is the one model type: it gives real and
 complex cgf evaluation, gradient, Hessian, and suprema of the third/fourth
-derivative kernels over a (tau, t) region.  The mixture implements all of it
-in closed form, and it is the only model the quadrature, the assumption audit
-and the fixed-point solver accept, because they use its structure; the only
-transcendental ingredient is log cosh, evaluated through shifted forms that
-stay finite for arguments far beyond the overflow point of cosh itself.
+derivative kernels over a (tau, t) region, all in closed form, and every
+solver, quadrature and audit uses its (alpha, beta) structure directly
+(CgfModel is kept as another name for it).  The only transcendental
+ingredient is log cosh, evaluated through shifted forms that stay finite for
+arguments far beyond the overflow point of cosh itself.
 
 The complex extension enters the saddlepoint machinery only through the
 ratio mgf(tau + i s) / mgf(tau), which for the mixture depends on s through
@@ -29,7 +29,6 @@ from __future__ import annotations
 import cmath
 import math
 import re as _re
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -189,44 +188,7 @@ def _inv_sqrt_psd(m):
     return (vecs / np.sqrt(vals)) @ vecs.T
 
 
-class CgfModel(ABC):
-    """Capabilities every cgf model exposes to the saddle solver.
-
-    v_radius is the radius of the tau-ball the model declares safe for
-    saddle queries; it parameterizes the derivative suprema and the
-    assumption checker, nothing enforces it on individual calls.
-    """
-
-    v_radius: float = 1.0
-
-    @property
-    @abstractmethod
-    def dim(self) -> int: ...
-
-    @abstractmethod
-    def cgf_real(self, tau: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def cgf_complex(self, tau: np.ndarray, t: np.ndarray) -> ComplexCgfValue: ...
-
-    @abstractmethod
-    def grad(self, tau: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hessian(self, tau: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def c3_sup(self, tau_radius: float, t_radius: float) -> float: ...
-
-    @abstractmethod
-    def c4_sup(self, tau_radius: float, t_radius: float) -> float: ...
-
-    @abstractmethod
-    def c3_op_norm_ball(self, radius: float) -> float:
-        """sup of the third-derivative operator norm over ||tau|| <= radius."""
-
-
-class GaussianMixture(CgfModel):
+class GaussianMixture:
     """Closed-form cgf model for the symmetric Gaussian mixture.
 
     cgf(tau) = tau' sigma tau / 2 + log cosh(<mu, tau>), so every derivative
@@ -235,9 +197,8 @@ class GaussianMixture(CgfModel):
     quadratic forms in sigma, all evaluated in one place: log_ratio.
     """
 
-    def __init__(self, params: MixtureParams, v_radius: float = 1.0):
+    def __init__(self, params: MixtureParams):
         self.params = params
-        self.v_radius = float(v_radius)
         self._mu = params.mu
         self._sigma = params.sigma
         self._mu_norm = float(np.linalg.norm(self._mu))
@@ -428,6 +389,11 @@ class GaussianMixture(CgfModel):
             return 0.0
         a = min(radius * self._mu_norm, _K3_ARGMAX)
         return float(c3_kernel(a, 0.0)) * self._mu_norm**3
+
+
+# every layer uses the mixture's structure, so the mixture is the model type;
+# CgfModel names it too, so code written against that name keeps working
+CgfModel = GaussianMixture
 
 
 def check_point(x, d, name):

@@ -134,7 +134,7 @@ class ExactMeanDensity:
     and bounds the two cut tails by geometric series; last_window holds
     (k_lo, k_hi, tail_rel) of the last query, tail_rel <= 1e-16 being that
     bound relative to the sum.  density() is inf above the double range;
-    log_density() stays exact.
+    log_density() stays exact, and is -inf below it.
     """
 
     def __init__(self, params: MixtureParams, n: int):
@@ -160,7 +160,13 @@ class ExactMeanDensity:
     def log_density(self, a) -> float:
         a = check_point(a, self.params.d, "a")
         n, q_mu = self.n, self._q_mu
-        q_cross = float(a @ self._mu_dual)
+        with np.errstate(over="ignore"):
+            q_cross = float(a @ self._mu_dual)
+            far = not (math.isfinite(q_cross) and np.isfinite(self._whiten @ a).all())
+        if far:
+            # a leaves the double range in the sigma/n metric, and so does its
+            # distance to every mean m_k mu, |m_k| <= 1
+            return -math.inf
         # f(k+1) - f(k) = log((n - k)/(k + 1)) + lead - slope k, exactly; it
         # falls by at least curv per step, so f is concave with one peak
         slope = 4.0 * q_mu / (n * n)
@@ -206,7 +212,8 @@ class ExactMeanDensity:
                 break
             nats *= 2.0
         self.last_window = (k_lo, k_hi, tail)
-        return log_sum - 0.5 * float(r_w @ r_w) + self._log_norm
+        with np.errstate(over="ignore"):  # -inf past the double range
+            return log_sum - 0.5 * float(r_w @ r_w) + self._log_norm
 
     def density(self, a) -> float:
         return exp_or_inf(self.log_density(a))

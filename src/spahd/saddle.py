@@ -10,7 +10,8 @@ unique and lies within g of <w, a>.  A safeguarded scalar Newton finds it,
 tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
 from the matrix determinant lemma.  The gradient residual certifies the
 result; where rounding keeps it above tol (sigma far from well conditioned),
-a damped Newton seeded at tau = a takes over.
+a damped Newton seeded at tau = a takes over.  Every routine here takes a
+GaussianMixture and raises ConfigError for anything else.
 
 method="fixed_point" is a separate d-dimensional iteration,
 
@@ -23,25 +24,21 @@ that 2 ||a|| C3(a) <= 1.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ModelDomainError, NonconvergenceError, StandardizationError
-from .model import (CgfModel, GaussianMixture, check_point, is_count, require_mixture,
-                    _sech_float)
+from .errors import DimensionError, NonconvergenceError, StandardizationError
+from .model import GaussianMixture, check_point, is_count, require_mixture, _sech_float
 
 _EPS = 2.0**-52
 
 
 @dataclass(frozen=True)
 class SaddlePoint:
-    """Solved saddle at query point a, with the factors reused downstream.
-
-    hessian_chol, the lower Cholesky factor of H(tau), is built on first use.
-    """
+    """Solved saddle at query point a: tau, phi*(a) and log det H(tau), with
+    the solver's residual, iteration count and route."""
 
     a: np.ndarray
     tau: np.ndarray
@@ -50,26 +47,22 @@ class SaddlePoint:
     residual: float
     iterations: int
     method: str
-    _model: CgfModel = field(repr=False, compare=False)
-
-    @functools.cached_property
-    def hessian_chol(self) -> np.ndarray:
-        return _cholesky(self._model.hessian(self.tau))
 
 
-def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
+def solve_saddle(model: GaussianMixture, a, tol: float = 1e-12, max_iter: int = 100,
                  method: str = "auto") -> SaddlePoint:
     """Solve grad cgf(tau) = a to gradient residual <= tol.
 
     method: 'newton' (the scalar route of the module docstring, with its
     damped Newton fallback), 'fixed_point', or 'auto', which is 'newton'
-    with no fixed-point fallback.  Both routes need a
-    GaussianMixture (ConfigError otherwise) unless the seed tau = a already
-    meets tol.  iterations counts scalar and d-dimensional steps alike, and
-    they share max_iter.  Raises NonconvergenceError with the last residual
-    when the budget runs out, and DimensionError unless tol is finite and
-    > 0 and max_iter is a positive whole number.
+    with no fixed-point fallback.  iterations counts scalar and
+    d-dimensional steps alike, and they share max_iter.  Raises ConfigError
+    unless model is a GaussianMixture, NonconvergenceError with the last
+    residual when the budget runs out, and DimensionError unless tol is
+    finite and > 0 and max_iter is a positive whole number, or when phi*(a)
+    leaves the double range (||a|| past about 1e154 for a unit sigma).
     """
+    require_mixture(model, "solve_saddle")
     a = check_point(a, model.dim, "a")
     if not (0 < tol < math.inf):
         raise DimensionError(f"tol must be finite and > 0, got {tol!r}")
@@ -82,34 +75,21 @@ def solve_saddle(model: CgfModel, a, tol: float = 1e-12, max_iter: int = 100,
         tau, res, it = _fixed_point(model, a, tol, max_iter)
     else:
         raise DimensionError(f"unknown method {method!r}")
-    phi_star = float(tau @ a) - model.cgf_real(tau)
-    return SaddlePoint(a=a, tau=tau, phi_star=phi_star, log_det_h=_log_det_hessian(model, tau),
-                       residual=res, iterations=it, method=method, _model=model)
-
-
-def _log_det_hessian(model, tau):
-    if isinstance(model, GaussianMixture):
-        # det(sigma + sech^2(alpha) mu mu') = det(sigma) (1 + sech^2(alpha) g)
-        s = _sech_float(float(model.params.mu @ tau))
-        return model._log_det_sigma + math.log1p(s * s * model._g)
-    return 2.0 * float(np.sum(np.log(np.diag(_cholesky(model.hessian(tau))))))
-
-
-def _cholesky(h):
-    """Lower Cholesky factor of a cgf Hessian; rejects a non-SPD Hessian."""
-    try:
-        return np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise ModelDomainError("cgf Hessian is not positive definite") from exc
+    # <tau, a> and cgf(tau) overflow to inf - inf past the double range
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_star = float(tau @ a) - model.cgf_real(tau)
+    if not math.isfinite(phi_star):
+        raise DimensionError("phi*(a) leaves the double range at max |a_i| = "
+                             f"{float(np.max(np.abs(a))):.3g}")
+    # det(sigma + sech^2(alpha) mu mu') = det(sigma) (1 + sech^2(alpha) g)
+    s = _sech_float(float(model.params.mu @ tau))
+    log_det_h = model._log_det_sigma + math.log1p(s * s * model._g)
+    return SaddlePoint(a=a, tau=tau, phi_star=phi_star, log_det_h=log_det_h,
+                       residual=res, iterations=it, method=method)
 
 
 def _scalar_newton(model, a, tol, max_iter):
     """The 'newton' route: (tau, residual, iterations)."""
-    if not isinstance(model, GaussianMixture):
-        res = float(np.linalg.norm(model.grad(a) - a))
-        if res <= tol:
-            return a.copy(), res, 0
-        require_mixture(model, "solve_saddle")
     w, g = model._w, model._g
     c = float(w @ a)
     b = np.linalg.solve(model.params.sigma, a)
@@ -181,7 +161,7 @@ def _damped_newton(model, a, tol, max_iter, it):
     return tau, res, it
 
 
-def fixed_point_matrix(model: CgfModel, tau) -> np.ndarray:
+def fixed_point_matrix(model: GaussianMixture, tau) -> np.ndarray:
     """B(tau) = int_0^1 (1-l) grad^3 cgf(l tau)[tau] dl.
 
     Closed form for the mixture, (tanh(alpha)/alpha - 1) mu mu', the only
@@ -223,13 +203,14 @@ def _fixed_point(model, a, tol, max_iter):
     return tau, res, it
 
 
-def legendre(model: CgfModel, a, tol: float = 1e-12) -> float:
+def legendre(model: GaussianMixture, a, tol: float = 1e-12) -> float:
     """Legendre transform phi*(a) = <tau, a> - cgf(tau) at the solved saddle."""
     return solve_saddle(model, a, tol=tol).phi_star
 
 
-def c3_ball(model: CgfModel, a) -> float:
+def c3_ball(model: GaussianMixture, a) -> float:
     """C3(a): sup of the third-derivative operator norm over ||tau|| <= 2||a||."""
+    require_mixture(model, "c3_ball")
     a = np.asarray(a, dtype=float).reshape(-1)
     return model.c3_op_norm_ball(2.0 * float(np.linalg.norm(a)))
 
@@ -244,13 +225,14 @@ class LegendreGapReport:
     admissible: bool
 
 
-def legendre_gap_report(model: CgfModel, a, tol: float = 1e-12) -> LegendreGapReport:
+def legendre_gap_report(model: GaussianMixture, a, tol: float = 1e-12) -> LegendreGapReport:
     """Compare phi*(a) with ||a||^2/2 for a standardized model.
 
     Requires hessian(0) = identity (StandardizationError otherwise); the gap
     obeys gap <= C3(a) ||a||^3 whenever 2 ||a|| C3(a) <= 1, which the
     admissible flag records.
     """
+    require_mixture(model, "legendre_gap_report")
     a = np.asarray(a, dtype=float).reshape(-1)
     h0 = model.hessian(np.zeros_like(a))
     if np.max(np.abs(h0 - np.eye(a.shape[0]))) > 1e-8:
@@ -265,12 +247,3 @@ def legendre_gap_report(model: CgfModel, a, tol: float = 1e-12) -> LegendreGapRe
         bound=c3b * norm_a**3,
         admissible=2.0 * norm_a * c3b <= 1.0,
     )
-
-
-def whitened_hessian_factors(saddle: SaddlePoint):
-    """(H^{-1/2}, log det H) from a solved saddle, by eigh of L L' with L its
-    hessian_chol."""
-    h = saddle.hessian_chol @ saddle.hessian_chol.T
-    vals, vecs = np.linalg.eigh(h)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.T
-    return inv_sqrt, saddle.log_det_h

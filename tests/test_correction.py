@@ -15,8 +15,6 @@ from hypothesis import strategies as st
 import spahd.correction
 from spahd import (
     AssumptionViolationError,
-    CgfModel,
-    ComplexCgfValue,
     ConfigError,
     DimensionError,
     GaussianMixture,
@@ -27,13 +25,14 @@ from spahd import (
     correction_integral,
     exact_mean_density,
     g_function,
+    legendre_gap_report,
     solve_saddle,
     spa_density,
 )
 from spahd.correction import _shell_radii
 from spahd.model import cosh_factor
 from spahd.oracle import ExactMeanDensity
-from spahd.saddle import fixed_point_matrix, whitened_hessian_factors
+from spahd.saddle import c3_ball, fixed_point_matrix, legendre
 
 # mpmath 40-digit references, mu = 1, sigma = 1, a = 0
 I_AT_0_N2 = 0.96723682869799197258
@@ -124,32 +123,28 @@ class TestCorrectionIntegral:
             assert i_quad == pytest.approx(i_true, rel=1e-10)
 
     def test_rejects_generic_model(self):
-        # the quadrature and its helpers use the mixture's structure; any
-        # other CgfModel gets a typed error, not an AttributeError
-        m = StandardGaussian(d=4)
-        sp = solve_saddle(m, np.zeros(4))
-        with pytest.raises(ConfigError):
-            correction_integral(m, sp, 10)
-        with pytest.raises(ConfigError):
-            check_assumptions(m, [np.zeros(4)], 10)
-        with pytest.raises(ConfigError):
-            g_function(m, sp, np.zeros(4))
-        with pytest.raises(ConfigError):
-            fixed_point_matrix(m, np.zeros(4))
-
-    def test_generic_model_saddle_needs_the_seed(self):
-        # a non-mixture model keeps tau = a when that seed meets tol; every
-        # other solve needs the mixture's structure and raises a typed error
-        class ScaledGaussian(StandardGaussian):
-            def grad(self, tau):
-                return 2.0 * np.asarray(tau, dtype=float)
-
-        sp = solve_saddle(StandardGaussian(d=3), np.full(3, 0.5))
-        assert sp.iterations == 0 and np.array_equal(sp.tau, np.full(3, 0.5))
-        assert sp.log_det_h == 0.0 and np.array_equal(sp.hessian_chol, np.eye(3))
-        for method in ("newton", "fixed_point", "auto"):
-            with pytest.raises(ConfigError):
-                solve_saddle(ScaledGaussian(d=3), np.full(3, 0.5), method=method)
+        # every function that takes a model uses the mixture's structure, and
+        # anything else, such as the parameters the oracles take, gets a
+        # typed error instead of an AttributeError
+        assert spahd.CgfModel is GaussianMixture
+        m = mixture([1.0], [[1.0]])
+        sp = solve_saddle(m, np.zeros(1))
+        a = np.zeros(1)
+        calls = [
+            lambda x: solve_saddle(x, a),
+            lambda x: solve_saddle(x, a, method="fixed_point"),
+            lambda x: legendre(x, a),
+            lambda x: legendre_gap_report(x, a),
+            lambda x: c3_ball(x, a),
+            lambda x: fixed_point_matrix(x, a),
+            lambda x: correction_integral(x, sp, 10),
+            lambda x: check_assumptions(x, [a], 10),
+            lambda x: g_function(x, sp, a),
+        ]
+        for other in (m.params, object()):
+            for call in calls:
+                with pytest.raises(ConfigError):
+                    call(other)
 
     def test_rejects_non_integer_n(self):
         m = mixture([1.0], [[1.0]])
@@ -201,7 +196,6 @@ class TestCorrectionIntegral:
         mu[0] = 0.9
         m = mixture(mu, np.eye(d))
         sp = solve_saddle(m, np.full(d, 0.01))
-        monkeypatch.setattr(spahd.correction, "whitened_hessian_factors", refuse)
         monkeypatch.setattr(np.linalg, "eigh", refuse)
         monkeypatch.setattr(np.random, "default_rng", refuse)
         assert correction_integral(m, sp, 400).i_value.real > 0
@@ -277,53 +271,25 @@ class TestGFunction:
 
 
     def test_reduced_exponent_matches_whitened_form(self):
-        # -g(t) from alpha, ||t|| and beta = <v2, t> alone equals the form
-        # built from the whitening matrix and the full mgf ratio
+        # g(t) from alpha, ||t|| and beta = <v2, t> alone equals the
+        # d-dimensional form: s = H^{-1/2} t and the full mgf ratio,
+        # -g(t) = log(mgf(tau + i s) / mgf(tau)) - i <s, a>
         sigma = np.array([[1.1, 0.25, 0.0], [0.25, 0.8, -0.1], [0.0, -0.1, 0.9]])
         m = mixture([0.7, -0.2, 0.4], sigma)
         sp = solve_saddle(m, np.array([0.3, 0.1, -0.2]))
+        vals, vecs = np.linalg.eigh(m.hessian(sp.tau))
+        s_mat = (vecs / np.sqrt(vals)) @ vecs.T
         alpha = float(m.params.mu @ sp.tau)
-        v2 = whitened_hessian_factors(sp)[0] @ m.params.mu
+        v2 = s_mat @ m.params.mu
         assert float(m.whitened_mu_norm(alpha)) == pytest.approx(np.linalg.norm(v2), rel=1e-14)
         rng = np.random.default_rng(21)
         for _ in range(20):
             t = rng.normal(size=3) * rng.uniform(0.1, 3.0)
-            log_mag, phase, _ = spahd.correction._exponent(alpha, np.linalg.norm(t), v2 @ t)
+            s = s_mat @ t
+            log_mag, phase = m.log_ratio(sp.tau, s[None, :])
             g = g_function(m, sp, t)
-            assert -g.real == pytest.approx(float(log_mag), rel=1e-12, abs=1e-13)
-            assert -g.imag == pytest.approx(float(phase), rel=1e-12, abs=1e-13)
-
-
-class StandardGaussian(CgfModel):
-    """Standard Gaussian cgf: a complete CgfModel that is not a mixture."""
-
-    def __init__(self, d=1):
-        self.d = d
-
-    @property
-    def dim(self):
-        return self.d
-
-    def cgf_real(self, tau):
-        return 0.5 * float(tau @ tau)
-
-    def cgf_complex(self, tau, t):
-        return ComplexCgfValue(0.5 * float(tau @ tau - t @ t), float(tau @ t))
-
-    def grad(self, tau):
-        return np.asarray(tau, dtype=float)
-
-    def hessian(self, tau):
-        return np.eye(self.d)
-
-    def c3_sup(self, tau_radius, t_radius):
-        return 0.0
-
-    def c4_sup(self, tau_radius, t_radius):
-        return 0.0
-
-    def c3_op_norm_ball(self, radius):
-        return 0.0
+            assert -g.real == pytest.approx(float(log_mag[0]), rel=1e-12, abs=1e-13)
+            assert -g.imag == pytest.approx(float(phase[0]) - float(s @ sp.a), rel=1e-12, abs=1e-13)
 
 
 class TestFailureModes:

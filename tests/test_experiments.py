@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,18 @@ class TestErrorScaling:
         assert [r.bound_total for r in records] == [
             r.bound_total for r in finite for _ in points
         ]
+
+    @pytest.mark.parametrize("big", [1e160, 1e308])
+    def test_point_past_double_range_fails_only_its_row(self, model_file, big):
+        # phi* overflows there; the row is a DimensionError, not a nan row
+        # marked ok, and the other rows keep their values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, _ = run_experiment(make_spec(model_file, n_grid=(50,),
+                                                  a_points=((0.1,), (big,))))
+        (alone,), _ = run_experiment(make_spec(model_file, n_grid=(50,), a_points=((0.1,),)))
+        assert [r.status for r in records] == ["ok", "DimensionError"]
+        assert records[0] == alone
 
     def test_overflowed_densities_give_finite_rows(self, tmp_path):
         # d = 150, n = 1e5, a = 0: both densities are about e^725

@@ -4,6 +4,7 @@ import functools
 import inspect
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -125,6 +126,17 @@ class TestExactDensity:
         log_rho = oracle.log_density(np.zeros(d))
         assert 709 < log_rho < 726
         assert oracle.density(np.zeros(d)) == math.inf
+
+    @pytest.mark.parametrize("d, a", [(1, 1e200), (1, 1e300), (1, 1e308), (1, -1e308),
+                                      (2, (0.0, 1e308))])
+    def test_log_density_underflow_past_double_range(self, d, a):
+        # the cross term <a, mu> or the whitened point overflows; the log
+        # density is below the double range, not an OverflowError
+        oracle = ExactMeanDensity(MixtureParams(d, np.eye(d)[0], np.eye(d)), 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert oracle.log_density(np.atleast_1d(a)) == -math.inf
+            assert oracle.density(np.atleast_1d(a)) == 0.0
 
     def test_pure_gaussian_closed_form(self):
         rng = np.random.default_rng(12)
