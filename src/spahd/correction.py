@@ -43,8 +43,6 @@ _AGREEMENT_RTOL = 1e-6
 _ENV_SLACK = 1e-3
 # x2 at or above this marks a zero of cosh, where -g has no log branch
 _ZERO_X2 = 1.0 - 1e-15
-# beta points of the trust-ball branch check
-_BALL_POINTS = 1536
 
 
 @dataclass(frozen=True)
@@ -149,12 +147,26 @@ def _exponent(alpha, r, beta):
 
 def _ball_phase_check(alpha, v2_norm, r0):
     """Reject if e^{-g} reaches a zero of cosh or its phase reaches pi inside
-    the trust ball ||t|| <= r0, that is over |beta| <= ||v2|| r0, where the
-    quadrature treats the phase as smooth."""
-    _, phase, x2 = _exponent(alpha, 0.0, v2_norm * r0 * np.linspace(0.0, 1.0, _BALL_POINTS))
-    if np.any(x2 >= _ZERO_X2):
+    the trust ball ||t|| <= r0, that is over |beta| <= b = ||v2|| r0, where the
+    quadrature treats the phase as smooth.
+
+    The verdict reads the exact extremes over |beta| <= b, both even in beta:
+      - |cosh(alpha + i beta) / cosh(alpha)|^2 = 1 - x2 is smallest at
+        beta = min(b, pi/2), where x2 = sech^2(alpha) sin^2(beta) peaks.  It is 0,
+        a zero of cosh, exactly when alpha = 0 and b >= pi/2.
+      - The phase Arg cosh(alpha + i beta) - tanh(alpha) beta has derivative
+        Re tanh(alpha + i beta) - tanh(alpha) = sinh(2 alpha) / (cosh(2 alpha)
+        + cos(2 beta)) - tanh(alpha), of the sign of alpha, so |phase| is
+        largest at beta = b as long as b < pi; at beta = pi the principal
+        argument wraps.  The check rejects b >= pi, and a phase at beta = b
+        that reaches pi in doubles: its margin to pi, of order |alpha|, is then
+        below the resolution of pi (at n = d = 8, mu = 1.2 e1 and sigma = I,
+        a = 1e-17 e1 is rejected and a = 1e-12 e1, with margin 2.3e-12, is not).
+    """
+    b = v2_norm * r0
+    if alpha == 0.0 and b >= 0.5 * math.pi:
         raise AssumptionViolationError("zero of the complex exponent inside the trust ball")
-    worst = float(np.max(np.abs(phase)))
+    worst = math.pi if b >= math.pi else abs(float(_exponent(alpha, 0.0, b)[1]))
     if worst >= math.pi:
         raise AssumptionViolationError(
             f"phase reaches {worst:.6f} >= pi inside the trust ball "

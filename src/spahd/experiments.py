@@ -202,10 +202,15 @@ def _sweep(spec, per_point, clt=False):
         model = GaussianMixture(params)
         pts = _query_points(spec, params.d)
         # a non-finite point fails its own row; the budget covers the rest.
-        # A norm past the double range reads inf, and its row fails too
+        # np.linalg.norm squares first, so it reads inf past about 1.34e154;
+        # such a point stays out of the budget's ball (with sigma near 1 its
+        # phi* leaves the double range and its row fails), and its a_norm is
+        # taken from the point rescaled by max |a_i|
         with np.errstate(over="ignore"):
-            norms = [float(np.linalg.norm(p)) for p in pts]
-        max_norm = max((r for r in norms if math.isfinite(r)), default=0.0)
+            plain = [float(np.linalg.norm(p)) for p in pts]
+        max_norm = max((r for r in plain if math.isfinite(r)), default=0.0)
+        norms = [r if math.isfinite(r) or not np.all(np.isfinite(p)) else _rescaled_norm(p)
+                 for p, r in zip(pts, plain)]
         for n in spec.n_grid:
             radius = max_norm / math.sqrt(n) if clt else max_norm
             bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
@@ -224,6 +229,13 @@ def _sweep(spec, per_point, clt=False):
                     rec = ResultRecord(**{**asdict(rec), "wall_ms": wall})
                 records.append(rec)
     return records
+
+
+def _rescaled_norm(p):
+    """||p|| for a finite p whose squared norm overflows: max |p_i| times the
+    norm of p / max |p_i|."""
+    scale = float(np.max(np.abs(p)))
+    return scale * float(np.linalg.norm(p / scale))
 
 
 def _densities(model, oracle, n, a, tol):

@@ -7,26 +7,28 @@ The central object is the symmetric two-component Gaussian mixture
 
 stays positive on the real axis and extends to complex arguments
 z = tau + i t.  GaussianMixture is the one model type: it gives real and
-complex cgf evaluation, gradient, Hessian, and suprema of the third/fourth
-derivative kernels over a (tau, t) region, all in closed form, and every
-solver, quadrature and audit uses its (alpha, beta) structure directly
+complex cgf evaluation, gradient, Hessian, and certified suprema of the
+third/fourth derivative kernels over a (tau, t) region, all in closed form
 (CgfModel is kept as another name for it).  The only transcendental
 ingredient is log cosh, evaluated through shifted forms that stay finite for
 arguments far beyond the overflow point of cosh itself.
 
-The complex extension enters the saddlepoint machinery only through the
-ratio mgf(tau + i s) / mgf(tau), which for the mixture depends on s through
-s' sigma s, <s, sigma tau> and beta = <mu, s> alone.  GaussianMixture.log_ratio
-evaluates it for a whole batch of s, split into magnitude and phase; every
-complex evaluation goes through it.  The magnitude part is branch-free.  The
-phase uses the principal argument of the cosh factor; cgf_complex rejects
-(PhaseBranchError) a total argument outside (-pi, pi) or a zero of cosh,
-which is where the complex log stops being single-valued.
+Past sigma, the mixture sees a complex point only through alpha = <mu, tau>
+and beta = <mu, t>, and every layer works on those two scalars:
+cosh_factor gives the magnitude and phase of cosh(alpha + i beta) / cosh(alpha),
+which the contour quadrature, g_function and the assumption audits use
+through correction._exponent; the derivative kernels are real parts of
+polynomials in sech^2 and tanh of alpha + i beta.  cgf_complex and
+log_ratio add the quadratic and linear terms in sigma to the same cosh
+factor; cgf_complex rejects (PhaseBranchError) a total argument outside
+(-pi, pi) or a zero of cosh, where the complex log stops being
+single-valued.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import re as _re
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError, ModelDomainError, PhaseBranchError
 
 _LOG2 = math.log(2.0)
+_EPS = 2.0**-52
 
 # argmax of 2 sech^2(x) tanh(x) on [0, inf); the kernel rises to 4/(3 sqrt 3)
 # there and decays afterwards
@@ -63,55 +66,41 @@ def _sech_float(x: float) -> float:
     return 2.0 * e / (1.0 + e * e)
 
 
-def _tanh_parts(alpha, beta):
-    """(Re, Im) of tanh(alpha + i beta) in real arithmetic, finite at any alpha.
+def _sech2_tanh(alpha, beta):
+    """(sech^2 w, tanh w) at w = |alpha| + i beta, complex and finite at any alpha.
 
-    tanh(a + i b) = (sinh 2a + i sin 2b) / (cosh 2a + cos 2b); scaled by
-    2 exp(-2|a|) = 2e it is (sign(a)(1 - e)(1 + e) + 4i e sin b cos b) over
-    (1 - e)^2 + 4e cos^2 b, which vanishes only at the zeros of cosh.
+    With z = exp(-2w), |z| <= 1: sech^2 w = 4z / (1 + z)^2 and
+    tanh w = (1 - z) / (1 + z), which lose no digits where sech^2 is tiny and
+    blow up only at the zeros of cosh (z = -1).
     """
-    ax = np.abs(alpha)
-    e = np.exp(-2.0 * ax)
-    one_minus_e = -np.expm1(-2.0 * ax)
-    c = np.cos(beta)
-    den = one_minus_e * one_minus_e + 4.0 * e * c * c
-    return np.sign(alpha) * one_minus_e * (1.0 + e) / den, 4.0 * e * np.sin(beta) * c / den
+    z = np.exp(-2.0 * (np.abs(alpha) + 1j * np.asarray(beta)))
+    zp = 1.0 + z
+    return 4.0 * z / (zp * zp), (1.0 - z) / zp
 
 
-def _c34_from_tanh(x, y):
-    """(k3, k4) = |2 Re[sech^2(w) tanh(w)]|, |2 Re[sech^2(w)(1 - 3 sech^2(w))]|
-    from tanh(w) = x + i y, through sech^2 = 1 - tanh^2 = p + i q; x and y
-    may be floats or arrays."""
-    p = 1.0 - x * x + y * y
-    q = -2.0 * x * y
-    return abs(2.0 * (p * x - q * y)), abs(2.0 * (p - 3.0 * (p * p - q * q)))
-
-
-def _c34_kernel_grids(alpha, beta):
-    """(k3, k4) at w = alpha + i beta over broadcast arrays."""
-    return _c34_from_tanh(*_tanh_parts(alpha, beta))
-
-
-def _c34_kernel_at(alpha, beta):
-    """(k3, k4) at one point w = alpha + i beta, on cmath.tanh."""
-    t = cmath.tanh(complex(alpha, beta))
-    return _c34_from_tanh(t.real, t.imag)
+def _c34_kernels(alpha, beta):
+    """(k3, k4) = |Re[2 sech^2(w) tanh(w)]|, |Re[4 sech^2(w) - 6 sech^4(w)]| at
+    w = alpha + i beta, the moduli of the real parts of the third and fourth
+    derivatives of log cosh.  Both are even in alpha and in beta."""
+    s, t = _sech2_tanh(alpha, beta)
+    return np.abs((2.0 * s * t).real), np.abs((s * (4.0 - 6.0 * s)).real)
 
 
 def _kernel(alpha, beta, which):
     a = np.atleast_1d(np.asarray(alpha, dtype=float)).ravel()
     b = np.atleast_1d(np.asarray(beta, dtype=float)).ravel()
-    k = _c34_kernel_grids(*np.broadcast_arrays(a, b))[which]
+    k = _c34_kernels(*np.broadcast_arrays(a, b))[which]
     return k if k.size > 1 else float(k[0])
 
 
 def c3_kernel(alpha, beta):
-    """|2 Re[sech^2(w) tanh(w)]| at w = alpha + i beta (third-derivative kernel)."""
+    """|Re[2 sech^2(w) tanh(w)]| at w = alpha + i beta (third-derivative kernel)."""
     return _kernel(alpha, beta, 0)
 
 
 def c4_kernel(alpha, beta):
-    """|2 Re[sech^2(w)(1 - 3 sech^2(w))]| at w = alpha + i beta (fourth-derivative kernel)."""
+    """|Re[4 sech^2(w) - 6 sech^4(w)]| at w = alpha + i beta (fourth-derivative
+    kernel; the fourth derivative of log cosh is 4 sech^2 - 6 sech^4)."""
     return _kernel(alpha, beta, 1)
 
 
@@ -194,7 +183,7 @@ class GaussianMixture:
     cgf(tau) = tau' sigma tau / 2 + log cosh(<mu, tau>), so every derivative
     is sigma plus a scalar kernel of alpha = <mu, tau> times a tensor power
     of mu.  The complex extension needs alpha, beta = <mu, t> and two
-    quadratic forms in sigma, all evaluated in one place: log_ratio.
+    quadratic forms in sigma.
     """
 
     def __init__(self, params: MixtureParams):
@@ -207,7 +196,7 @@ class GaussianMixture:
         self._w = np.linalg.solve(self._sigma, self._mu)
         self._g = float(self._mu @ self._w)
         self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(self._sigma)))))
-        self._c34_cache: dict[tuple[float, float], tuple[float, float]] = {}
+        self._c34_cache: dict[tuple[float, float], tuple[tuple[float, float], ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -292,19 +281,21 @@ class GaussianMixture:
         inversion, elementwise over an array of alpha."""
         return np.sqrt(self._g / (1.0 + np.square(sech(alpha)) * self._g))
 
-    def _c34_sup(self, tau_radius, t_radius, n_grid=201):
-        """Grid + golden-section suprema of both derivative kernels.
+    def c34_bracket(self, tau_radius, t_radius):
+        """((lo3, hi3), (lo4, hi4)): certified brackets of the c3 and c4 suprema.
 
         alpha ranges over |alpha| <= ||mu|| * tau_radius; for each alpha,
-        beta ranges over |beta| <= ||H(alpha)^{-1/2} mu|| * t_radius, and the
-        kernel is weighted by that whitened norm to the 3rd/4th power.  Both
-        kernels and the norm are even in alpha and in beta, so the grid covers
-        the quarter alpha >= 0, beta >= 0 only; each grid maximum is refined
-        by golden-section searches on scalar evaluations.
-
-        The region contains a zero of cosh, where both kernels are unbounded,
-        exactly when ||H(0)^{-1/2} mu|| * t_radius >= pi/2; both suprema are
-        then inf.  A pure Gaussian gives (0, 0).
+        beta ranges over |beta| <= ||H(alpha)^{-1/2} mu|| * t_radius, and each
+        kernel is weighted by that whitened norm to the 3rd/4th power.  hi is
+        an upper bound of the supremum, lo a value the kernel attains, and
+        hi <= lo (1 + 1e-6); the branch and bound that certifies them is
+        described above _certified_sup.  Where the kernels oscillate over
+        many periods of beta (g = <mu, sigma^{-1} mu> past about 1e4) the
+        search can meet its element limit first: hi is then still an upper
+        bound, but the gap is wider.  The region contains a zero of cosh,
+        where both kernels are unbounded, exactly when
+        ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
+        Gaussian gives zeros.  Brackets are cached per radii on the instance.
         """
         if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
             raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
@@ -313,68 +304,29 @@ class GaussianMixture:
         if hit is not None:
             return hit
         if self.is_pure_gaussian:
-            out = (0.0, 0.0)
+            out = ((0.0, 0.0), (0.0, 0.0))
         elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
-            out = (math.inf, math.inf)
+            out = ((math.inf, math.inf), (math.inf, math.inf))
         else:
-            out = self._c34_quarter_sup(tau_radius, t_radius, n_grid)
+            out = self._c34_quarter_sup(tau_radius, t_radius)
         self._c34_cache[key] = out
         return out
 
-    def _c34_quarter_sup(self, tau_radius, t_radius, n_grid):
-        alphas = np.linspace(0.0, self._mu_norm * tau_radius, n_grid)
-        rw = self.whitened_mu_norm(alphas)
-        u = np.linspace(0.0, 1.0, n_grid)
-        # 64 KiB row blocks stay under glibc's 128 KiB mmap threshold, so their
-        # temporaries reuse heap memory; per-row first maxima keep the argmax order
-        row_max, row_arg = np.empty((2, n_grid)), np.empty((2, n_grid), dtype=np.intp)
-        step = max(1, 65536 // (8 * n_grid))
-        for lo in range(0, n_grid, step):
-            rows = slice(lo, lo + step)
-            ks = _c34_kernel_grids(alphas[rows, None], rw[rows, None] * (t_radius * u))
-            for which, k in enumerate(ks):
-                f = k * (rw[rows] ** (3 + which))[:, None]
-                row_arg[which, rows], row_max[which, rows] = np.argmax(f, 1), np.max(f, 1)
-
-        g = self._g
-
-        def norm_at(alpha):
-            # whitened_mu_norm on one float, in the same operations
-            s = _sech_float(alpha)
-            return math.sqrt(g / (1.0 + s * s * g))
-
-        def refine(which):
-            power = 3 + which
-            i = int(np.argmax(row_max[which]))
-            j = int(row_arg[which, i])
-
-            def eval_at(alpha, bfrac, r):
-                return _c34_kernel_at(alpha, bfrac * t_radius * r)[which] * r**power
-
-            best = float(row_max[which, i])
-            a_lo = float(alphas[max(i - 1, 0)])
-            a_hi = float(alphas[min(i + 1, n_grid - 1)])
-            b_lo = float(u[max(j - 1, 0)])
-            b_hi = float(u[min(j + 1, n_grid - 1)])
-            a_star = float(alphas[i])
-            b_star = float(u[j])
-            for _ in range(2):
-                r_star = norm_at(a_star)
-                b_star, v = _golden_max(lambda b: eval_at(a_star, b, r_star), b_lo, b_hi)
-                best = max(best, v)
-                a_star, v = _golden_max(lambda a: eval_at(a, b_star, norm_at(a)), a_lo, a_hi)
-                best = max(best, v)
-            return best
-
-        return refine(0), refine(1)
+    def _c34_quarter_sup(self, tau_radius, t_radius):
+        """Branch and bound over the quarter alpha, beta >= 0 (both kernels and
+        the norm are even in each), in the coordinates alpha and
+        u = beta / (||H(alpha)^{-1/2} mu|| t_radius) in [0, 1]."""
+        return _certified_sup(self._g, self._mu_norm * tau_radius, t_radius)
 
     def c3_sup(self, tau_radius, t_radius):
-        """sup of the whitened third-derivative kernel over the (tau, t) region."""
-        return self._c34_sup(tau_radius, t_radius)[0]
+        """Certified upper bound of the whitened third-derivative kernel's
+        supremum over the (tau, t) region (see c34_bracket)."""
+        return self.c34_bracket(tau_radius, t_radius)[0][1]
 
     def c4_sup(self, tau_radius, t_radius):
-        """sup of the whitened fourth-derivative kernel over the (tau, t) region."""
-        return self._c34_sup(tau_radius, t_radius)[1]
+        """Certified upper bound of the whitened fourth-derivative kernel's
+        supremum over the (tau, t) region (see c34_bracket)."""
+        return self.c34_bracket(tau_radius, t_radius)[1][1]
 
     def c3_op_norm_ball(self, radius):
         """Exact sup of ||grad^3 cgf|| over ||tau|| <= radius.
@@ -421,26 +373,385 @@ def require_mixture(model, what):
         raise ConfigError(f"{what} needs a GaussianMixture, got {type(model).__name__}")
 
 
-def _golden_max(f, lo, hi, tol=1e-10, max_iter=200):
-    """Golden-section maximum of a unimodal-ish f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    it = 0
-    while abs(b - a) > tol and it < max_iter:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+# --- certified c3/c4 suprema ----------------------------------------------
+#
+# Write r = ||H(alpha)^{-1/2} mu||, T = t_radius and beta = r(alpha) T u with
+# u in [0, 1].  Over the quarter 0 <= alpha <= a_max, 0 <= u <= 1 each weighted
+# kernel is |G| with G = U(alpha, beta) W(alpha), U = Re K for K3 = 2 s t or
+# K4 = 4 s - 6 s^2 (s = sech^2 w, t = tanh w) and W = r^3 or r^4.  U is
+# harmonic, so each of its partial derivatives of order j is at most |K^(j)|,
+# and K^(j) is t or 1 times a polynomial in s.  Over a rectangle of w reaching
+# rho from its centre c, |s - s(c)| <= 2 sup|s| sup|t| rho and
+# |t| <= |t(c)| + sup|s| rho, with sup|s| = 1 / (sinh^2 a0 + min cos^2 beta),
+# so the Taylor coefficients of that polynomial at s(c) bound |K^(j)|.  With
+# sup bounds of r', r'', r''' this bounds the derivatives of G up to order
+# three over any box [a0, a1] x [u0, u1].
+#
+# The quarter is covered by boxes, by segments of its four edges and by its
+# corners.  An element is settled when
+#   - its second-order bound G(c) + |grad G(c)| h + h' H h / 2 is at most
+#     (1 + _SUP_RTOL) times the best value found (lo), or
+#   - |G| is strictly monotone or strictly convex along a side it extends in,
+#     or concave in u on a box that starts at the symmetry line u = 0: no
+#     point off the edges is then a local maximum, and the edges are elements
+#     of their own, or
+#   - it lies in a run of adjacent edge segments on which |G| is concave: a
+#     Newton search finds the run's maximum, and concavity bounds the run by
+#     the tangent there.
+# Everything else is halved along the sides whose second-order term is still
+# large, and evaluated again.  hi, the largest bound of a settled element, is
+# an upper bound of the supremum with hi <= lo (1 + _SUP_RTOL).
+
+_SUP_RTOL = 1e-6
+# the closed forms are evaluated to a few ulps; hi carries this relative
+# allowance, and the bounds over an element this slack
+_SUP_ROUND = 1e-12
+_SUP_SLACK = 1e-9
+# first cover: _SUP_GRID rows of boxes in u, and over alpha <= _SUP_NEAR
+# columns of width about _SUP_WIDTH (_SUP_GRID to 4 _SUP_GRID of them); boxes
+# between powers of 4 beyond it, where the kernels decay like exp(-2 alpha).
+# Edge segments are _SUP_SEGMENTS times finer, as their tests run along one side
+_SUP_GRID = 8
+_SUP_WIDTH = 0.075
+_SUP_SEGMENTS = 2
+_SUP_NEAR = 4.0
+_SUP_ROUNDS = 60
+# elements per evaluation, and a limit on the elements of one round
+_SUP_CHUNK = 512
+_SUP_ELEMENTS = 1 << 16
+_SUP_NEWTON = 40
+# K3 = t B0(s), K4 = A1(s), K4' = t B2(s), K4'' = A3(s), K4''' = t B4(s);
+# _SUP_TAYLOR[l][j] holds the l-th Taylor coefficient of the j-th of these
+# polynomials in the powers 1, s, s^2, s^3 (K3^(j) = -K4^(j-1)); the third
+# coefficients are constants, |_SUP_TAYLOR3|
+_SUP_TAYLOR = np.array([
+    [[0, 2, 0, 0], [0, 4, -6, 0], [0, -8, 24, 0], [0, 16, -120, 120], [0, -32, 480, -720]],
+    [[2, 0, 0, 0], [4, -12, 0, 0], [-8, 48, 0, 0], [16, -240, 360, 0], [-32, 960, -2160, 0]],
+    [[0, 0, 0, 0], [-6, 0, 0, 0], [24, 0, 0, 0], [-120, 360, 0, 0], [480, -2160, 0, 0]],
+], dtype=float)
+_SUP_TAYLOR3 = np.array([[0.0], [0.0], [0.0], [120.0], [720.0]])
+# rows of K^(j) and sup |K^(j)|, j = 0..3, for c3; c4 reads the next row
+_SUP_ROWS3 = np.arange(3)[:, None]
+_SUP_ROWS4 = np.arange(4)[:, None]
+
+
+def _jet(t_radius, u, q, th, r, k, k0, k1, k2):
+    """Exact (G, G_a, G_u, G_aa, G_uu) at points with sech^2 alpha = q,
+    tanh alpha = th and r = r(alpha), for the weight exponent k and
+    K, K', K'' = k0, k1, k2 there; plain arithmetic, so on floats and complex
+    numbers, or elementwise on arrays."""
+    p = q * th
+    r3 = r * r * r
+    # r' = r^3 p and r'' = r^3 (3 r^2 p^2 + p') with p = sech^2 tanh, p' = q (3q - 2)
+    rp = r3 * p
+    rpp = r3 * (3.0 * r * r * p * p + q * (3.0 * q - 2.0))
+    x = rp / r
+    w = r ** k
+    w1 = k * x * w
+    w2 = (k * (k - 1.0) * x * x + k * rpp / r) * w
+    b_u = r * t_radius
+    b_a = rp * t_radius * u
+    b_aa = rpp * t_radius * u
+    uv, ua, ub, uaa, uab = k0.real, k1.real, -k1.imag, k2.real, -k2.imag
+    d1 = ua + ub * b_a
+    d2 = uaa * (1.0 - b_a * b_a) + 2.0 * uab * b_a + ub * b_aa
+    return (uv * w, d1 * w + uv * w1, ub * b_u * w,
+            d2 * w + 2.0 * d1 * w1 + uv * w2, -uaa * b_u * b_u * w)
+
+
+def _cover(a_boxes, a_segments):
+    """(a0, a1, u0, u1) of the first cover: boxes over the alpha breaks
+    a_boxes, segments of u = 0 and u = 1 over a_segments, segments of the
+    lines alpha = 0 and alpha = a_segments[-1], and the four corners."""
+    eu = np.linspace(0.0, 1.0, _SUP_GRID + 1)
+    su = np.linspace(0.0, 1.0, _SUP_GRID * _SUP_SEGMENTS + 1)
+    na, ma, mu = a_boxes.size - 1, a_segments.size - 1, su.size - 1
+    ends = np.array([0.0, a_segments[-1]])
+    a0 = np.concatenate([np.repeat(a_boxes[:-1], _SUP_GRID), a_segments[:-1], a_segments[:-1],
+                         np.zeros(mu), np.full(mu, ends[1]), ends, ends])
+    a1 = np.concatenate([np.repeat(a_boxes[1:], _SUP_GRID), a_segments[1:], a_segments[1:],
+                         np.zeros(mu), np.full(mu, ends[1]), ends, ends])
+    u0 = np.concatenate([np.tile(eu[:-1], na), np.zeros(ma), np.ones(ma),
+                         su[:-1], su[:-1], [0.0, 0.0, 1.0, 1.0]])
+    u1 = np.concatenate([np.tile(eu[1:], na), np.zeros(ma), np.ones(ma),
+                         su[1:], su[1:], [0.0, 0.0, 1.0, 1.0]])
+    return a0, a1, u0, u1
+
+
+# cells takes at most 3 _SUP_GRID + 1 values, so the cache stays small
+@functools.lru_cache(maxsize=None)
+def _unit_cover(cells):
+    """_cover of alpha <= 1 with `cells` boxes per row, read-only; scaled, it
+    covers any a_max <= _SUP_NEAR."""
+    out = _cover(np.linspace(0.0, 1.0, cells + 1),
+                 np.linspace(0.0, 1.0, cells * _SUP_SEGMENTS + 1))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _certified_sup(g, a_max, t_radius):
+    """((lo3, hi3), (lo4, hi4)) over alpha <= a_max, u <= 1 for the mixture
+    with g = <mu, sigma^{-1} mu>."""
+    near = min(a_max, _SUP_NEAR)
+    cells = min(max(_SUP_GRID, math.ceil(near / _SUP_WIDTH)), 4 * _SUP_GRID)
+    if a_max <= _SUP_NEAR:
+        a0, a1, u0, u1 = _unit_cover(cells)
+        a0, a1 = a_max * a0, a_max * a1
+    else:
+        # boxes between powers of 4 past _SUP_NEAR
+        far = [_SUP_NEAR]
+        while far[-1] < a_max:
+            far.append(min(4.0 * far[-1], a_max))
+        a0, a1, u0, u1 = _cover(*(np.concatenate((np.linspace(0.0, _SUP_NEAR, count + 1), far[1:]))
+                                  for count in (cells, cells * _SUP_SEGMENTS)))
+    lo = np.zeros(2)
+    hi = np.zeros(2)
+    for _ in range(_SUP_ROUNDS):
+        # in chunks, so that no temporary grows large
+        parts = [_element_bounds(g, t_radius, *(x[i:i + _SUP_CHUNK] for x in (a0, a1, u0, u1)))
+                 for i in range(0, a0.size, _SUP_CHUNK)]
+        value, ub, drop, concave, e_a, e_u = (
+            parts[0] if len(parts) == 1 else (np.concatenate(x, axis=1) for x in zip(*parts)))
+        lo = np.fmax(lo, np.max(value, axis=1))
+        for which in (0, 1):
+            _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], lo,
+                            concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
+        over = ~drop & (ub > lo[:, None] * (1.0 + _SUP_RTOL))
+        live = over[0] | over[1]
+        if not live.any() or 4 * live.sum() > _SUP_ELEMENTS:
+            break
+        hi = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
+        # halve each open element along the sides whose second-order term,
+        # for a kernel it is open for, exceeds a quarter of the tolerance (an
+        # undefined term, 0 * inf where a bound overflowed, counts as over)
+        tol = 0.25 * _SUP_RTOL * float(np.min(lo))
+        over = over[:, live]
+        a0, a1, u0, u1 = a0[live], a1[live], u0[live], u1[live]
+        cut_a, cut_u = ((h > 0.0) & ~(np.max(np.where(over, e[:, live], 0.0), axis=0) <= tol)
+                        for h, e in ((a1 - a0, e_a), (u1 - u0, e_u)))
+        a0, a1, u0, u1 = _halve(a0, a1, u0, u1, cut_a, cut_u)
+    # every element not dropped is bounded by ub; the open ones only when the
+    # element or round limit stopped the search, and then hi > lo (1 + _SUP_RTOL)
+    hi = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
+    hi = np.maximum(hi, lo) * (1.0 + _SUP_ROUND)
+    return (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1]))
+
+
+def _halve(a0, a1, u0, u1, cut_a, cut_u):
+    """The elements, halved along alpha where cut_a and along u where cut_u."""
+    am = np.where(cut_a, 0.5 * (a0 + a1), a1)
+    um = np.where(cut_u, 0.5 * (u0 + u1), u1)
+    both = cut_a & cut_u
+    halves = ((a0, am, u0, um),
+              (am[cut_a], a1[cut_a], u0[cut_a], um[cut_a]),
+              (a0[cut_u], am[cut_u], um[cut_u], u1[cut_u]),
+              (am[both], a1[both], um[both], u1[both]))
+    return tuple(np.concatenate(x) for x in zip(*halves))
+
+
+def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, lo, open_):
+    """Newton on each run of contiguous open edge segments where kernel
+    `which` is concave, best first: the run's value raises lo[which], and its
+    tangent bound replaces the bound of each of its segments."""
+    runs = []
+    idx = np.nonzero(open_)[0]
+    # segments along alpha on u = 0, 1, then along u on alpha = 0, a_max
+    along_a = a1[idx] > a0[idx]
+    line = np.where(along_a, u0[idx], 2.0 + a0[idx])
+    start = np.where(along_a, a0[idx], u0[idx])
+    end = np.where(along_a, a1[idx], u1[idx])
+    for j in np.lexsort((start, line)):
+        if runs and line[j] == runs[-1][0] and start[j] == runs[-1][2]:
+            runs[-1][2] = end[j]
+            runs[-1][3].append(idx[j])
         else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        it += 1
-    x = c if fc > fd else d
-    return x, max(fc, fd)
+            runs.append([line[j], start[j], end[j], [idx[j]]])
+    for _, x0, x1, members in sorted(runs, key=lambda run: -max(ub[run[3]])):
+        if max(ub[members]) > lo[which] * (1.0 + _SUP_RTOL):
+            i = members[0]
+            if a1[i] > a0[i]:
+                found, bound = _segment_newton(g, t_radius, which, x0, x1, u0[i], u0[i])
+            else:
+                found, bound = _segment_newton(g, t_radius, which, a0[i], a0[i], x0, x1)
+            lo[which] = max(lo[which], found)
+            ub[members] = bound
+
+
+def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
+    """(value, bound) on an edge segment where |G| is concave: Newton for the
+    maximum, then |G| <= |G(x)| + |G|'(x) (y - x) over the segment."""
+    along_a = a1 > a0
+    lo, hi = (a0, a1) if along_a else (u0, u1)
+    k = 3.0 + which
+
+    def jet(x):
+        alpha, u = (x, u0) if along_a else (a0, x)
+        e = math.exp(-alpha)
+        sa = 2.0 * e / (1.0 + e * e)
+        q = sa * sa
+        r = math.sqrt(g / (1.0 + g * q))
+        z = cmath.exp(complex(-2.0 * alpha, -2.0 * r * t_radius * u))
+        zp = 1.0 + z
+        s = 4.0 * z / (zp * zp)
+        t = (1.0 - z) / zp
+        k4 = s * (4.0 - 6.0 * s)
+        d4 = 8.0 * s * t * (3.0 * s - 1.0)
+        ks = (2.0 * s * t, -k4, -d4) if which == 0 else (
+            k4, d4, 8.0 * s * (15.0 * s * s - 15.0 * s + 2.0))
+        v, d_a, d_u, d_aa, d_uu = _jet(t_radius, u, q, math.tanh(alpha), r, k, *ks)
+        return (v, d_a, d_aa) if along_a else (v, d_u, d_uu)
+
+    x = 0.5 * (lo + hi)
+    for _ in range(_SUP_NEWTON):
+        _, d1, d2 = jet(x)
+        step = min(max(x - d1 / d2, lo), hi)
+        done = abs(step - x) <= 4.0 * _EPS * max(1.0, abs(x))
+        x = step
+        if done:
+            break
+    value, d1, _ = jet(x)
+    slope = d1 if value >= 0.0 else -d1
+    return abs(value), abs(value) + max(slope * (lo - x), slope * (hi - x))
+
+
+def _element_bounds(g, t_radius, a0, a1, u0, u1):
+    """(value, ub, drop, concave, e_a, e_u) for elements [a0, a1] x [u0, u1]:
+    boxes, edge segments (one side of zero length) and points.  Each is
+    (2, m), one row per kernel: |G| at the centre, the second-order upper
+    bound, whether the element holds no local maximum off the edges, whether
+    it is a segment with |G| concave along it, and the second-order terms
+    along alpha and u."""
+    # one entry per element and kernel: the c3 half, then the c4 half
+    m = a0.size
+    a0, a1, u0, u1 = (np.concatenate((x, x)) for x in (a0, a1, u0, u1))
+    n = 2 * m
+    c4 = np.repeat([0, 1], m)
+    k = 3.0 + c4
+    ha = 0.5 * (a1 - a0)
+    hu = 0.5 * (u1 - u0)
+    ac = a0 + ha
+    uc = u0 + hu
+    e2 = np.exp(-2.0 * np.concatenate((a0, a1, ac)))
+    den = 1.0 + e2
+    q = 4.0 * e2 / (den * den)
+    th = (1.0 - e2) / den
+    r = np.sqrt(g / (1.0 + g * q))
+    q0, qc = q[:n], q[2 * n:]
+    r0, r1, rc = r[:n], r[n:2 * n], r[2 * n:]
+    tr = t_radius
+    b0, b1, bc = r0 * tr * u0, r1 * tr * u1, rc * tr * uc
+    # min cos^2 beta over [b0, b1]: 0 where some pi/2 + k pi lies in it, that
+    # is where cos changes sign or the interval spans pi
+    cos = np.cos(np.concatenate((b0, b1)))
+    pole = (cos[:n] * cos[n:] <= 0.0) | (b1 - b0 >= math.pi)
+    cos *= cos
+    cos2 = np.where(pole, 0.0, np.minimum(cos[:n], cos[n:]))
+    z = np.exp(-2.0 * (ac + 1j * bc))
+    zp = 1.0 + z
+    s = 4.0 * z / (zp * zp)
+    t = (1.0 - z) / zp
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        sup_s = q0 / (1.0 - q0 + q0 * cos2)
+        rho = np.hypot(ha, np.maximum(bc - b0, b1 - bc))
+        tb = np.abs(t) + sup_s * rho
+        dl = 2.0 * sup_s * tb * rho
+        powers = np.empty((4, n), dtype=complex)
+        powers[0] = 1.0
+        powers[1] = s
+        powers[2] = s * s
+        powers[3] = powers[2] * s
+        # sup |K4^(j-1)| over the element, j = 0..4, with K4^(-1) = -K3, one
+        # Taylor order at a time, which keeps each temporary small
+        kc = _SUP_TAYLOR[0] @ powers
+        sup_k = np.abs(_SUP_TAYLOR[2] @ powers) + dl * _SUP_TAYLOR3
+        sup_k = np.abs(_SUP_TAYLOR[1] @ powers) + dl * sup_k
+        sup_k = np.abs(kc) + dl * sup_k
+        sup_k[0::2] *= tb
+        kc[0::2] *= t
+        # per kernel, K^(j) and sup |K^(j)|: K3^(j) = -K4^(j-1)
+        cols = np.arange(n)
+        m0, m1, m2, m3 = sup_k[_SUP_ROWS4 + c4, cols]
+        k0, k1, k2 = kc[_SUP_ROWS3 + c4, cols]
+        sign_c3 = 2.0 * c4 - 1.0
+        k1 *= sign_c3
+        k2 *= sign_c3
+        val, g_a, g_u, g_aa, g_uu = _jet(tr, uc, qc, th[2 * n:], rc, k, k0, k1, k2)
+        # over the element, with p = sech^2 tanh <= q0 tanh(a1),
+        # |p'| = q |3q - 2| and |p''| = 4 q tanh |3q - 1|: xs, ys and zs bound
+        # r' / r, r'' / r and r''' / r, since r' = r^3 p
+        p = q0 * th[n:2 * n]
+        d3q = 3.0 * q[:2 * n]
+        dp = q0 * np.maximum(np.abs(d3q[:n] - 2.0), np.abs(d3q[n:] - 2.0))
+        ddp = 4.0 * p * np.maximum(np.abs(d3q[:n] - 1.0), np.abs(d3q[n:] - 1.0))
+        r12 = r1 * r1
+        xs = r12 * p
+        ys = r12 * (3.0 * r12 * p * p + dp)
+        zs = r12 * (r12 * (15.0 * r12 * p * p * p + 9.0 * p * dp) + ddp)
+        # sups of W^(j) / W over the element, and of the derivatives of beta;
+        # w carries the relative slack that keeps every bound above its
+        # rounding, and so every test strict
+        w = r1 ** k * (1.0 + _SUP_SLACK)
+        w1 = k * xs
+        w2 = (k - 1.0) * w1 * xs + k * ys
+        w3 = (k - 2.0) * (k - 1.0) * w1 * xs * xs + 3.0 * (k - 1.0) * w1 * ys + k * zs
+        bu = r1 * tr
+        bau = xs * bu
+        ba = 1.0 + bau * u1
+        baa = ys * bu * u1
+        bb = ba * bu
+        # sups of |d^j/dalpha^j U(alpha, beta(alpha, u))| at fixed u, j = 1, 2
+        da1 = m1 * ba
+        da2 = m2 * ba * ba + m1 * baa
+        # U3 is odd in alpha, and so is each of its beta derivatives: its
+        # j-th beta derivative is at most a1 sup |K3^(j+1)|, which keeps the
+        # bounds along u in scale with c3 near alpha = 0
+        odd = np.where(c4 == 0, a1, np.inf)
+        m2u = np.fmin(m2, odd * m3)
+        m3u = np.fmin(m3, odd * sup_k[4])
+        # sups of |G_uu|, |G_au|, |G_aa| and of the third derivatives, over W
+        h_uu = m2u * bu * bu
+        h_au = m2 * bb + m1 * (bau + bu * w1)
+        h_aa = da2 + 2.0 * da1 * w1 + m0 * w2
+        g_aaa = (m3 * ba * ba * ba + 3.0 * m2 * ba * baa + m1 * zs * bu * u1
+                 + 3.0 * (da2 * w1 + da1 * w2) + m0 * w3)
+        g_aau = (m3 * ba * bb + m2 * (baa * bu + 2.0 * ba * bau) + m1 * ys * bu
+                 + 2.0 * (m2 * bb + m1 * bau) * w1 + m1 * bu * w2)
+        g_uua = (m3 * bb + m2 * (2.0 * bau + bu * w1)) * bu
+        # G_aa and G_uu stay within var_aa and var_uu of their centre values,
+        # G_a and G_u within grad_a and grad_u
+        var_aa = (g_aaa * ha + g_aau * hu) * w
+        var_uu = (m3u * bu * bu * bu * hu + g_uua * ha) * w
+        h_uu *= w
+        h_au *= w
+        h_aa *= w
+        grad_a = h_aa * ha + h_au * hu
+        grad_u = h_au * ha + h_uu * hu
+        e_a = h_aa * ha * ha
+        e_u = h_uu * hu * hu
+        spread = np.abs(g_a) * ha + np.abs(g_u) * hu + 0.5 * (e_a + e_u) + h_au * ha * hu
+        value = np.abs(val)
+        ub = np.fmin(m0 * w, value + spread)
+        # no point off an edge is a local maximum of |G| where G is strictly
+        # monotone along a side the element extends in, or where |G| = sign G
+        # (G keeps its sign) is strictly convex along one
+        sign = np.sign(val)
+        kept = value > spread
+        curv_a = sign * g_aa
+        curv_u = sign * g_uu
+        along_a = ha > 0.0
+        along_u = hu > 0.0
+        mono = (along_a & (np.abs(g_a) > grad_a)) | (along_u & (np.abs(g_u) > grad_u))
+        convex = (along_a & (curv_a > var_aa)) | (along_u & (curv_u > var_uu))
+        # G_uu = U_bb beta_u^2 W with U_bb = -Re K'': concave in u from u = 0,
+        # where G_u = 0, puts the maximum on the edge u = 0
+        flat_u = along_u & (u0 == 0.0) & (sign * k2.real >= m3 * rho)
+        drop = mono | (kept & (convex | flat_u))
+        concave = kept & np.where(along_u, ~along_a & (curv_u + var_uu < 0.0),
+                                  along_a & (curv_a + var_aa < 0.0))
+    # a bound that overflowed or is undefined keeps its element open
+    ub[~(ub >= 0.0)] = np.inf
+    return tuple(x.reshape(2, m) for x in (value, ub, drop, concave, e_a, e_u))
 
 
 # --- model file parsing ---------------------------------------------------

@@ -89,10 +89,16 @@ def solve_saddle(model: GaussianMixture, a, tol: float = 1e-12, max_iter: int = 
 
 
 def _scalar_newton(model, a, tol, max_iter):
-    """The 'newton' route: (tau, residual, iterations)."""
+    """The 'newton' route: (tau, residual, iterations).  A finite a whose
+    <w, a> or solve leaves the double range raises DimensionError, without a
+    NumPy warning."""
     w, g = model._w, model._g
-    c = float(w @ a)
-    b = np.linalg.solve(model.params.sigma, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = float(w @ a)
+        b = np.linalg.solve(model.params.sigma, a)
+    if not (math.isfinite(c) and np.all(np.isfinite(b))):
+        raise DimensionError("phi*(a) leaves the double range at max |a_i| = "
+                             f"{float(np.max(np.abs(a))):.3g}")
     lo, hi = c - g, c + g
     alpha = c / (1.0 + g)
     it = 0

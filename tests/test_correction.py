@@ -299,6 +299,20 @@ class TestFailureModes:
         with pytest.raises(AssumptionViolationError, match="pi|zero"):
             quad_i(m, [0.0], 1)
 
+    @pytest.mark.parametrize("a, accepted", [(0.0, False), (1e-17, False), (1e-12, True)])
+    def test_trust_ball_verdict_from_exact_extremes(self, a, accepted):
+        # n = d = 8, mu = 1.2 e1: the ball reaches beta = 1.92 > pi/2, so at
+        # alpha = 0 it holds a zero of cosh, and near it the phase at the ball's
+        # edge sits a margin of order alpha below pi; at a = 1e-17 e1 that
+        # margin rounds away, at a = 1e-12 e1 it is 2.3e-12
+        m = GaussianMixture(MixtureParams(8, 1.2 * np.eye(8)[0], np.eye(8)))
+        if not accepted:
+            with pytest.raises(AssumptionViolationError, match="zero" if a == 0.0 else "pi"):
+                quad_i(m, a * np.eye(8)[0], 8)
+            return
+        near = quad_i(m, a * np.eye(8)[0], 8).i_value
+        assert near == pytest.approx(quad_i(m, 1e-6 * np.eye(8)[0], 8).i_value, rel=1e-13)
+
     def test_pass_disagreement_raises(self, monkeypatch):
         # a high-frequency phase ripple aliases differently on the two
         # quadrature passes, which is the disagreement the check must catch

@@ -136,6 +136,12 @@ class TestErrorScaling:
         assert [r.status for r in records] == ["ok", "DimensionError"]
         assert records[0] == alone
 
+    def test_point_past_squared_range_reports_its_norm(self, model_file):
+        # ||a||^2 overflows, ||a|| does not: the row keeps its norm
+        records, _ = run_experiment(make_spec(model_file, n_grid=(50,),
+                                              a_points=((0.1,), (1e160,))))
+        assert [(r.a_norm, r.status) for r in records] == [(0.1, "ok"), (1e160, "DimensionError")]
+
     def test_overflowed_densities_give_finite_rows(self, tmp_path):
         # d = 150, n = 1e5, a = 0: both densities are about e^725
         path = tmp_path / "scalable.txt"

@@ -1,11 +1,12 @@
 """Model primitives: cgf values, derivatives, kernels, parameter parsing.
 
-Reference values were produced with mpmath at 40 digits and are inlined
-as literals so the suite has no runtime dependency on mpmath.
+Reference values were produced with mpmath at 40 digits and are inlined as
+literals; the kernel and certified-supremum checks run mpmath themselves.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,7 +77,22 @@ class TestScalarKernels:
         assert c3_kernel(K3_ARGMAX - 1e-3, 0.0) < K3_MAX
 
     def test_c4_kernel_origin(self):
-        assert c4_kernel(0.0, 0.0) == pytest.approx(4.0, rel=1e-14)
+        # the fourth derivative of log cosh at 0: 4 sech^2 - 6 sech^4 = -2
+        assert c4_kernel(0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+
+    @pytest.mark.parametrize("alpha, beta", [
+        (0.0, 0.3), (0.2, 0.9), (-0.7, 0.4), (0.658, 0.0), (1.5, -1.1), (3.0, 1.3), (0.05, 1.45),
+    ])
+    def test_kernels_are_log_cosh_derivatives(self, alpha, beta):
+        # |Re| of the 3rd and 4th derivatives of log cosh at w = alpha + i beta,
+        # numerically differentiated by mpmath at 40 digits
+        with mpmath.workdps(40):
+            w = mpmath.mpc(alpha, beta)
+            d3 = mpmath.diff(lambda z: mpmath.log(mpmath.cosh(z)), w, 3)
+            d4 = mpmath.diff(lambda z: mpmath.log(mpmath.cosh(z)), w, 4)
+            ref3, ref4 = float(abs(d3.real)), float(abs(d4.real))
+        assert c3_kernel(alpha, beta) == pytest.approx(ref3, rel=1e-12, abs=1e-14)
+        assert c4_kernel(alpha, beta) == pytest.approx(ref4, rel=1e-12, abs=1e-14)
 
     @given(st.floats(-3, 3), st.floats(-1.4, 1.4))
     def test_c3_c4_even(self, a, b):
@@ -353,6 +369,76 @@ class TestDerivedQuantities:
         assert m.c3_op_norm_ball(0.1) == pytest.approx(
             0.19735584350906514108, rel=1e-12
         )
+
+
+def _weighted_kernels_mp(g, alpha, beta):
+    """(c3, c4) weighted kernels at (alpha, beta) in 40-digit mpmath."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
+        s = mpmath.sech(mpmath.mpc(a, b)) ** 2
+        t = mpmath.tanh(mpmath.mpc(a, b))
+        r = mpmath.sqrt(mpmath.mpf(g) / (1 + mpmath.mpf(g) * mpmath.sech(a) ** 2))
+        return abs((2 * s * t).real) * r**3, abs((4 * s - 6 * s * s).real) * r**4
+
+
+def _certification_regions(count=240, seed=20):
+    """Seeded pole-free regions: d in [1, 64], sigma eigenvalues in [0.5, 2],
+    ||mu|| in [0.2, 3], tau_radius <= 2; a quarter within 1e-3 of the pole
+    condition ||H(0)^{-1/2} mu|| t_radius = pi/2."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        d = int(rng.integers(1, 65))
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        sigma = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        mu = rng.normal(size=d)
+        mu *= rng.uniform(0.2, 3.0) / np.linalg.norm(mu)
+        model = GaussianMixture(MixtureParams(d, mu, 0.5 * (sigma + sigma.T)))
+        edge = 0.5 * math.pi / float(model.whitened_mu_norm(0.0))
+        near = i % 4 == 0
+        t_r = edge * (1.0 - rng.uniform(1e-6, 1e-3) if near else rng.uniform(0.01, 0.999))
+        yield model, float(rng.uniform(1e-3, 2.0)), t_r
+
+
+class TestCertifiedSuprema:
+    def test_brackets_hold_the_supremum(self):
+        # hi is at least a 40-digit value at the argmax of a dense scan, and
+        # within 1e-6 of lo, on every region
+        for model, tau_r, t_r in _certification_regions():
+            (lo3, hi3), (lo4, hi4) = model.c34_bracket(tau_r, t_r)
+            a_max = float(np.linalg.norm(model.params.mu)) * tau_r
+            alpha = np.linspace(0.0, a_max, 241)[:, None]
+            beta = model.whitened_mu_norm(alpha) * t_r * np.linspace(0.0, 1.0, 121)[None, :]
+            rw = model.whitened_mu_norm(alpha)
+            alpha, beta = np.broadcast_arrays(alpha, beta)
+            for k, (lo, hi) in zip((3, 4), ((lo3, hi3), (lo4, hi4))):
+                kernel = (c3_kernel if k == 3 else c4_kernel)(alpha, beta).reshape(alpha.shape)
+                i = np.unravel_index(np.argmax(kernel * rw**k), alpha.shape)
+                ref = _weighted_kernels_mp(model._g, alpha[i], beta[i])[k - 3]
+                assert mpmath.mpf(hi) >= ref
+                assert 0.0 < lo <= hi <= lo * (1.0 + 1e-6)
+
+    def test_bracket_accessor(self):
+        m = mixture_1d()
+        (lo3, hi3), (lo4, hi4) = m.c34_bracket(0.5, 0.5)
+        assert (m.c3_sup(0.5, 0.5), m.c4_sup(0.5, 0.5)) == (hi3, hi4)
+        assert lo3 <= hi3 <= lo3 * (1.0 + 1e-6) and lo4 <= hi4 <= lo4 * (1.0 + 1e-6)
+        gauss = GaussianMixture(MixtureParams(2, np.zeros(2), np.eye(2)))
+        assert gauss.c34_bracket(1.0, 1.0) == ((0.0, 0.0), (0.0, 0.0))
+        assert m.c34_bracket(0.5, 3.33) == ((math.inf, math.inf), (math.inf, math.inf))
+
+    def test_c4_where_the_old_kernel_fell_short(self):
+        # mu = 3 e1, sigma = 1, tau_radius 1, t_radius 0.1: the true kernel
+        # reaches 7.714 (54/7 on the beta = 0 edge); 4 sech^2 - 6 sech^4 at 0 is -2
+        m = mixture_1d(mu=3.0)
+        lo, hi = m.c34_bracket(1.0, 0.1)[1]
+        assert hi >= 54.0 / 7.0 >= lo * (1.0 - 1e-12)
+
+    def test_no_large_arguments_warn(self):
+        # the far boxes past alpha = 4 and a tau_radius of 2e160 stay quiet
+        m = mixture_1d()
+        (lo3, hi3), (lo4, hi4) = m.c34_bracket(2e160, 0.1)
+        assert hi3 <= lo3 * (1.0 + 1e-6) and hi4 <= lo4 * (1.0 + 1e-6)
+        assert hi3 == pytest.approx(m.c34_bracket(20.0, 0.1)[0][1], rel=1e-6)
 
 
 class TestModelFiles:

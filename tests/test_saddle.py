@@ -147,6 +147,14 @@ class TestSolver:
             with pytest.raises(DimensionError, match="double range"):
                 solve_saddle(mixture([1.0], [[1.0]]), np.array([a]))
 
+    def test_overflowing_inner_product_raises_without_warning(self):
+        # d = 8: <sigma^-1 mu, a> and grad overflow in a matmul; only the
+        # typed error may come out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="double range"):
+                solve_saddle(mixture(np.ones(8), np.eye(8)), 1e308 * np.ones(8))
+
     def test_whole_float_budget(self):
         m = mixture([1.0], [[1.0]])
         assert solve_saddle(m, np.array([0.5]), max_iter=100.0) == solve_saddle(m, np.array([0.5]))
