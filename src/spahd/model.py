@@ -28,7 +28,6 @@ single-valued.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import re as _re
 from dataclasses import dataclass
@@ -288,11 +287,13 @@ class GaussianMixture:
         beta ranges over |beta| <= ||H(alpha)^{-1/2} mu|| * t_radius, and each
         kernel is weighted by that whitened norm to the 3rd/4th power.  hi is
         an upper bound of the supremum, lo a value the kernel attains, and
-        hi <= lo (1 + 1e-6); the branch and bound that certifies them is
-        described above _certified_sup.  Where the kernels oscillate over
-        many periods of beta (g = <mu, sigma^{-1} mu> past about 1e4) the
-        search can meet its element limit first: hi is then still an upper
-        bound, but the gap is wider.  The region contains a zero of cosh,
+        hi <= lo (1 + 1e-6) wherever the branch and bound described above
+        _certified_sup closes within its work limit.  It may not where the
+        kernels oscillate over many periods of beta (g = <mu, sigma^{-1} mu>
+        of 1e3 and more), or within about 1e-8 (relative) of the pole
+        condition below, where the allowance for rounding alone passes
+        1e-6: hi is then still an upper bound, with a wider gap.  The region
+        contains a zero of cosh,
         where both kernels are unbounded, exactly when
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
         Gaussian gives zeros.  Brackets are cached per radii on the instance.
@@ -308,15 +309,9 @@ class GaussianMixture:
         elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
             out = ((math.inf, math.inf), (math.inf, math.inf))
         else:
-            out = self._c34_quarter_sup(tau_radius, t_radius)
+            out = _certified_sup(self._g, self._mu_norm * tau_radius, t_radius)
         self._c34_cache[key] = out
         return out
-
-    def _c34_quarter_sup(self, tau_radius, t_radius):
-        """Branch and bound over the quarter alpha, beta >= 0 (both kernels and
-        the norm are even in each), in the coordinates alpha and
-        u = beta / (||H(alpha)^{-1/2} mu|| t_radius) in [0, 1]."""
-        return _certified_sup(self._g, self._mu_norm * tau_radius, t_radius)
 
     def c3_sup(self, tau_radius, t_radius):
         """Certified upper bound of the whitened third-derivative kernel's
@@ -399,13 +394,22 @@ def require_mixture(model, what):
 #     Newton search finds the run's maximum, and concavity bounds the run by
 #     the tangent there.
 # Everything else is halved along the sides whose second-order term is still
-# large, and evaluated again.  hi, the largest bound of a settled element, is
-# an upper bound of the supremum with hi <= lo (1 + _SUP_RTOL).
+# large and not below _SUP_ASPECT times the other side's (along both, when
+# only its first-order terms keep it open), and evaluated again.  The search
+# stops when every element is settled or dropped, or before it would pass
+# _SUP_WORK element evaluations (about 0.1 s).  hi, the largest bound of an
+# element not dropped, is an upper bound of the supremum, and when the search
+# closes hi <= lo (1 + _SUP_RTOL).
 
 _SUP_RTOL = 1e-6
-# the closed forms are evaluated to a few ulps; hi carries this relative
-# allowance, and the bounds over an element this slack
-_SUP_ROUND = 1e-12
+# a computed kernel value is off by a few ulps of |K| plus the change of K
+# under a move of the point by a few ulps of 1 + |alpha| + |beta|: the
+# rounding of alpha and beta = r T u, and the cancellation in 1 + exp(-2w),
+# which grows like |tan beta| towards a zero of cosh.  Every element bound
+# adds _SUP_ULPS ulps of sup|K| + sup|K'| (1 + alpha + beta) over the element
+# (times the weight), and the sups of the higher derivatives carry a
+# relative slack
+_SUP_ULPS = 16.0
 _SUP_SLACK = 1e-9
 # first cover: _SUP_GRID rows of boxes in u, and over alpha <= _SUP_NEAR
 # columns of width about _SUP_WIDTH (_SUP_GRID to 4 _SUP_GRID of them); boxes
@@ -416,9 +420,10 @@ _SUP_WIDTH = 0.075
 _SUP_SEGMENTS = 2
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
-# elements per evaluation, and a limit on the elements of one round
+_SUP_ASPECT = 0.25
+# elements per evaluation, and a limit on the elements evaluated in all
 _SUP_CHUNK = 512
-_SUP_ELEMENTS = 1 << 16
+_SUP_WORK = 1 << 15
 _SUP_NEWTON = 40
 # K3 = t B0(s), K4 = A1(s), K4' = t B2(s), K4'' = A3(s), K4''' = t B4(s);
 # _SUP_TAYLOR[l][j] holds the l-th Taylor coefficient of the j-th of these
@@ -463,31 +468,19 @@ def _cover(a_boxes, a_segments):
     """(a0, a1, u0, u1) of the first cover: boxes over the alpha breaks
     a_boxes, segments of u = 0 and u = 1 over a_segments, segments of the
     lines alpha = 0 and alpha = a_segments[-1], and the four corners."""
-    eu = np.linspace(0.0, 1.0, _SUP_GRID + 1)
-    su = np.linspace(0.0, 1.0, _SUP_GRID * _SUP_SEGMENTS + 1)
+    eu = np.arange(_SUP_GRID + 1) / _SUP_GRID
+    su = np.arange(_SUP_GRID * _SUP_SEGMENTS + 1) / (_SUP_GRID * _SUP_SEGMENTS)
     na, ma, mu = a_boxes.size - 1, a_segments.size - 1, su.size - 1
-    ends = np.array([0.0, a_segments[-1]])
+    end = a_segments[-1]
     a0 = np.concatenate([np.repeat(a_boxes[:-1], _SUP_GRID), a_segments[:-1], a_segments[:-1],
-                         np.zeros(mu), np.full(mu, ends[1]), ends, ends])
+                         np.zeros(mu), np.full(mu, end), [0.0, end, 0.0, end]])
     a1 = np.concatenate([np.repeat(a_boxes[1:], _SUP_GRID), a_segments[1:], a_segments[1:],
-                         np.zeros(mu), np.full(mu, ends[1]), ends, ends])
-    u0 = np.concatenate([np.tile(eu[:-1], na), np.zeros(ma), np.ones(ma),
+                         np.zeros(mu), np.full(mu, end), [0.0, end, 0.0, end]])
+    u0 = np.concatenate([np.resize(eu[:-1], na * _SUP_GRID), np.zeros(ma), np.ones(ma),
                          su[:-1], su[:-1], [0.0, 0.0, 1.0, 1.0]])
-    u1 = np.concatenate([np.tile(eu[1:], na), np.zeros(ma), np.ones(ma),
+    u1 = np.concatenate([np.resize(eu[1:], na * _SUP_GRID), np.zeros(ma), np.ones(ma),
                          su[1:], su[1:], [0.0, 0.0, 1.0, 1.0]])
     return a0, a1, u0, u1
-
-
-# cells takes at most 3 _SUP_GRID + 1 values, so the cache stays small
-@functools.lru_cache(maxsize=None)
-def _unit_cover(cells):
-    """_cover of alpha <= 1 with `cells` boxes per row, read-only; scaled, it
-    covers any a_max <= _SUP_NEAR."""
-    out = _cover(np.linspace(0.0, 1.0, cells + 1),
-                 np.linspace(0.0, 1.0, cells * _SUP_SEGMENTS + 1))
-    for x in out:
-        x.flags.writeable = False
-    return out
 
 
 def _certified_sup(g, a_max, t_radius):
@@ -495,46 +488,51 @@ def _certified_sup(g, a_max, t_radius):
     with g = <mu, sigma^{-1} mu>."""
     near = min(a_max, _SUP_NEAR)
     cells = min(max(_SUP_GRID, math.ceil(near / _SUP_WIDTH)), 4 * _SUP_GRID)
-    if a_max <= _SUP_NEAR:
-        a0, a1, u0, u1 = _unit_cover(cells)
-        a0, a1 = a_max * a0, a_max * a1
-    else:
-        # boxes between powers of 4 past _SUP_NEAR
-        far = [_SUP_NEAR]
-        while far[-1] < a_max:
-            far.append(min(4.0 * far[-1], a_max))
-        a0, a1, u0, u1 = _cover(*(np.concatenate((np.linspace(0.0, _SUP_NEAR, count + 1), far[1:]))
-                                  for count in (cells, cells * _SUP_SEGMENTS)))
+    # boxes between powers of 4 past _SUP_NEAR
+    far = [near]
+    while far[-1] < a_max:
+        far.append(min(4.0 * far[-1], a_max))
+    a0, a1, u0, u1 = _cover(*(np.concatenate((np.linspace(0.0, near, count + 1), far[1:]))
+                              for count in (cells, cells * _SUP_SEGMENTS)))
     lo = np.zeros(2)
     hi = np.zeros(2)
+    work = 0
     for _ in range(_SUP_ROUNDS):
+        work += a0.size
         # in chunks, so that no temporary grows large
         parts = [_element_bounds(g, t_radius, *(x[i:i + _SUP_CHUNK] for x in (a0, a1, u0, u1)))
                  for i in range(0, a0.size, _SUP_CHUNK)]
-        value, ub, drop, concave, e_a, e_u = (
+        value, ub, allow, drop, concave, e_a, e_u = (
             parts[0] if len(parts) == 1 else (np.concatenate(x, axis=1) for x in zip(*parts)))
         lo = np.fmax(lo, np.max(value, axis=1))
         for which in (0, 1):
-            _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], lo,
+            _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], allow[which], lo,
                             concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
-        over = ~drop & (ub > lo[:, None] * (1.0 + _SUP_RTOL))
+        # a corner cannot be halved, so its bound is final
+        over = ~drop & (ub > lo[:, None] * (1.0 + _SUP_RTOL)) & ((a1 > a0) | (u1 > u0))
         live = over[0] | over[1]
-        if not live.any() or 4 * live.sum() > _SUP_ELEMENTS:
+        if not live.any() or work + 4 * live.sum() > _SUP_WORK:
             break
         hi = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
         # halve each open element along the sides whose second-order term,
-        # for a kernel it is open for, exceeds a quarter of the tolerance (an
+        # for a kernel it is open for, exceeds a quarter of that kernel's
+        # tolerance and is not below _SUP_ASPECT times the other side's (an
         # undefined term, 0 * inf where a bound overflowed, counts as over)
-        tol = 0.25 * _SUP_RTOL * float(np.min(lo))
+        tol = 0.25 * _SUP_RTOL * lo[:, None]
         over = over[:, live]
         a0, a1, u0, u1 = a0[live], a1[live], u0[live], u1[live]
-        cut_a, cut_u = ((h > 0.0) & ~(np.max(np.where(over, e[:, live], 0.0), axis=0) <= tol)
-                        for h, e in ((a1 - a0, e_a), (u1 - u0, e_u)))
+        e_a, e_u = (np.where(over, e[:, live], 0.0) for e in (e_a, e_u))
+        cut_a, cut_u = ((h > 0.0) & np.any(~(e <= tol) & ~(e < _SUP_ASPECT * f), axis=0)
+                        for h, e, f in ((a1 - a0, e_a, e_u), (u1 - u0, e_u, e_a)))
+        # an element open on its first-order terms alone is halved both ways
+        both = ~(cut_a | cut_u)
+        cut_a |= both & (a1 > a0)
+        cut_u |= both & (u1 > u0)
         a0, a1, u0, u1 = _halve(a0, a1, u0, u1, cut_a, cut_u)
     # every element not dropped is bounded by ub; the open ones only when the
-    # element or round limit stopped the search, and then hi > lo (1 + _SUP_RTOL)
+    # work or round limit stopped the search, and then hi > lo (1 + _SUP_RTOL)
     hi = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
-    hi = np.maximum(hi, lo) * (1.0 + _SUP_ROUND)
+    hi = np.maximum(hi, lo)
     return (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1]))
 
 
@@ -550,10 +548,11 @@ def _halve(a0, a1, u0, u1, cut_a, cut_u):
     return tuple(np.concatenate(x) for x in zip(*halves))
 
 
-def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, lo, open_):
+def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
     """Newton on each run of contiguous open edge segments where kernel
     `which` is concave, best first: the run's value raises lo[which], and its
-    tangent bound replaces the bound of each of its segments."""
+    tangent bound, plus the largest rounding allowance of the run, replaces
+    the bound of each of its segments."""
     runs = []
     idx = np.nonzero(open_)[0]
     # segments along alpha on u = 0, 1, then along u on alpha = 0, a_max
@@ -567,15 +566,15 @@ def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, lo, open_):
             runs[-1][3].append(idx[j])
         else:
             runs.append([line[j], start[j], end[j], [idx[j]]])
-    for _, x0, x1, members in sorted(runs, key=lambda run: -max(ub[run[3]])):
-        if max(ub[members]) > lo[which] * (1.0 + _SUP_RTOL):
+    for _, x0, x1, members in sorted(runs, key=lambda run: -ub[run[3]].max()):
+        if ub[members].max() > lo[which] * (1.0 + _SUP_RTOL):
             i = members[0]
             if a1[i] > a0[i]:
                 found, bound = _segment_newton(g, t_radius, which, x0, x1, u0[i], u0[i])
             else:
                 found, bound = _segment_newton(g, t_radius, which, a0[i], a0[i], x0, x1)
             lo[which] = max(lo[which], found)
-            ub[members] = bound
+            ub[members] = bound + allow[members].max()
 
 
 def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
@@ -616,12 +615,13 @@ def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
 
 
 def _element_bounds(g, t_radius, a0, a1, u0, u1):
-    """(value, ub, drop, concave, e_a, e_u) for elements [a0, a1] x [u0, u1]:
-    boxes, edge segments (one side of zero length) and points.  Each is
-    (2, m), one row per kernel: |G| at the centre, the second-order upper
-    bound, whether the element holds no local maximum off the edges, whether
-    it is a segment with |G| concave along it, and the second-order terms
-    along alpha and u."""
+    """(value, ub, allow, drop, concave, e_a, e_u) for elements
+    [a0, a1] x [u0, u1]: boxes, edge segments (one side of zero length) and
+    points.  Each is (2, m), one row per kernel: |G| at the centre, the
+    second-order upper bound, its rounding allowance (included in the
+    bound), whether the element holds no local maximum off the edges,
+    whether it is a segment with |G| concave along it, and the second-order
+    terms along alpha and u."""
     # one entry per element and kernel: the c3 half, then the c4 half
     m = a0.size
     a0, a1, u0, u1 = (np.concatenate((x, x)) for x in (a0, a1, u0, u1))
@@ -704,9 +704,11 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         da1 = m1 * ba
         da2 = m2 * ba * ba + m1 * baa
         # U3 is odd in alpha, and so is each of its beta derivatives: its
-        # j-th beta derivative is at most a1 sup |K3^(j+1)|, which keeps the
-        # bounds along u in scale with c3 near alpha = 0
-        odd = np.where(c4 == 0, a1, np.inf)
+        # j-th beta derivative is at most alpha times the sup of |K3^(j+1)|
+        # over [0, alpha] at the same beta, which keeps the bounds along u in
+        # scale with c3 near alpha = 0.  The element's sups cover that segment
+        # only where it starts at alpha = 0
+        odd = np.where((c4 == 0) & (a0 == 0.0), a1, np.inf)
         m2u = np.fmin(m2, odd * m3)
         m3u = np.fmin(m3, odd * sup_k[4])
         # sups of |G_uu|, |G_au|, |G_aa| and of the third derivatives, over W
@@ -731,7 +733,8 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         e_u = h_uu * hu * hu
         spread = np.abs(g_a) * ha + np.abs(g_u) * hu + 0.5 * (e_a + e_u) + h_au * ha * hu
         value = np.abs(val)
-        ub = np.fmin(m0 * w, value + spread)
+        allow = _SUP_ULPS * _EPS * (m0 + m1 * (1.0 + a1 + b1)) * w
+        ub = np.fmin(m0 * w, value + spread) + allow
         # no point off an edge is a local maximum of |G| where G is strictly
         # monotone along a side the element extends in, or where |G| = sign G
         # (G keeps its sign) is strictly convex along one
@@ -751,7 +754,7 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
                                   along_a & (curv_a + var_aa < 0.0))
     # a bound that overflowed or is undefined keeps its element open
     ub[~(ub >= 0.0)] = np.inf
-    return tuple(x.reshape(2, m) for x in (value, ub, drop, concave, e_a, e_u))
+    return tuple(x.reshape(2, m) for x in (value, ub, allow, drop, concave, e_a, e_u))
 
 
 # --- model file parsing ---------------------------------------------------

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import spahd.experiments
+import spahd.model as model_module
 import spahd.oracle
 from spahd import (
     ConfigError,
@@ -258,13 +259,13 @@ class TestCltStudy:
         # each clt row needs the suprema at its own radius; a sweep with no
         # failed row computes no other pair
         calls = []
-        quarter_sup = GaussianMixture._c34_quarter_sup
+        certified_sup = model_module._certified_sup
 
-        def counting(self, *args):
+        def counting(*args):
             calls.append(args)
-            return quarter_sup(self, *args)
+            return certified_sup(*args)
 
-        monkeypatch.setattr(GaussianMixture, "_c34_quarter_sup", counting)
+        monkeypatch.setattr(model_module, "_certified_sup", counting)
         spec = make_spec(standard_file, mode="clt_study", n_grid=(50, 200),
                          a_points=((0.0,), (1.5,), (-0.8,)))
         records, _ = run_experiment(spec)

@@ -5,6 +5,7 @@ literals; the kernel and certified-supremum checks run mpmath themselves.
 """
 
 import math
+import time
 
 import mpmath
 import numpy as np
@@ -22,6 +23,7 @@ from spahd import (
     error_bound,
     load_model_file,
 )
+from spahd import model as model_module
 from spahd.model import (
     c3_kernel,
     c4_kernel,
@@ -371,14 +373,34 @@ class TestDerivedQuantities:
         )
 
 
-def _weighted_kernels_mp(g, alpha, beta):
-    """(c3, c4) weighted kernels at (alpha, beta) in 40-digit mpmath."""
-    with mpmath.workdps(40):
-        a, b = mpmath.mpf(alpha), mpmath.mpf(beta)
-        s = mpmath.sech(mpmath.mpc(a, b)) ** 2
-        t = mpmath.tanh(mpmath.mpc(a, b))
+def _weighted_kernels_mp(g, alpha, u, t_radius, signed=False):
+    """(c3, c4) weighted kernels at alpha and beta = r(alpha) t_radius u in
+    mpmath at the working precision (at least 40 digits), with r and beta
+    exact rather than rounded; |Re K| r^k, or Re K r^k when signed."""
+    with mpmath.workdps(max(40, mpmath.mp.dps)):
+        a = mpmath.mpf(alpha)
         r = mpmath.sqrt(mpmath.mpf(g) / (1 + mpmath.mpf(g) * mpmath.sech(a) ** 2))
-        return abs((2 * s * t).real) * r**3, abs((4 * s - 6 * s * s).real) * r**4
+        w = mpmath.mpc(a, r * mpmath.mpf(t_radius) * u)
+        s = mpmath.sech(w) ** 2
+        t = mpmath.tanh(w)
+        k3, k4 = (2 * s * t).real * r**3, (4 * s - 6 * s * s).real * r**4
+        return (k3, k4) if signed else (abs(k3), abs(k4))
+
+
+def _scan_reference(model, tau_r, t_r, n_alpha=241, n_u=121):
+    """Per kernel, the mpmath value at the argmax of a dense float scan of
+    the (alpha, u) quarter, evaluated at the exact beta of that (alpha, u)."""
+    a_max = float(np.linalg.norm(model.params.mu)) * tau_r
+    alpha = np.linspace(0.0, a_max, n_alpha)[:, None]
+    u = np.linspace(0.0, 1.0, n_u)[None, :]
+    rw = model.whitened_mu_norm(alpha)
+    a_grid, b_grid = np.broadcast_arrays(alpha, rw * t_r * u)
+    out = []
+    for k, kernel in ((3, c3_kernel), (4, c4_kernel)):
+        values = kernel(a_grid, b_grid).reshape(a_grid.shape) * rw**k
+        i, j = np.unravel_index(np.argmax(values), values.shape)
+        out.append(_weighted_kernels_mp(model._g, alpha[i, 0], mpmath.mpf(u[0, j]), t_r)[k - 3])
+    return out
 
 
 def _certification_regions(count=240, seed=20):
@@ -404,18 +426,69 @@ class TestCertifiedSuprema:
         # hi is at least a 40-digit value at the argmax of a dense scan, and
         # within 1e-6 of lo, on every region
         for model, tau_r, t_r in _certification_regions():
-            (lo3, hi3), (lo4, hi4) = model.c34_bracket(tau_r, t_r)
-            a_max = float(np.linalg.norm(model.params.mu)) * tau_r
-            alpha = np.linspace(0.0, a_max, 241)[:, None]
-            beta = model.whitened_mu_norm(alpha) * t_r * np.linspace(0.0, 1.0, 121)[None, :]
-            rw = model.whitened_mu_norm(alpha)
-            alpha, beta = np.broadcast_arrays(alpha, beta)
-            for k, (lo, hi) in zip((3, 4), ((lo3, hi3), (lo4, hi4))):
-                kernel = (c3_kernel if k == 3 else c4_kernel)(alpha, beta).reshape(alpha.shape)
-                i = np.unravel_index(np.argmax(kernel * rw**k), alpha.shape)
-                ref = _weighted_kernels_mp(model._g, alpha[i], beta[i])[k - 3]
+            brackets = model.c34_bracket(tau_r, t_r)
+            for (lo, hi), ref in zip(brackets, _scan_reference(model, tau_r, t_r)):
                 assert mpmath.mpf(hi) >= ref
                 assert 0.0 < lo <= hi <= lo * (1.0 + 1e-6)
+
+    def test_pinned_near_pole_region(self):
+        # 1e-7 from the pole condition, where the kernels change like
+        # 1 / cos^4 beta and a few ulps of beta move them by about 1e-9
+        model = off_axis_mixture(3)
+        t_r = 0.5 * math.pi / float(model.whitened_mu_norm(0.0)) * (1.0 - 1e-7)
+        brackets = model.c34_bracket(0.4, t_r)
+        for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.4, t_r, 81, 401)):
+            assert mpmath.mpf(hi) >= ref
+            assert 0.0 < lo <= hi <= lo * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("g, frac, a0, a1, u0", [
+        (1.0, 1.0 - 1e-7, 2e-7, 2.2e-7, 1.0 - 2e-9),
+        (4.0, 1.0 - 1e-8, 3e-8, 3.3e-8, 1.0 - 2e-10),
+        (1.0, 1.0 - 1e-4, 1e-6, 2e-6, 1.0 - 2e-6),
+        (2.848, 1.0 - 1.9e-6, 0.04087, 0.04267, 0.99979),
+    ])
+    def test_element_bounds_near_the_pole(self, g, frac, a0, a1, u0):
+        # boxes next to a zero of cosh that do not start at alpha = 0: the
+        # value bound covers the kernel, and the curvature term along u covers
+        # a 60-digit second difference, at every point of a 5 x 5 scan
+        t_r = 0.5 * math.pi / math.sqrt(g / (1.0 + g)) * frac
+        out = model_module._element_bounds(g, t_r, *(np.array([x]) for x in (a0, a1, u0, 1.0)))
+        ub, e_u = out[1][:, 0], out[-1][:, 0]
+        hu = 0.5 * (1.0 - u0)
+        with mpmath.workdps(60):
+            h = mpmath.mpf(hu) / 1000
+            for alpha in np.linspace(a0, a1, 5):
+                for u in np.linspace(u0, 1.0, 5):
+                    x = mpmath.mpf(u)
+                    mid, up, down = (_weighted_kernels_mp(g, alpha, y, t_r, signed=True)
+                                     for y in (x, x + h, x - h))
+                    for k in range(2):
+                        assert mpmath.mpf(ub[k]) >= abs(mid[k])
+                        assert mpmath.mpf(e_u[k]) >= abs(up[k] - 2 * mid[k] + down[k]) / h**2 * hu**2
+
+    @pytest.mark.parametrize("mu, scale", [((30.0, 10.0), 1.0), ((100.0, 0.0), 1.0), ((40.0, 0.0), 0.16)])
+    def test_large_g_stays_an_upper_bound_within_the_work_limit(self, mu, scale, monkeypatch):
+        # g = <mu, sigma^-1 mu> in [1e3, 1e4]: beta spans many periods of the
+        # kernels and the search may stop at its work limit with a gap wider
+        # than 1e-6, but hi stays an upper bound and the work stays capped
+        model = GaussianMixture(MixtureParams(2, np.array(mu), scale * np.eye(2)))
+        assert 1e3 <= model._g <= 1e4
+        evaluated = []
+        bounds = model_module._element_bounds
+
+        def counting(g, t_radius, a0, a1, u0, u1):
+            evaluated.append(a0.size)
+            return bounds(g, t_radius, a0, a1, u0, u1)
+
+        monkeypatch.setattr(model_module, "_element_bounds", counting)
+        t_r = 0.3 * 0.5 * math.pi / float(model.whitened_mu_norm(0.0))
+        start = time.perf_counter()
+        brackets = model.c34_bracket(0.6, t_r)
+        assert time.perf_counter() - start < 2.0
+        assert sum(evaluated) <= model_module._SUP_WORK
+        for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.6, t_r, 241, 1201)):
+            assert mpmath.mpf(hi) >= ref
+            assert 0.0 < lo <= hi
 
     def test_bracket_accessor(self):
         m = mixture_1d()
