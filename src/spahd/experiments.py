@@ -9,7 +9,14 @@ ratios are taken from the difference of the log densities, so a row whose
 densities underflow still reports finite errors.  Floats are
 written with repr, so values round-trip exactly and a rerun with the same
 spec and timing disabled is byte-identical.  wall_ms stays empty unless
-timing is requested, because timing and reproducible bytes cannot coexist.
+timing is requested, because timing and reproducible bytes cannot coexist;
+a row's wall_ms is then an even share of its cell's wall time.
+
+A (d, n) cell is evaluated as one batch: the saddles of a d's query points
+are solved once (saddle._solve_batch) and serve every n, and the exact
+oracle answers all points of a cell in one batch query, whose merged
+windows share their Loader weights.  Each row keeps its own status, and
+its values are those of the one-point calls at its point, bit for bit.
 
 Modes differ in how i_minus_one is obtained:
 
@@ -30,16 +37,16 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .correction import QuadSpec, correction_integral
 from .errors import ConfigError, FitError, SpahdError
-from .model import GaussianMixture, load_model_file, parse_kv_lines
-from .oracle import ExactMeanDensity, _clt_compare
-from .saddle import solve_saddle
+from .model import GaussianMixture, check_point, load_model_file, parse_kv_lines
+from .oracle import ExactMeanDensity, _check_standardized, _clt_compare
+from .saddle import _check_budget, _solve_batch
 from .spa import budget_total, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
@@ -188,16 +195,29 @@ def _query_points(spec, d):
     return pts
 
 
-def _sweep(spec, per_point, clt=False):
-    """Common d/n/point loop; per_point fills in the mode-specific fields.
+def _sweep(spec, finish, clt=False):
+    """Common d/n loop; the query points of each (d, n) cell are one batch.
 
-    bound, passed to per_point and reported by failed rows, gives the budget
+    The saddles of a d's points are solved once, as one batch, and serve
+    every n; clt rows need none.  In each cell every row first takes its own
+    step: its spa estimate, or for a clt row the standardization check.  The
+    oracle then evaluates the points of the rows that passed as one batch,
+    and finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
+    builds each row; a clt row gets its point x as a and None for saddle
+    and est, and queries the oracle at x / sqrt(n).  A package error raised
+    at any step of a row becomes that row's status.
+
+    bound, passed to finish and reported by failed rows, gives the budget
     total over the sweep's ball: max ||a||, or max ||x|| / sqrt(n) for clt
     rows.  It is computed once per (d, n), and only when a row asks for it.
+    With timing on, a row's wall_ms is its cell's wall time, including the
+    cell's share of its d's set-up and saddle batch, divided evenly among
+    the cell's rows.
     """
     d_values = spec.d_grid
     records = []
     for d in d_values or (None,):
+        t_d = time.perf_counter()
         params = load_model_file(spec.model_path, d_override=d)
         model = GaussianMixture(params)
         pts = _query_points(spec, params.d)
@@ -211,24 +231,66 @@ def _sweep(spec, per_point, clt=False):
         max_norm = max((r for r in plain if math.isfinite(r)), default=0.0)
         norms = [r if math.isfinite(r) or not np.all(np.isfinite(p)) else _rescaled_norm(p)
                  for p, r in zip(pts, plain)]
+        points = np.array(pts).reshape(len(pts), params.d)
+        saddles = [None] * len(pts)
+        finite = np.isfinite(points).all(axis=1)
+        if not clt:
+            # the saddle of each finite point, and the error of each other one
+            saddles = [None if ok else _error_of(check_point, p, params.d, "a")
+                       for p, ok in zip(points, finite)]
+            bad_tol = _error_of(_check_budget, spec.tol, 100)
+            solved = ([bad_tol] * int(finite.sum()) if bad_tol is not None
+                      else _solve_batch(model, points[finite], spec.tol) if finite.any() else [])
+            for i, out in zip(np.flatnonzero(finite), solved):
+                saddles[i] = out
+        share = (time.perf_counter() - t_d) * 1e3 / len(spec.n_grid)
         for n in spec.n_grid:
+            t_cell = time.perf_counter()
             radius = max_norm / math.sqrt(n) if clt else max_norm
             bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             eps = params.d**2 / n
             oracle = ExactMeanDensity(params, n)
-            for a, a_norm in zip(pts, norms):
-                t0 = time.perf_counter() if spec.timing else None
-                try:
-                    rec = per_point(model, oracle, params.d, n, a, a_norm, eps, bound)
-                except _ROW_ERRORS as exc:
+            queries = points / math.sqrt(n) if clt else points
+            starts = [_error_of(_begin, params, n, q, s, clt)
+                      for q, s in zip(queries, saddles)]
+            alive = [i for i, st in enumerate(starts) if not isinstance(st, SpahdError)]
+            logs = dict(zip(alive, oracle._log_density_batch(queries[alive]) if alive else ()))
+            cell = []
+            for i, (a, a_norm, st) in enumerate(zip(points, norms, starts)):
+                if i in logs:
+                    st = _error_of(finish, model, params.d, n, a, *st, logs[i], a_norm, eps,
+                                   bound)
+                if isinstance(st, SpahdError):
                     nan = math.nan
-                    rec = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound(),
-                                       None, type(exc).__name__)
-                if spec.timing:
-                    wall = (time.perf_counter() - t0) * 1e3
-                    rec = ResultRecord(**{**asdict(rec), "wall_ms": wall})
-                records.append(rec)
+                    st = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound(),
+                                      None, type(st).__name__)
+                cell.append(st)
+            if spec.timing:
+                wall = (share + (time.perf_counter() - t_cell) * 1e3) / len(cell)
+                cell = [replace(rec, wall_ms=wall) for rec in cell]
+            records += cell
     return records
+
+
+def _error_of(fn, *args):
+    """fn(*args), or the package error it raises."""
+    try:
+        return fn(*args)
+    except _ROW_ERRORS as exc:
+        return exc
+
+
+def _begin(params, n, a, saddle, clt):
+    """A row's first step, before its oracle query: (saddle, spa estimate)
+    or the saddle's error, or (None, None) for a clt row once its model and
+    point pass the checks."""
+    if clt:
+        _check_standardized(params)
+        check_point(a, params.d, "a")
+        return None, None
+    if isinstance(saddle, SpahdError):
+        return saddle
+    return saddle, spa_density(saddle, n)
 
 
 def _rescaled_norm(p):
@@ -238,15 +300,8 @@ def _rescaled_norm(p):
     return scale * float(np.linalg.norm(p / scale))
 
 
-def _densities(model, oracle, n, a, tol):
-    """(saddle, spa estimate, log rho_exact) at one query point."""
-    saddle = solve_saddle(model, a, tol=tol)
-    return saddle, spa_density(saddle, n), oracle.log_density(a)
-
-
 def run_error_scaling(spec: ExperimentSpec):
-    def per_point(model, oracle, d, n, a, a_norm, eps, bound):
-        _, est, log_exact = _densities(model, oracle, n, a, spec.tol)
+    def finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound):
         # both ratios from the log difference, so an underflowed density
         # still gives finite errors, and inf only past the double range
         gap = est.log_density - log_exact
@@ -256,14 +311,13 @@ def run_error_scaling(spec: ExperimentSpec):
             eps, bound(), None, "ok",
         )
 
-    return _sweep(spec, per_point)
+    return _sweep(spec, finish)
 
 
 def run_correction_study(spec: ExperimentSpec):
     quad = QuadSpec(nodes_per_axis=spec.quad_nodes, trunc_radius=spec.trunc_radius)
 
-    def per_point(model, oracle, d, n, a, a_norm, eps, bound):
-        saddle, est, log_exact = _densities(model, oracle, n, a, spec.tol)
+    def finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound):
         corr = correction_integral(model, saddle, n, quad, kappa=spec.kappa)
         gap = est.log_density - log_exact
         # I - 1 against the exact ratio rho_exact / rho_spa - 1
@@ -277,12 +331,13 @@ def run_correction_study(spec: ExperimentSpec):
             eps, bound(), None, "ok" if consistent else "inconsistent",
         )
 
-    return _sweep(spec, per_point)
+    return _sweep(spec, finish)
 
 
 def run_clt_study(spec: ExperimentSpec):
-    def per_point(model, oracle, d, n, x, x_norm, eps, bound):
-        comparison, log_exact, log_gauss = _clt_compare(model, oracle, x, spec.kappa)
+    def finish(model, d, n, x, saddle, est, log_exact, x_norm, eps, bound):
+        comparison, log_gauss = _clt_compare(model, n, x, x / math.sqrt(n), log_exact,
+                                             spec.kappa)
         rho_limit = exp_or_inf(0.5 * d * math.log(n) + log_gauss)
         gap = abs(comparison.ratio - 1.0)
         return ResultRecord(
@@ -290,7 +345,7 @@ def run_clt_study(spec: ExperimentSpec):
             eps, comparison.bound, None, "ok",
         )
 
-    return _sweep(spec, per_point, clt=True)
+    return _sweep(spec, finish, clt=True)
 
 
 _RUNNERS = {

@@ -195,6 +195,9 @@ class GaussianMixture:
         self._w = np.linalg.solve(self._sigma, self._mu)
         self._g = float(self._mu @ self._w)
         self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(self._sigma)))))
+        # the diagonal of a diagonal sigma, which the saddle solves by division
+        diag = np.diag(self._sigma)
+        self._sigma_diag = diag if np.array_equal(self._sigma, np.diag(diag)) else None
         self._c34_cache: dict[tuple[float, float], tuple[tuple[float, float], ...]] = {}
 
     @property
@@ -348,7 +351,7 @@ def check_point(x, d, name):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (d,):
         raise DimensionError(f"{name} has shape {x.shape}, expected ({d},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise DimensionError(f"{name} must be finite, got {x}")
     return x
 
@@ -393,13 +396,18 @@ def require_mixture(model, what):
 #   - it lies in a run of adjacent edge segments on which |G| is concave: a
 #     Newton search finds the run's maximum, and concavity bounds the run by
 #     the tangent there.
+# An element whose bound is within that tolerance but for its rounding
+# allowance is settled too: halving would not shrink the allowance.
 # Everything else is halved along the sides whose second-order term is still
 # large and not below _SUP_ASPECT times the other side's (along both, when
-# only its first-order terms keep it open), and evaluated again.  The search
-# stops when every element is settled or dropped, or before it would pass
-# _SUP_WORK element evaluations (about 0.1 s).  hi, the largest bound of an
-# element not dropped, is an upper bound of the supremum, and when the search
-# closes hi <= lo (1 + _SUP_RTOL).
+# only its first-order terms keep it open), and evaluated again; an element
+# whose bound is still _SUP_FAR times lo or more, next to a zero of cosh, is
+# cut along those sides at _SUP_GRADED instead, into pieces that shrink
+# towards its ends by 2^-_SUP_FAR_CUTS.  The search stops when every element
+# is settled or dropped, or before it would pass _SUP_WORK element
+# evaluations (about 0.1 s).  hi, the largest bound of an element not
+# dropped, is an upper bound of the supremum, and when the search closes
+# hi <= lo (1 + _SUP_RTOL) up to the allowances.
 
 _SUP_RTOL = 1e-6
 # a computed kernel value is off by a few ulps of |K| plus the change of K
@@ -421,6 +429,11 @@ _SUP_SEGMENTS = 2
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
 _SUP_ASPECT = 0.25
+_SUP_FAR = 10.0
+_SUP_FAR_CUTS = 8
+# 2^-8, ..., 1/4, 1/2, 3/4, ..., 1 - 2^-8: the inner breaks of a graded cut
+_SUP_GRADED = np.concatenate((0.5 ** np.arange(_SUP_FAR_CUTS, 1, -1), [0.5],
+                              1.0 - 0.5 ** np.arange(2, _SUP_FAR_CUTS + 1)))
 # elements per evaluation, and a limit on the elements evaluated in all
 _SUP_CHUNK = 512
 _SUP_WORK = 1 << 15
@@ -508,10 +521,17 @@ def _certified_sup(g, a_max, t_radius):
         for which in (0, 1):
             _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], allow[which], lo,
                             concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
-        # a corner cannot be halved, so its bound is final
-        over = ~drop & (ub > lo[:, None] * (1.0 + _SUP_RTOL)) & ((a1 > a0) | (u1 > u0))
+        # a corner cannot be halved, so its bound is final, and neither is an
+        # element within tolerance but for its rounding allowance (near the
+        # pole condition the allowance alone can pass it); both count
+        # towards hi
+        over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
+                & ((a1 > a0) | (u1 > u0)))
         live = over[0] | over[1]
-        if not live.any() or work + 4 * live.sum() > _SUP_WORK:
+        # an element _SUP_FAR times lo or more has many halvings ahead
+        far = np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
+        if (not live.any()
+                or work + 4 * live.sum() + 4 * (_SUP_FAR_CUTS**2 - 1) * far.sum() > _SUP_WORK):
             break
         hi = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
         # halve each open element along the sides whose second-order term,
@@ -520,7 +540,7 @@ def _certified_sup(g, a_max, t_radius):
         # undefined term, 0 * inf where a bound overflowed, counts as over)
         tol = 0.25 * _SUP_RTOL * lo[:, None]
         over = over[:, live]
-        a0, a1, u0, u1 = a0[live], a1[live], u0[live], u1[live]
+        a0, a1, u0, u1, far = a0[live], a1[live], u0[live], u1[live], far[live]
         e_a, e_u = (np.where(over, e[:, live], 0.0) for e in (e_a, e_u))
         cut_a, cut_u = ((h > 0.0) & np.any(~(e <= tol) & ~(e < _SUP_ASPECT * f), axis=0)
                         for h, e, f in ((a1 - a0, e_a, e_u), (u1 - u0, e_u, e_a)))
@@ -528,7 +548,12 @@ def _certified_sup(g, a_max, t_radius):
         both = ~(cut_a | cut_u)
         cut_a |= both & (a1 > a0)
         cut_u |= both & (u1 > u0)
-        a0, a1, u0, u1 = _halve(a0, a1, u0, u1, cut_a, cut_u)
+        if far.any():
+            a0, a1, u0, u1 = (np.concatenate(x) for x in zip(
+                _halve(*(x[~far] for x in (a0, a1, u0, u1, cut_a, cut_u))),
+                _graded(*(x[far] for x in (a0, a1, u0, u1, cut_a, cut_u)))))
+        else:
+            a0, a1, u0, u1 = _halve(a0, a1, u0, u1, cut_a, cut_u)
     # every element not dropped is bounded by ub; the open ones only when the
     # work or round limit stopped the search, and then hi > lo (1 + _SUP_RTOL)
     hi = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
@@ -546,6 +571,27 @@ def _halve(a0, a1, u0, u1, cut_a, cut_u):
               (a0[cut_u], am[cut_u], um[cut_u], u1[cut_u]),
               (am[both], a1[both], um[both], u1[both]))
     return tuple(np.concatenate(x) for x in zip(*halves))
+
+
+def _graded(a0, a1, u0, u1, cut_a, cut_u):
+    """The elements, cut along alpha where cut_a and along u where cut_u at
+    the fractions _SUP_GRADED, which halve the pieces at either end
+    _SUP_FAR_CUTS times."""
+    parts = []
+    for along_a, along_u in ((True, True), (True, False), (False, True)):
+        pick = (cut_a == along_a) & (cut_u == along_u)
+        if not pick.any():
+            continue
+        breaks = []
+        for lo, hi, along in ((a0[pick], a1[pick], along_a), (u0[pick], u1[pick], along_u)):
+            lo, hi = lo[:, None], hi[:, None]
+            inner = lo + (hi - lo) * _SUP_GRADED if along else lo[:, :0]
+            breaks.append(np.concatenate((lo, inner, hi), axis=1))
+        (ba, bu), m = breaks, pick.sum()
+        shape = (m, ba.shape[1] - 1, bu.shape[1] - 1)
+        parts.append([np.broadcast_to(x, shape).ravel() for x in (
+            ba[:, :-1, None], ba[:, 1:, None], bu[:, None, :-1], bu[:, None, 1:])])
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):

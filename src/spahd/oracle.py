@@ -35,6 +35,9 @@ _EXACT_MAX_N = 256
 _WINDOW_NATS = 40.0
 # ... and widens its window until the cut tails are below this share of the sum
 _TAIL_REL = 1e-16
+# a batch of queries computes its weights over spans of at most this many
+# terms, so that no temporary passes glibc's 128 KiB mmap threshold
+_SPAN_TERMS = 4096
 
 # Stirling error log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (k = 0 unused)
 _STIRLERR_SMALL = np.array([
@@ -50,23 +53,41 @@ _STIRLERR_SMALL = np.array([
 # the Stirling error; its first 2, 3 or 4 terms are enough above z = 500, 80
 # or 35, where each cut, like the fifth term's from z = 16, is below 1.1e-16
 _STIRLING_COEFS = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188)
+_STIRLING_CUTS = ((3, 500), (4, 80), (5, 35))
 
 
-def _stirlerr(z, z_min):
-    """Stirling error log z! - log(sqrt(2 pi z) (z/e)^z) for whole z >= 1,
-    a float or an array whose smallest entry is z_min: the table up to 15,
-    the series beyond."""
-    terms = 2 if z_min > 500 else 3 if z_min > 80 else 4 if z_min > 35 else 5
-    zi = 1.0 / z
-    zi2 = zi * zi
+def _stirling_series(zi, zi2, terms):
+    """The first `terms` terms of the Stirling series at 1/z = zi, zi2 = zi^2."""
     acc = _STIRLING_COEFS[terms - 1] * zi2
     for coef in _STIRLING_COEFS[terms - 2:0:-1]:
         acc = (coef + acc) * zi2
-    out = (_STIRLING_COEFS[0] + acc) * zi
-    if z_min <= 15:
-        small = z <= 15
-        out[small] = _STIRLERR_SMALL[z[small].astype(int)]
+    return (_STIRLING_COEFS[0] + acc) * zi
+
+
+def _stirlerr(z, z_min):
+    """Stirling error log z! - log(sqrt(2 pi z) (z/e)^z) for an array of
+    whole z >= 1 whose smallest entry is z_min: the table up to 15, the
+    series beyond, each entry with the terms its own z needs, so that its
+    value does not depend on the other entries."""
+    zi = 1.0 / z
+    zi2 = zi * zi
+    out = _stirling_series(zi, zi2, 2)
+    for terms, above in _STIRLING_CUTS:
+        if z_min > above:
+            return out
+        near = z <= above
+        out[near] = _stirling_series(zi[near], zi2[near], terms)
+    small = z <= 15
+    out[small] = _STIRLERR_SMALL[z[small].astype(int)]
     return out
+
+
+@functools.lru_cache(maxsize=32)
+def _loader_head(n):
+    """stirlerr(n) - log(2 pi / n) / 2, the k-free part of Loader's form."""
+    terms = next((t for t, above in reversed(_STIRLING_CUTS) if n <= above), 2)
+    zi = 1.0 / n
+    return _stirling_series(zi, zi * zi, terms) - 0.5 * (_LOG_2PI - math.log(n))
 
 
 @functools.lru_cache(maxsize=32)
@@ -106,8 +127,7 @@ def _log_binom_weights(n, k_lo=0, k_hi=None):
     # atanh|u| = log1p(nu / min(k, n - k)) / 2 and -log(1 - u^2) = log1p(nu^2 / (4 k (n - k)))
     two_dev = nu * np.log1p(nu / np.minimum(k, rest)) - n * np.log1p(0.25 * nu * nu / prod)
     both = _stirlerr(np.concatenate((k, rest)), min(lo, n - hi))
-    head = _stirlerr(float(n), n) - 0.5 * (_LOG_2PI - math.log(n))
-    w = head - both[:len(k)] - both[len(k):] - 0.5 * (two_dev + np.log(prod))
+    w = _loader_head(n) - both[:len(k)] - both[len(k):] - 0.5 * (two_dev + np.log(prod))
     if k_lo > 0 and k_hi < n:
         return w
     # C(n, 0) = C(n, n) = 1
@@ -132,9 +152,12 @@ class ExactMeanDensity:
     - |a - m_k mu|^2_(sigma/n) / 2 from its exact forward difference, sums
     the O(sqrt n) terms within 40 nats of it (the window grows if it must)
     and bounds the two cut tails by geometric series; last_window holds
-    (k_lo, k_hi, tail_rel) of the last query, tail_rel <= 1e-16 being that
-    bound relative to the sum.  density() is inf above the double range;
-    log_density() stays exact, and is -inf below it.
+    (k_lo, k_hi, tail_rel) of the last query (of a batch query's last
+    point), tail_rel <= 1e-16 being that bound relative to the sum.  A
+    sweep queries all points of a cell as one batch, which shares the
+    weights of overlapping windows; log_density is a batch of one.
+    density() is inf above the double range; log_density() stays exact,
+    and is -inf below it.
     """
 
     def __init__(self, params: MixtureParams, n: int):
@@ -158,62 +181,117 @@ class ExactMeanDensity:
         return _log_binom_weights(self.n)
 
     def log_density(self, a) -> float:
-        a = check_point(a, self.params.d, "a")
-        n, q_mu = self.n, self._q_mu
-        with np.errstate(over="ignore"):
-            q_cross = float(a @ self._mu_dual)
-            far = not (math.isfinite(q_cross) and np.isfinite(self._whiten @ a).all())
-        if far:
-            # a leaves the double range in the sigma/n metric, and so does its
-            # distance to every mean m_k mu, |m_k| <= 1
-            return -math.inf
+        return self._log_density_batch(check_point(a, self.params.d, "a")[None, :])[0]
+
+    def _log_density_batch(self, points):
+        """log_density at each row of points (k, d), all finite, as a list.
+
+        Each point finds its own peak and 40-nat window; the windows are
+        merged into contiguous spans of at most _SPAN_TERMS terms (or one
+        window), whose weights are computed once and sliced.  A weight's
+        value does not depend on its span, so each point's sum, tail bound
+        and result are those it gets alone; a point whose tail bound fails
+        widens its own window.  last_window is the last point's.
+        """
+        n, q_mu, mu = self.n, self._q_mu, self.params.mu
         # f(k+1) - f(k) = log((n - k)/(k + 1)) + lead - slope k, exactly; it
         # falls by at least curv per step, so f is concave with one peak
         slope = 4.0 * q_mu / (n * n)
-        lead = 2.0 * (q_cross + q_mu * (n - 1.0) / n) / n
         curv = 4.0 / (n + 2.0) + slope
-
-        def step(k):
-            return math.log((n - k) / (k + 1.0)) + lead - slope * k
-
-        # the peak is the first k with step(k) <= 0 (step(n) = -inf); since
-        # the steps fall by curv or more, it lies within step(mid) / curv of mid
-        mid = n // 2
-        span = step(mid) / curv
-        peak = max(mid - math.floor(-span) - 1, 0) if span <= 0 else mid + 1
-        hi = mid if span <= 0 else min(mid + math.ceil(span) + 1, n)
-        while peak < hi:  # bisection
-            mid = (peak + hi) // 2
-            if step(mid) <= 0.0:
-                hi = mid
-            else:
-                peak = mid + 1
+        drift = q_mu * (n - 1.0) / n
         # half the squared distance |a - m_k mu|^2 in the sigma/n metric,
         # expanded about the peak's mean m_p, whose residual is whitened as
         # is, so no large terms cancel: q_p / 2 + j (quad_j j - lin_j), j = k - peak
-        m_peak = (2.0 * peak - n) / n
-        r_w = self._whiten @ (a - m_peak * self.params.mu)
         quad_j = 2.0 * q_mu / (n * n)
-        lin_j = 2.0 * float(r_w @ self._mu_w) / n
-        nats = _WINDOW_NATS
-        while True:
+
+        def step(k, lead):
+            return math.log((n - k) / (k + 1.0)) + lead - slope * k
+
+        def reach(nats):
             # j steps from the peak, f is at least curv j (j - 1) / 2 below it
-            reach = math.ceil(0.5 + math.sqrt(0.25 + 2.0 * nats / curv))
-            k_lo, k_hi = max(peak - reach, 0), min(peak + reach, n)
-            j = np.arange(k_lo - peak, k_hi - peak + 1.0)
-            # the log terms f(k) + q_p / 2
-            f = _log_binom_weights(n, k_lo, k_hi) - j * (quad_j * j - lin_j)
+            return math.ceil(0.5 + math.sqrt(0.25 + 2.0 * nats / curv))
+
+        queries = []
+        with np.errstate(over="ignore"):
+            for row, a in enumerate(points):
+                q_cross = float(a @ self._mu_dual)
+                if not math.isfinite(q_cross):
+                    continue  # far: see below
+                lead = 2.0 * (q_cross + drift) / n
+                # the peak is the first k with step(k) <= 0 (step(n) = -inf);
+                # since the steps fall by curv or more, it lies within
+                # step(mid) / curv of mid
+                mid = n // 2
+                span = step(mid, lead) / curv
+                peak = max(mid - math.floor(-span) - 1, 0) if span <= 0 else mid + 1
+                hi = mid if span <= 0 else min(mid + math.ceil(span) + 1, n)
+                while peak < hi:  # bisection
+                    mid = (peak + hi) // 2
+                    if step(mid, lead) <= 0.0:
+                        hi = mid
+                    else:
+                        peak = mid + 1
+                r_w = self._whiten @ (a - (2.0 * peak - n) / n * mu)
+                if not np.isfinite(r_w).all():
+                    # a leaves the double range in the sigma/n metric, and so
+                    # does its distance to every mean m_k mu, |m_k| <= 1
+                    continue
+                queries.append((peak, row, lead, 2.0 * float(r_w @ self._mu_w) / n,
+                                0.5 * float(r_w @ r_w)))
+
+        first = reach(_WINDOW_NATS)
+        # j and quad_j j over a first window that no end of 0..n cuts
+        j_first = np.arange(-first, first + 1.0)
+        quad_first = quad_j * j_first
+
+        def window_sum(weights, k_lo, k_hi, peak, lead, lin_j):
+            """(log of the window's sum of terms f(k) + q_p / 2, the cut tails'
+            bound relative to it)"""
+            if k_lo == peak - first and k_hi == peak + first:
+                j, quad = j_first, quad_first
+            else:
+                j = np.arange(k_lo - peak, k_hi - peak + 1.0)
+                quad = quad_j * j
+            f = weights - j * (quad - lin_j)
             top = f[peak - k_lo]
             log_sum = top + math.log(np.exp(f - top).sum())
             # past each edge the steps are no larger than the edge's own
-            tail = ((_geometric_tail(f[-1] - log_sum, step(k_hi)) if k_hi < n else 0.0)
-                    + (_geometric_tail(f[0] - log_sum, -step(k_lo - 1)) if k_lo > 0 else 0.0))
-            if tail <= _TAIL_REL:
-                break
-            nats *= 2.0
-        self.last_window = (k_lo, k_hi, tail)
-        with np.errstate(over="ignore"):  # -inf past the double range
-            return log_sum - 0.5 * float(r_w @ r_w) + self._log_norm
+            tail = ((_geometric_tail(f[-1] - log_sum, step(k_hi, lead)) if k_hi < n else 0.0)
+                    + (_geometric_tail(f[0] - log_sum, -step(k_lo - 1, lead))
+                       if k_lo > 0 else 0.0))
+            return log_sum, tail
+
+        out = [-math.inf] * len(points)
+        windows = {}
+        queries.sort()
+        start = 0
+        while start < len(queries):
+            # the next span: windows that overlap or touch, up to _SPAN_TERMS terms
+            lo = max(queries[start][0] - first, 0)
+            stop, hi = start, min(queries[start][0] + first, n)
+            while stop + 1 < len(queries):
+                nxt = queries[stop + 1][0]
+                if nxt - first > hi + 1 or min(nxt + first, n) - lo >= _SPAN_TERMS:
+                    break
+                stop, hi = stop + 1, min(nxt + first, n)
+            weights = _log_binom_weights(n, lo, hi)
+            for peak, row, lead, lin_j, half_q in queries[start:stop + 1]:
+                k_lo, k_hi = max(peak - first, 0), min(peak + first, n)
+                log_sum, tail = window_sum(weights[k_lo - lo:k_hi - lo + 1],
+                                           k_lo, k_hi, peak, lead, lin_j)
+                nats = _WINDOW_NATS
+                while not tail <= _TAIL_REL:
+                    nats *= 2.0
+                    k_lo, k_hi = max(peak - reach(nats), 0), min(peak + reach(nats), n)
+                    log_sum, tail = window_sum(_log_binom_weights(n, k_lo, k_hi),
+                                               k_lo, k_hi, peak, lead, lin_j)
+                windows[row] = (k_lo, k_hi, tail)
+                # -inf past the double range
+                out[row] = log_sum - half_q + self._log_norm
+            start = stop + 1
+        if windows:
+            self.last_window = windows[max(windows)]
+        return out
 
     def density(self, a) -> float:
         return exp_or_inf(self.log_density(a))
@@ -316,22 +394,27 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     """
     x = check_point(x, params.d, "x")
     n = check_sample_size(n)
-    return _clt_compare(GaussianMixture(params), ExactMeanDensity(params, n), x, kappa)[0]
+    _check_standardized(params)
+    a = x / math.sqrt(n)
+    log_exact = ExactMeanDensity(params, n).log_density(a)
+    return _clt_compare(GaussianMixture(params), n, x, a, log_exact, kappa)[0]
 
 
-def _clt_compare(model, oracle, x, kappa):
-    """(CltComparison, log exact density, log Gaussian limit) at x, for the
-    model of the oracle and its n; shared by clt_ratio and the clt_study rows."""
-    params = oracle.params
+def _check_standardized(params):
+    """StandardizationError unless sigma + mu mu' = identity."""
     second = params.sigma + np.outer(params.mu, params.mu)
     if np.max(np.abs(second - np.eye(params.d))) > 1e-10:
         raise StandardizationError("clt_ratio needs sigma + mu mu' = identity; "
                                    "use MixtureParams.standardized()")
-    n = oracle.n
-    a = x / math.sqrt(n)
-    log_exact = oracle.log_density(a)
-    log_gauss = -0.5 * params.d * _LOG_2PI - 0.5 * float(x @ x)
-    ratio = exp_or_inf(log_exact - 0.5 * params.d * math.log(n) - log_gauss)
+
+
+def _clt_compare(model, n, x, a, log_exact, kappa):
+    """(CltComparison, log Gaussian limit) at x, a = x / sqrt(n), given the
+    log exact density at a, for a standardized model; shared by clt_ratio
+    and the clt_study rows."""
+    d = model.dim
+    log_gauss = -0.5 * d * _LOG_2PI - 0.5 * float(x @ x)
+    ratio = exp_or_inf(log_exact - 0.5 * d * math.log(n) - log_gauss)
     local = c3_ball(model, a) * float(np.linalg.norm(x))**3 / math.sqrt(n)
     bound = local + budget_total(model, n, float(np.linalg.norm(a)), kappa)
-    return CltComparison(ratio=ratio, bound=bound), log_exact, log_gauss
+    return CltComparison(ratio=ratio, bound=bound), log_gauss

@@ -10,7 +10,8 @@ unique and lies within g of <w, a>.  A safeguarded scalar Newton finds it,
 tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
 from the matrix determinant lemma.  The gradient residual certifies the
 result; where rounding keeps it above tol (sigma far from well conditioned),
-a damped Newton seeded at tau = a takes over.  Every routine here takes a
+a damped Newton seeded at tau = a takes over.  A sweep solves the points of
+a d as one batch, with one stacked solve; solve_saddle is a batch of one.  Every routine here takes a
 GaussianMixture and raises ConfigError for anything else.
 
 method="fixed_point" is a separate d-dimensional iteration,
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NonconvergenceError, StandardizationError
-from .model import GaussianMixture, check_point, is_count, require_mixture, _sech_float
+from .errors import DimensionError, NonconvergenceError, SpahdError, StandardizationError
+from .model import (GaussianMixture, check_point, is_count, logcosh, require_mixture,
+                    _sech_float)
 
 _EPS = 2.0**-52
 
@@ -64,41 +66,85 @@ def solve_saddle(model: GaussianMixture, a, tol: float = 1e-12, max_iter: int = 
     """
     require_mixture(model, "solve_saddle")
     a = check_point(a, model.dim, "a")
+    _check_budget(tol, max_iter)
+    if method in ("newton", "auto"):
+        out = _solve_batch(model, a[None, :], tol, max_iter)[0]
+        if isinstance(out, SpahdError):
+            raise out
+        return out
+    if method == "fixed_point":
+        tau, res, it = _fixed_point(model, a, tol, max_iter)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _saddle_point(model, a, tau, res, it, method)
+    raise DimensionError(f"unknown method {method!r}")
+
+
+def _check_budget(tol, max_iter):
+    """DimensionError unless tol is finite and > 0 and max_iter is a
+    positive whole number."""
     if not (0 < tol < math.inf):
         raise DimensionError(f"tol must be finite and > 0, got {tol!r}")
     if not is_count(max_iter):
         raise DimensionError(f"max_iter must be a positive integer, got {max_iter!r}")
-    if method in ("newton", "auto"):
-        method = "newton"
-        tau, res, it = _scalar_newton(model, a, tol, max_iter)
-    elif method == "fixed_point":
-        tau, res, it = _fixed_point(model, a, tol, max_iter)
-    else:
-        raise DimensionError(f"unknown method {method!r}")
-    # <tau, a> and cgf(tau) overflow to inf - inf past the double range
+
+
+def _solve_batch(model, points, tol, max_iter=100):
+    """The 'newton' route at every row of points (k, d), all finite: each
+    row's SaddlePoint, or the SpahdError it raises (DimensionError where
+    phi* leaves the double range, NonconvergenceError).  One stacked solve
+    gives sigma^-1 a for every row, each as its own single-right-hand-side
+    system, so that a row's bits do not depend on the other rows; the scalar
+    Newton, the residual and phi* then run per row in math floats and
+    one-row products, and a row that misses tol goes to the damped Newton
+    alone.  A diagonal sigma is solved by division, which is what that
+    solve computes there, bit for bit.  tol and max_iter are taken as
+    valid."""
+    w = model._w
+    # overflow is told by the values it leaves, without a NumPy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        phi_star = float(tau @ a) - model.cgf_real(tau)
+        if model._sigma_diag is not None:
+            solved = points / model._sigma_diag
+        else:
+            solved = np.linalg.solve(model.params.sigma, points[:, :, None])[:, :, 0]
+        inside = np.isfinite(solved).all(axis=1)
+        out = []
+        for a, b, ok in zip(points, solved, inside):
+            try:
+                c = float(w @ a)
+                if not (ok and math.isfinite(c)):
+                    raise DimensionError(_past_range(a))
+                out.append(_saddle_point(model, a, *_scalar_newton(model, a, b, c, tol,
+                                                                   max_iter), "newton"))
+            except SpahdError as exc:
+                out.append(exc)
+    return out
+
+
+def _past_range(a):
+    """The message of a DimensionError for a point past the double range."""
+    return f"phi*(a) leaves the double range at max |a_i| = {float(np.max(np.abs(a))):.3g}"
+
+
+def _saddle_point(model, a, tau, res, it, method):
+    """The SaddlePoint at a solved tau; DimensionError when phi*(a) leaves
+    the double range.  Callers quiet NumPy's overflow warnings: <tau, a>
+    and cgf(tau) overflow to inf - inf past the double range."""
+    alpha = float(model.params.mu @ tau)
+    phi_star = float(tau @ a) - (0.5 * float(tau @ (model.params.sigma @ tau))
+                                 + float(logcosh(alpha)))
     if not math.isfinite(phi_star):
-        raise DimensionError("phi*(a) leaves the double range at max |a_i| = "
-                             f"{float(np.max(np.abs(a))):.3g}")
+        raise DimensionError(_past_range(a))
     # det(sigma + sech^2(alpha) mu mu') = det(sigma) (1 + sech^2(alpha) g)
-    s = _sech_float(float(model.params.mu @ tau))
+    s = _sech_float(alpha)
     log_det_h = model._log_det_sigma + math.log1p(s * s * model._g)
     return SaddlePoint(a=a, tau=tau, phi_star=phi_star, log_det_h=log_det_h,
                        residual=res, iterations=it, method=method)
 
 
-def _scalar_newton(model, a, tol, max_iter):
-    """The 'newton' route: (tau, residual, iterations).  A finite a whose
-    <w, a> or solve leaves the double range raises DimensionError, without a
-    NumPy warning."""
+def _scalar_newton(model, a, b, c, tol, max_iter):
+    """The 'newton' route at a, given b = sigma^-1 a and c = <w, a>, both
+    finite: (tau, residual, iterations)."""
     w, g = model._w, model._g
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = float(w @ a)
-        b = np.linalg.solve(model.params.sigma, a)
-    if not (math.isfinite(c) and np.all(np.isfinite(b))):
-        raise DimensionError("phi*(a) leaves the double range at max |a_i| = "
-                             f"{float(np.max(np.abs(a))):.3g}")
     lo, hi = c - g, c + g
     alpha = c / (1.0 + g)
     it = 0
@@ -125,7 +171,8 @@ def _scalar_newton(model, a, tol, max_iter):
         alpha = step
         it += 1
     tau = b - math.tanh(alpha) * w
-    res = float(np.linalg.norm(model.grad(tau) - a))
+    r = model.grad(tau) - a
+    res = math.sqrt(float(r @ r))
     if res <= tol:
         return tau, res, it
     # Rounding in b, w and the residual itself can leave an ill-conditioned
@@ -185,9 +232,15 @@ def fixed_point_matrix(model: GaussianMixture, tau) -> np.ndarray:
 
 
 def _fixed_point(model, a, tol, max_iter):
+    """The 'fixed_point' route: (tau, residual, iterations).  A finite a
+    whose gradient at tau = a leaves the double range raises DimensionError,
+    without a NumPy warning."""
     h0 = model.hessian(np.zeros_like(a))
     tau = a.copy()
-    r = model.grad(tau) - a
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = model.grad(tau) - a
+    if np.any(np.isinf(r)):
+        raise DimensionError(_past_range(a))
     res = float(np.linalg.norm(r))
     omega = 1.0
     it = 0

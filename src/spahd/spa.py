@@ -30,7 +30,7 @@ _UNDERFLOW_LOG = -745.0
 class SpaEstimate:
     """Log-domain saddlepoint density value at one query point; density is 0.0
     below the double range (underflow set) and inf above it (small sigma/n at
-    high d), while log_density stays exact."""
+    high d), while log_density stays exact and finite."""
 
     log_density: float
     density: float
@@ -65,12 +65,19 @@ def check_sample_size(n, name="n") -> int:
 
 
 def spa_density(saddle: SaddlePoint, n: int) -> SpaEstimate:
-    """Saddlepoint density of the n-sample mean at the solved query point."""
+    """Saddlepoint density of the n-sample mean at the solved query point.
+
+    DimensionError when its log density leaves the double range, where
+    n phi*(a) does though phi*(a) does not.
+    """
     n = check_sample_size(n)
     d = saddle.a.shape[0]
     log_prefactor = 0.5 * d * (math.log(n) - _LOG_2PI) - 0.5 * saddle.log_det_h
     exponent = -n * saddle.phi_star
     log_density = log_prefactor + exponent
+    if not math.isfinite(log_density):
+        raise DimensionError(f"log density leaves the double range at n = {n}, "
+                             f"phi* = {saddle.phi_star:.3g}")
     underflow = log_density < _UNDERFLOW_LOG
     density = 0.0 if underflow else exp_or_inf(log_density)
     return SpaEstimate(log_density=log_density, density=density,

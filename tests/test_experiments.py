@@ -22,7 +22,10 @@ from spahd import (
     load_model_file,
     run_experiment,
 )
-from spahd.spa import budget_total
+from spahd.correction import QuadSpec, correction_integral
+from spahd.oracle import ExactMeanDensity
+from spahd.saddle import solve_saddle
+from spahd.spa import budget_total, spa_density
 from spahd.experiments import (
     CSV_HEADER,
     ExperimentSpec,
@@ -103,14 +106,13 @@ class TestErrorScaling:
         assert 1e-7 < last.rel_err < 1e-6
 
     def test_any_package_error_fails_only_its_row(self, model_file, monkeypatch):
-        solve = spahd.experiments.solve_saddle
+        solve = spahd.experiments._solve_batch
 
-        def picky(model, a, tol):
-            if a[0] > 0.15:
-                raise DimensionError("refused")
-            return solve(model, a, tol=tol)
+        def picky(model, points, tol):
+            return [DimensionError("refused") if a[0] > 0.15 else saddle
+                    for a, saddle in zip(points, solve(model, points, tol))]
 
-        monkeypatch.setattr(spahd.experiments, "solve_saddle", picky)
+        monkeypatch.setattr(spahd.experiments, "_solve_batch", picky)
         records, _ = run_experiment(make_spec(model_file, a_points=((0.1,), (0.2,))))
         assert [r.status for r in records] == ["ok", "DimensionError"] * 2
 
@@ -134,6 +136,20 @@ class TestErrorScaling:
             records, _ = run_experiment(make_spec(model_file, n_grid=(50,),
                                                   a_points=((0.1,), (big,))))
         (alone,), _ = run_experiment(make_spec(model_file, n_grid=(50,), a_points=((0.1,),)))
+        assert [r.status for r in records] == ["ok", "DimensionError"]
+        assert records[0] == alone
+
+    def test_spa_density_past_double_range_fails_its_row(self, tmp_path):
+        # sigma = 100, a = 1e155: phi* = 5e307 is finite but n phi* is not, so
+        # both log densities are -inf; the row is a DimensionError, not an ok
+        # row whose errors are nan, and the first row keeps its value
+        path = tmp_path / "wide.txt"
+        path.write_text("d = 1\nmu = 3.0\nsigma = 100\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, _ = run_experiment(make_spec(str(path), n_grid=(50,),
+                                                  a_points=((0.1,), (1e155,))))
+        (alone,), _ = run_experiment(make_spec(str(path), n_grid=(50,), a_points=((0.1,),)))
         assert [r.status for r in records] == ["ok", "DimensionError"]
         assert records[0] == alone
 
@@ -184,6 +200,89 @@ class TestErrorScaling:
         r = records[0]
         assert r.eps == pytest.approx(1 / 100)
         assert r.bound_total > 0
+
+
+def ulps(x, y):
+    """Distance of two doubles in units in the last place (0 for equal or both nan)."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0
+    return abs(int(np.float64(x).view(np.int64)) - int(np.float64(y).view(np.int64)))
+
+
+class TestCellBatch:
+    """A cell's rows come from one saddle batch per d and one oracle batch per
+    (d, n); each row must be the row its one-point calls give."""
+
+    @staticmethod
+    def cell_points(d):
+        rng = np.random.default_rng(d)
+        u = rng.normal(size=d)
+        near = 0.1 * np.eye(d)[0]
+        big = np.zeros(d)
+        big[0] = 1e160
+        return [np.zeros(d), near, 0.3 * u / np.linalg.norm(u), near, np.full(d, math.nan),
+                big, near + 1e-3 / math.sqrt(d)]
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    def test_rows_match_one_point_calls(self, model_file, d):
+        points = self.cell_points(d)
+        spec = make_spec(model_file, d_grid=(d,), n_grid=(200, 100000),
+                         a_points=tuple(tuple(p) for p in points))
+        records, _ = run_experiment(spec)
+        params = load_model_file(model_file, d_override=d)
+        model = GaussianMixture(params)
+        assert len(records) == 2 * len(points)
+        for r, a in zip(records, points * 2):
+            oracle = ExactMeanDensity(params, r.n)
+            try:
+                est = spa_density(solve_saddle(model, a, tol=spec.tol), r.n)
+                log_exact = oracle.log_density(a)
+            except DimensionError:
+                assert r.status == "DimensionError"
+                continue
+            gap = est.log_density - log_exact
+            expected = (est.density, math.exp(log_exact), abs(math.expm1(gap)),
+                        abs(math.expm1(-gap)))
+            assert r.status == "ok"
+            got = (r.rho_spa, r.rho_exact, r.rel_err, r.i_minus_one)
+            assert max(ulps(x, y) for x, y in zip(got, expected)) <= 4
+        assert [r.status for r in records].count("ok") == 2 * (len(points) - 2)
+
+    def test_correction_rows_match_one_point_calls(self, model_file):
+        spec = make_spec(model_file, mode="correction_study", d_grid=(2,), n_grid=(200,),
+                         a_points=((0.0, 0.0), (0.2, -0.1), (0.2, -0.1)))
+        records, _ = run_experiment(spec)
+        model = GaussianMixture(load_model_file(model_file, d_override=2))
+        quad = QuadSpec(nodes_per_axis=spec.quad_nodes, trunc_radius=spec.trunc_radius)
+        for r, a in zip(records, spec.a_points):
+            corr = correction_integral(model, solve_saddle(model, np.array(a)), 200, quad)
+            assert r.status == "ok"
+            assert r.i_minus_one == corr.abs_err_from_one
+        assert records[1] == records[2]
+
+    def test_saddles_are_solved_once_per_d(self, model_file, monkeypatch):
+        calls = []
+        solve = spahd.experiments._solve_batch
+
+        def counting(model, points, tol):
+            calls.append((model.dim, len(points)))
+            return solve(model, points, tol)
+
+        monkeypatch.setattr(spahd.experiments, "_solve_batch", counting)
+        for mode in ("error_scaling", "correction_study"):
+            calls.clear()
+            records, _ = run_experiment(make_spec(model_file, mode=mode, d_grid=(1, 2),
+                                                  n_grid=(50, 200, 800), a_points=(),
+                                                  a_shells=((0.0, 1), (0.2, 3))))
+            assert calls == [(1, 4), (2, 4)]
+            assert len(records) == 24 and all(r.status == "ok" for r in records)
+
+    def test_timing_shares_each_cell_among_its_rows(self, model_file):
+        spec = make_spec(model_file, n_grid=(50, 200), a_points=((0.0,), (0.1,), (0.2,)),
+                         timing=True)
+        records, _ = run_experiment(spec)
+        for cell in (records[:3], records[3:]):
+            assert len({r.wall_ms for r in cell}) == 1 and cell[0].wall_ms > 0
 
 
 class TestCorrectionStudy:

@@ -441,6 +441,30 @@ class TestCertifiedSuprema:
             assert mpmath.mpf(hi) >= ref
             assert 0.0 < lo <= hi <= lo * (1.0 + 1e-6)
 
+    @pytest.mark.parametrize("gap", [1e-8, 1e-10])
+    def test_near_pole_search_stays_short(self, gap, monkeypatch):
+        # 1e-8 and 1e-10 from the pole condition, elements next to the corner
+        # alpha = 0, u = 1 need about 30 halvings before their bounds close;
+        # they are cut towards their ends instead of halved round by round,
+        # and elements within tolerance but for their rounding allowance are
+        # not cut at all (their bound stays in hi, with a gap that this close
+        # to the pole may pass 1e-6)
+        calls = []
+        element_bounds = model_module._element_bounds
+
+        def counting(*args):
+            calls.append(args[2].size)
+            return element_bounds(*args)
+
+        monkeypatch.setattr(model_module, "_element_bounds", counting)
+        model = GaussianMixture(MixtureParams(1, np.array([1.0]), np.eye(1)))
+        t_r = 0.5 * math.pi / float(model.whitened_mu_norm(0.0)) * (1.0 - gap)
+        brackets = model.c34_bracket(0.6, t_r)
+        assert len(calls) <= 12 and sum(calls) <= 2000
+        for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.6, t_r, 81, 401)):
+            assert mpmath.mpf(hi) >= ref
+            assert 0.0 < lo <= hi <= lo * (1.0 + 1e-3)
+
     @pytest.mark.parametrize("g, frac, a0, a1, u0", [
         (1.0, 1.0 - 1e-7, 2e-7, 2.2e-7, 1.0 - 2e-9),
         (4.0, 1.0 - 1e-8, 3e-8, 3.3e-8, 1.0 - 2e-10),

@@ -20,6 +20,7 @@ from spahd import (
     exact_mean_density,
     mc_density,
 )
+import spahd.oracle
 from spahd.oracle import _log_binom_weights
 
 # mpmath 40-digit reference: mu = 1, sigma = 1, a = 0, n = 2
@@ -295,6 +296,74 @@ class TestWindowedOracle:
         finally:
             tracemalloc.stop()
         assert peak < 512 * 1024
+
+
+class TestOracleBatch:
+    """A cell's points are one batch query: shared weights over merged
+    windows, and each point's value bit for bit what it gets alone."""
+
+    @staticmethod
+    def cell(d, n):
+        rng = np.random.default_rng(d)
+        mu = rng.normal(size=d)
+        mu *= 0.8 / np.linalg.norm(mu)
+        q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        sigma = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        u = rng.normal(size=(5, d))
+        points = 0.1 * u / np.linalg.norm(u, axis=1, keepdims=True)
+        far = np.full(d, 1e200)
+        points = np.vstack([points, np.zeros(d), points[1], points[2] + 1e-4, far, points[0]])
+        return ExactMeanDensity(MixtureParams(d, mu, sigma), n), points
+
+    @pytest.mark.parametrize("d", [1, 8, 64])
+    @pytest.mark.parametrize("n", [200, 100000])
+    def test_points_alone_equal_their_batch(self, d, n):
+        oracle, points = self.cell(d, n)
+        batch = oracle._log_density_batch(points)
+        batch_window = oracle.last_window
+        alone = []
+        for a in points:
+            alone.append(oracle.log_density(a))
+            if np.all(np.isfinite(a)) and a[0] < 1e100:
+                window = oracle.last_window
+        assert batch == alone
+        assert batch[-2] == -math.inf and math.isfinite(batch[-1])
+        assert batch_window == window
+
+    @pytest.mark.parametrize("d", [1, 64])
+    def test_batch_computes_no_more_weights(self, d, monkeypatch):
+        oracle, points = self.cell(d, 100000)
+        spans = []
+
+        def counting(n, k_lo=0, k_hi=None):
+            spans.append(k_hi - k_lo + 1)
+            return _log_binom_weights(n, k_lo, k_hi)
+
+        monkeypatch.setattr(spahd.oracle, "_log_binom_weights", counting)
+        oracle._log_density_batch(points)
+        batch = list(spans)
+        spans.clear()
+        for a in points:
+            oracle.log_density(a)
+        assert sum(batch) <= sum(spans)
+        assert max(batch) <= max(spahd.oracle._SPAN_TERMS, max(spans))
+        if d == 64:
+            # the windows of the d = 64 cell overlap
+            assert sum(batch) < sum(spans) / 2
+
+    @pytest.mark.parametrize("n, k_lo, k_hi", [
+        (1200, 1, 1199), (300, 0, 300), (100000, 49000, 51000),
+    ])
+    def test_weights_do_not_depend_on_their_span(self, n, k_lo, k_hi):
+        # the spans cross z = 15, 35, 80 or 500, where the Stirling series
+        # changes length; each weight takes the terms of its own k and n - k
+        # (at n = 1200 a weight taken with the span's terms differs in its
+        # last bit at k = 502, 595, 599, 601, 605 and 698)
+        span = _log_binom_weights(n, k_lo, k_hi)
+        single = [_log_binom_weights(n, k, k)[0] for k in range(k_lo, k_hi + 1)]
+        assert np.array_equal(span, single)
+        for lo in range(k_lo, k_hi, 97):
+            assert np.array_equal(_log_binom_weights(n, lo, k_hi), span[lo - k_lo:])
 
 
 class TestMcDensity:

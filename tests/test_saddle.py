@@ -18,7 +18,7 @@ from spahd import (
     legendre_gap_report,
     solve_saddle,
 )
-from spahd.saddle import c3_ball, fixed_point_matrix, legendre
+from spahd.saddle import _solve_batch, c3_ball, fixed_point_matrix, legendre
 
 # mpmath 40-digit references, mu = 1, sigma = 1, a = 0.5
 TAU_HALF = 0.25262004315986258556
@@ -155,6 +155,15 @@ class TestSolver:
             with pytest.raises(DimensionError, match="double range"):
                 solve_saddle(mixture(np.ones(8), np.eye(8)), 1e308 * np.ones(8))
 
+    def test_fixed_point_overflow_raises_without_warning(self):
+        # the fixed-point route's first gradient, at tau = a, overflows in a
+        # matmul; only the typed error may come out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="double range"):
+                solve_saddle(mixture(np.ones(8), np.eye(8)), 1e308 * np.ones(8),
+                             method="fixed_point")
+
     def test_whole_float_budget(self):
         m = mixture([1.0], [[1.0]])
         assert solve_saddle(m, np.array([0.5]), max_iter=100.0) == solve_saddle(m, np.array([0.5]))
@@ -177,6 +186,49 @@ class TestSolver:
         assert sp.log_det_h == pytest.approx(
             math.log(m.hessian(sp.tau)[0, 0]), rel=1e-12
         )
+
+
+class TestSolveBatch:
+    """The sweep solves a d's points as one batch; each row is the saddle
+    its point gets alone, bit for bit, or the error it raises alone."""
+
+    @pytest.mark.parametrize("d", [1, 3, 8, 64])
+    @pytest.mark.parametrize("diagonal", [True, False])
+    def test_rows_equal_one_point_solves(self, d, diagonal):
+        rng = np.random.default_rng(d)
+        if diagonal:
+            sigma = np.diag(rng.uniform(0.5, 2.0, d))
+        else:
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            sigma = q @ np.diag(rng.uniform(0.5, 2.0, d)) @ q.T
+        m = mixture(rng.normal(size=d), 0.5 * (sigma + sigma.T))
+        points = rng.normal(size=(6, d)) * [[0.0], [0.1], [0.5], [2.0], [0.1], [1e160]]
+        points[4] = points[1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = _solve_batch(m, points, 1e-12)
+        for a, row in zip(points, batch):
+            try:
+                alone = solve_saddle(m, a)
+            except SpahdError as exc:
+                assert type(row) is type(exc)
+                continue
+            assert row.phi_star == alone.phi_star and row.log_det_h == alone.log_det_h
+            assert np.array_equal(row.tau, alone.tau)
+            assert (row.residual, row.iterations, row.method) == (
+                alone.residual, alone.iterations, alone.method)
+
+    def test_diagonal_sigma_is_solved_by_division(self):
+        # the division a diagonal sigma takes gives the saddle the general
+        # solve gives, to a few ulps (on LAPACK's one-column solve, bit for bit)
+        rng = np.random.default_rng(5)
+        m = mixture(rng.normal(size=8), np.diag(rng.uniform(0.5, 2.0, 8)))
+        general = mixture(m.params.mu, m.params.sigma)
+        general._sigma_diag = None
+        points = 0.3 * rng.normal(size=(4, 8))
+        for x, y in zip(_solve_batch(m, points, 1e-12), _solve_batch(general, points, 1e-12)):
+            assert x.phi_star == pytest.approx(y.phi_star, rel=1e-15, abs=0.0)
+            assert np.allclose(x.tau, y.tau, rtol=1e-15, atol=0.0)
 
 
 class TestFixedPointMatrix:

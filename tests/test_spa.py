@@ -72,6 +72,15 @@ class TestSpaDensity:
             0.5 * d * math.log(n / (2 * math.pi)) - 0.5 * math.log(2.0), rel=1e-14
         )
 
+    def test_log_density_past_double_range_raises(self):
+        # sigma = 100, a = 1e155: phi* = 5e307 is finite, n phi* is not
+        m = GaussianMixture(MixtureParams(1, np.array([3.0]), np.array([[100.0]])))
+        sp = solve_saddle(m, np.array([1e155]))
+        assert math.isfinite(sp.phi_star)
+        with pytest.raises(DimensionError, match="double range"):
+            spa_density(sp, 50)
+        assert math.isfinite(spa_density(sp, 1).log_density)
+
     def test_rejects_bad_n(self):
         sp = solve_saddle(mixture_1d(), np.zeros(1))
         with pytest.raises(DimensionError):
