@@ -232,17 +232,7 @@ def _sweep(spec, finish, clt=False):
         norms = [r if math.isfinite(r) or not np.all(np.isfinite(p)) else _rescaled_norm(p)
                  for p, r in zip(pts, plain)]
         points = np.array(pts).reshape(len(pts), params.d)
-        saddles = [None] * len(pts)
-        finite = np.isfinite(points).all(axis=1)
-        if not clt:
-            # the saddle of each finite point, and the error of each other one
-            saddles = [None if ok else _error_of(check_point, p, params.d, "a")
-                       for p, ok in zip(points, finite)]
-            bad_tol = _error_of(_check_budget, spec.tol, 100)
-            solved = ([bad_tol] * int(finite.sum()) if bad_tol is not None
-                      else _solve_batch(model, points[finite], spec.tol) if finite.any() else [])
-            for i, out in zip(np.flatnonzero(finite), solved):
-                saddles[i] = out
+        saddles = [None] * len(pts) if clt else _saddles(model, points, spec.tol)
         share = (time.perf_counter() - t_d) * 1e3 / len(spec.n_grid)
         for n in spec.n_grid:
             t_cell = time.perf_counter()
@@ -270,6 +260,22 @@ def _sweep(spec, finish, clt=False):
                 cell = [replace(rec, wall_ms=wall) for rec in cell]
             records += cell
     return records
+
+
+def _saddles(model, points, tol):
+    """The saddle of each row of points, solved as one batch, or the package
+    error that row raises (DimensionError for one that is not finite, and
+    for every row when tol is not finite and > 0)."""
+    finite = np.isfinite(points).all(axis=1)
+    out = [None if ok else _error_of(check_point, p, model.dim, "a")
+           for p, ok in zip(points, finite)]
+    bad_tol = _error_of(_check_budget, tol, 100)
+    if bad_tol is not None:
+        return [bad_tol] * len(out)
+    if finite.any():
+        for i, saddle in zip(np.flatnonzero(finite), _solve_batch(model, points[finite], tol)):
+            out[i] = saddle
+    return out
 
 
 def _error_of(fn, *args):
