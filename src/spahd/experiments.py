@@ -46,7 +46,7 @@ from .correction import QuadSpec, correction_integral
 from .errors import ConfigError, FitError, SpahdError
 from .model import GaussianMixture, check_point, load_model_file, parse_kv_lines
 from .oracle import ExactMeanDensity, _check_standardized, _clt_compare
-from .saddle import _check_budget, _solve_batch
+from .saddle import _solve_batch
 from .spa import budget_total, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
@@ -232,7 +232,7 @@ def _sweep(spec, finish, clt=False):
         norms = [r if math.isfinite(r) or not np.all(np.isfinite(p)) else _rescaled_norm(p)
                  for p, r in zip(pts, plain)]
         points = np.array(pts).reshape(len(pts), params.d)
-        saddles = [None] * len(pts) if clt else _saddles(model, points, spec.tol)
+        saddles = [None] * len(pts) if clt else _solve_batch(model, points, spec.tol)
         share = (time.perf_counter() - t_d) * 1e3 / len(spec.n_grid)
         for n in spec.n_grid:
             t_cell = time.perf_counter()
@@ -260,22 +260,6 @@ def _sweep(spec, finish, clt=False):
                 cell = [replace(rec, wall_ms=wall) for rec in cell]
             records += cell
     return records
-
-
-def _saddles(model, points, tol):
-    """The saddle of each row of points, solved as one batch, or the package
-    error that row raises (DimensionError for one that is not finite, and
-    for every row when tol is not finite and > 0)."""
-    finite = np.isfinite(points).all(axis=1)
-    out = [None if ok else _error_of(check_point, p, model.dim, "a")
-           for p, ok in zip(points, finite)]
-    bad_tol = _error_of(_check_budget, tol, 100)
-    if bad_tol is not None:
-        return [bad_tol] * len(out)
-    if finite.any():
-        for i, saddle in zip(np.flatnonzero(finite), _solve_batch(model, points[finite], tol)):
-            out[i] = saddle
-    return out
 
 
 def _error_of(fn, *args):

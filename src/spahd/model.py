@@ -403,7 +403,8 @@ def require_mixture(model, what):
 # only its first-order terms keep it open), and evaluated again; an element
 # whose bound is still _SUP_FAR times lo or more, next to a zero of cosh, is
 # cut along those sides at _SUP_GRADED instead, into pieces that shrink
-# towards its ends by 2^-_SUP_FAR_CUTS.  The search stops when every element
+# towards its ends by 2^-_SUP_FAR_CUTS, as long as the work limit has room
+# for the pieces (halving alone takes about 30 rounds there).  The search stops when every element
 # is settled or dropped, or before it would pass _SUP_WORK element
 # evaluations (about 0.1 s).  hi, the largest bound of an element not
 # dropped, is an upper bound of the supremum, and when the search closes
@@ -528,11 +529,13 @@ def _certified_sup(g, a_max, t_radius):
         over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
                 & ((a1 > a0) | (u1 > u0)))
         live = over[0] | over[1]
-        # an element _SUP_FAR times lo or more has many halvings ahead
-        far = np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
-        if (not live.any()
-                or work + 4 * live.sum() + 4 * (_SUP_FAR_CUTS**2 - 1) * far.sum() > _SUP_WORK):
+        if not live.any() or work + 4 * live.sum() > _SUP_WORK:
             break
+        # an element at the corner alpha = 0, u = 1, the point nearest a zero
+        # of cosh, whose bound is _SUP_FAR times lo or more has many halvings
+        # ahead
+        far = (np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
+               & (a0 == 0.0) & (u1 == 1.0))
         hi = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
         # halve each open element along the sides whose second-order term,
         # for a kernel it is open for, exceeds a quarter of that kernel's
@@ -548,6 +551,11 @@ def _certified_sup(g, a_max, t_radius):
         both = ~(cut_a | cut_u)
         cut_a |= both & (a1 > a0)
         cut_u |= both & (u1 > u0)
+        # graded cuts, in order, while the pieces they add beyond the 4 the
+        # work check counted for each element keep within _SUP_WORK
+        pieces = (np.where(cut_a, _SUP_GRADED.size + 1, 1)
+                  * np.where(cut_u, _SUP_GRADED.size + 1, 1) - 4)
+        far &= np.cumsum(np.where(far, pieces, 0)) <= _SUP_WORK - work - 4 * over.shape[1]
         if far.any():
             a0, a1, u0, u1 = (np.concatenate(x) for x in zip(
                 _halve(*(x[~far] for x in (a0, a1, u0, u1, cut_a, cut_u))),

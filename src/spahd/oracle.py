@@ -83,14 +83,6 @@ def _stirlerr(z, z_min):
 
 
 @functools.lru_cache(maxsize=32)
-def _loader_head(n):
-    """stirlerr(n) - log(2 pi / n) / 2, the k-free part of Loader's form."""
-    terms = next((t for t, above in reversed(_STIRLING_CUTS) if n <= above), 2)
-    zi = 1.0 / n
-    return _stirling_series(zi, zi * zi, terms) - 0.5 * (_LOG_2PI - math.log(n))
-
-
-@functools.lru_cache(maxsize=32)
 def _exact_log_binom(n):
     """log C(n, k) - n log 2 for every k, from exact integer binomials
     (a running c = c (n - k) // (k + 1)), free of cancellation; read-only."""
@@ -126,8 +118,10 @@ def _log_binom_weights(n, k_lo=0, k_hi=None):
     nu = np.abs(k - rest)
     # atanh|u| = log1p(nu / min(k, n - k)) / 2 and -log(1 - u^2) = log1p(nu^2 / (4 k (n - k)))
     two_dev = nu * np.log1p(nu / np.minimum(k, rest)) - n * np.log1p(0.25 * nu * nu / prod)
-    both = _stirlerr(np.concatenate((k, rest)), min(lo, n - hi))
-    w = _loader_head(n) - both[:len(k)] - both[len(k):] - 0.5 * (two_dev + np.log(prod))
+    # stirlerr of k, of n - k and of n
+    errs = _stirlerr(np.concatenate((k, rest, [n])), min(lo, n - hi))
+    head = errs[-1] - 0.5 * (_LOG_2PI - math.log(n))
+    w = head - errs[:len(k)] - errs[len(k):-1] - 0.5 * (two_dev + np.log(prod))
     if k_lo > 0 and k_hi < n:
         return w
     # C(n, 0) = C(n, n) = 1

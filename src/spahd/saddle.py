@@ -31,8 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NonconvergenceError, SpahdError, StandardizationError
-from .model import (GaussianMixture, check_point, is_count, logcosh, require_mixture,
-                    _sech_float)
+from .model import GaussianMixture, check_point, is_count, require_mixture, _sech_float
 
 _EPS = 2.0**-52
 
@@ -66,12 +65,12 @@ def solve_saddle(model: GaussianMixture, a, tol: float = 1e-12, max_iter: int = 
     """
     require_mixture(model, "solve_saddle")
     a = check_point(a, model.dim, "a")
-    _check_budget(tol, max_iter)
     if method in ("newton", "auto"):
         out = _solve_batch(model, a[None, :], tol, max_iter)[0]
         if isinstance(out, SpahdError):
             raise out
         return out
+    _check_budget(tol, max_iter)
     if method == "fixed_point":
         tau, res, it = _fixed_point(model, a, tol, max_iter)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -89,16 +88,20 @@ def _check_budget(tol, max_iter):
 
 
 def _solve_batch(model, points, tol, max_iter=100):
-    """The 'newton' route at every row of points (k, d), all finite: each
-    row's SaddlePoint, or the SpahdError it raises (DimensionError where
-    phi* leaves the double range, NonconvergenceError).  One stacked solve
-    gives sigma^-1 a for every row, each as its own single-right-hand-side
-    system, so that a row's bits do not depend on the other rows; the scalar
-    Newton, the residual and phi* then run per row in math floats and
-    one-row products, and a row that misses tol goes to the damped Newton
-    alone.  A diagonal sigma is solved by division, which is what that
-    solve computes there, bit for bit.  tol and max_iter are taken as
-    valid."""
+    """The 'newton' route at every row of points (k, d): each row's
+    SaddlePoint, or the SpahdError it raises (DimensionError for a row that
+    is not finite or where phi* leaves the double range, and for every row
+    when tol or max_iter is not valid; NonconvergenceError).  One stacked
+    solve gives sigma^-1 a for every row, each as its own
+    single-right-hand-side system, so that a row's bits do not depend on the
+    other rows; the scalar Newton, the residual and phi* then run per row in
+    math floats and one-row products, and a row that misses tol goes to the
+    damped Newton alone.  A diagonal sigma is solved by the division
+    a_i / sigma_ii, which equals that solve to within an ulp."""
+    try:
+        _check_budget(tol, max_iter)
+    except DimensionError as exc:
+        return [exc] * len(points)
     w = model._w
     # overflow is told by the values it leaves, without a NumPy warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -106,10 +109,13 @@ def _solve_batch(model, points, tol, max_iter=100):
             solved = points / model._sigma_diag
         else:
             solved = np.linalg.solve(model.params.sigma, points[:, :, None])[:, :, 0]
+        finite = np.isfinite(points).all(axis=1)
         inside = np.isfinite(solved).all(axis=1)
         out = []
-        for a, b, ok in zip(points, solved, inside):
+        for a, b, real, ok in zip(points, solved, finite, inside):
             try:
+                if not real:
+                    check_point(a, model.dim, "a")
                 c = float(w @ a)
                 if not (ok and math.isfinite(c)):
                     raise DimensionError(_past_range(a))
@@ -129,13 +135,11 @@ def _saddle_point(model, a, tau, res, it, method):
     """The SaddlePoint at a solved tau; DimensionError when phi*(a) leaves
     the double range.  Callers quiet NumPy's overflow warnings: <tau, a>
     and cgf(tau) overflow to inf - inf past the double range."""
-    alpha = float(model.params.mu @ tau)
-    phi_star = float(tau @ a) - (0.5 * float(tau @ (model.params.sigma @ tau))
-                                 + float(logcosh(alpha)))
+    phi_star = float(tau @ a) - model.cgf_real(tau)
     if not math.isfinite(phi_star):
         raise DimensionError(_past_range(a))
     # det(sigma + sech^2(alpha) mu mu') = det(sigma) (1 + sech^2(alpha) g)
-    s = _sech_float(alpha)
+    s = _sech_float(float(model.params.mu @ tau))
     log_det_h = model._log_det_sigma + math.log1p(s * s * model._g)
     return SaddlePoint(a=a, tau=tau, phi_star=phi_star, log_det_h=log_det_h,
                        residual=res, iterations=it, method=method)

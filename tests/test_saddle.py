@@ -219,16 +219,29 @@ class TestSolveBatch:
                 alone.residual, alone.iterations, alone.method)
 
     def test_diagonal_sigma_is_solved_by_division(self):
-        # the division a diagonal sigma takes gives the saddle the general
-        # solve gives, to a few ulps (on LAPACK's one-column solve, bit for bit)
+        # the quotients a_i / sigma_ii are LAPACK's solve of the diagonal
+        # system to within an ulp, and the saddles are those the general
+        # solve gives, to a few ulps
         rng = np.random.default_rng(5)
         m = mixture(rng.normal(size=8), np.diag(rng.uniform(0.5, 2.0, 8)))
+        points = 0.3 * rng.normal(size=(4, 8))
+        for a in points:
+            np.testing.assert_array_max_ulp(a / m._sigma_diag, np.linalg.solve(m.params.sigma, a),
+                                            maxulp=1)
         general = mixture(m.params.mu, m.params.sigma)
         general._sigma_diag = None
-        points = 0.3 * rng.normal(size=(4, 8))
         for x, y in zip(_solve_batch(m, points, 1e-12), _solve_batch(general, points, 1e-12)):
             assert x.phi_star == pytest.approx(y.phi_star, rel=1e-15, abs=0.0)
             assert np.allclose(x.tau, y.tau, rtol=1e-15, atol=0.0)
+
+    def test_non_finite_rows_and_invalid_budgets_fail_in_the_batch(self):
+        m = mixture([1.0, 0.5], np.eye(2))
+        points = np.array([[0.1, 0.2], [math.nan, 0.0], [0.3, -math.inf]])
+        rows = _solve_batch(m, points, 1e-12)
+        assert rows[0].phi_star == solve_saddle(m, points[0]).phi_star
+        assert [type(r) for r in rows[1:]] == [DimensionError] * 2
+        for tol, max_iter in ((0.0, 100), (math.inf, 100), (1e-12, 0)):
+            assert [type(r) for r in _solve_batch(m, points, tol, max_iter)] == [DimensionError] * 3
 
 
 class TestFixedPointMatrix:
