@@ -13,7 +13,7 @@ cancels against <S t, a>, and
             - i tanh(alpha) beta,    beta = <v2, t>,
 
 so g sees the model only through alpha and ||v2|| (whitened_mu_norm);
-g_function evaluates this same reduced form.
+g_function, the quadrature and the audits all evaluate it by model._exponent.
 Orthogonal to v2 the integrand is an exact standard Gaussian at scale
 1/sqrt(n) and integrates to one, which leaves a 1-d integral along v2 at
 any d, on panels of width 1/sqrt(n).  The panels reach until the Gaussian
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolationError, ConfigError, DimensionError, QuadratureError
-from .model import GaussianMixture, check_point, cosh_factor, is_count, require_mixture, sech
+from .model import GaussianMixture, _exponent, check_point, is_count, require_mixture, sech
 from .saddle import SaddlePoint
 from .spa import check_sample_size, tail_bound_terms
 
@@ -129,20 +129,6 @@ def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
     w[0] *= 0.5
     w[-1] *= 0.5
     return x, w
-
-
-def _exponent(alpha, r, beta):
-    """(log |e^{-g}|, arg e^{-g}, x2) at whitened ||t|| = r and <v2, t> = beta.
-
-    log |e^{-g}| = -r^2/2 + sech^2(alpha) beta^2/2 + log1p(-x2)/2, even in
-    beta and -inf at a zero of cosh (x2 = 1); the phase Arg cosh(alpha + i beta)
-    - tanh(alpha) beta is odd in beta.  r and beta broadcast.
-    """
-    x2, arg = cosh_factor(alpha, beta)
-    with np.errstate(divide="ignore"):
-        log_mag = 0.5 * (float(sech(alpha)) ** 2 * beta * beta - r * r
-                         + np.log1p(-np.minimum(x2, 1.0)))
-    return log_mag, arg - math.tanh(alpha) * beta, x2
 
 
 def _ball_phase_check(alpha, v2_norm, r0):

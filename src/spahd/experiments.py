@@ -82,6 +82,9 @@ class ExperimentSpec:
             raise ConfigError("n_grid entries must be >= 1")
         if not self.a_shells and not self.a_points:
             raise ConfigError("need at least one of a_shells, a_points")
+        for name in ("kappa", "tol"):
+            if not (0 < getattr(self, name) < math.inf):
+                raise ConfigError(f"{name} must be finite and > 0, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -208,8 +211,9 @@ def _sweep(spec, finish, clt=False):
     at any step of a row becomes that row's status.
 
     bound, passed to finish and reported by failed rows, gives the budget
-    total over the sweep's ball: max ||a||, or max ||x|| / sqrt(n) for clt
-    rows.  It is computed once per (d, n), and only when a row asks for it.
+    total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for clt
+    rows, over the rows that pass their first step.  It is computed once per
+    (d, n), and only when a row asks for it.
     With timing on, a row's wall_ms is its cell's wall time, including the
     cell's share of its d's set-up and saddle batch, divided evenly among
     the cell's rows.
@@ -221,29 +225,25 @@ def _sweep(spec, finish, clt=False):
         params = load_model_file(spec.model_path, d_override=d)
         model = GaussianMixture(params)
         pts = _query_points(spec, params.d)
-        # a non-finite point fails its own row; the budget covers the rest.
         # np.linalg.norm squares first, so it reads inf past about 1.34e154;
-        # such a point stays out of the budget's ball (with sigma near 1 its
-        # phi* leaves the double range and its row fails), and its a_norm is
-        # taken from the point rescaled by max |a_i|
+        # a finite point's norm is then taken from it rescaled by max |a_i|
         with np.errstate(over="ignore"):
-            plain = [float(np.linalg.norm(p)) for p in pts]
-        max_norm = max((r for r in plain if math.isfinite(r)), default=0.0)
-        norms = [r if math.isfinite(r) or not np.all(np.isfinite(p)) else _rescaled_norm(p)
-                 for p, r in zip(pts, plain)]
+            norms = [float(np.linalg.norm(p)) for p in pts]
+        norms = [_rescaled_norm(p) if r == math.inf and np.all(np.isfinite(p)) else r
+                 for p, r in zip(pts, norms)]
         points = np.array(pts).reshape(len(pts), params.d)
         saddles = [None] * len(pts) if clt else _solve_batch(model, points, spec.tol)
         share = (time.perf_counter() - t_d) * 1e3 / len(spec.n_grid)
         for n in spec.n_grid:
             t_cell = time.perf_counter()
-            radius = max_norm / math.sqrt(n) if clt else max_norm
-            bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             eps = params.d**2 / n
             oracle = ExactMeanDensity(params, n)
             queries = points / math.sqrt(n) if clt else points
             starts = [_error_of(_begin, params, n, q, s, clt)
                       for q, s in zip(queries, saddles)]
             alive = [i for i, st in enumerate(starts) if not isinstance(st, SpahdError)]
+            radius = max((norms[i] for i in alive), default=0.0) / (math.sqrt(n) if clt else 1.0)
+            bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             logs = dict(zip(alive, oracle._log_density_batch(queries[alive]) if alive else ()))
             cell = []
             for i, (a, a_norm, st) in enumerate(zip(points, norms, starts)):

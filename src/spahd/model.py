@@ -14,13 +14,13 @@ ingredient is log cosh, evaluated through shifted forms that stay finite for
 arguments far beyond the overflow point of cosh itself.
 
 Past sigma, the mixture sees a complex point only through alpha = <mu, tau>
-and beta = <mu, t>, and every layer works on those two scalars:
+and beta = <mu, t>, and the functions of those two scalars live here, once:
 cosh_factor gives the magnitude and phase of cosh(alpha + i beta) / cosh(alpha),
-which the contour quadrature, g_function and the assumption audits use
-through correction._exponent; the derivative kernels are real parts of
-polynomials in sech^2 and tanh of alpha + i beta.  cgf_complex and
-log_ratio add the quadratic and linear terms in sigma to the same cosh
-factor; cgf_complex rejects (PhaseBranchError) a total argument outside
+_exponent the whitened exponent built on it, which the contour quadrature,
+g_function and the assumption audits evaluate, and the derivative kernels
+are real parts of polynomials in sech^2 and tanh of alpha + i beta
+(_sech2_tanh).  cgf_complex adds the quadratic and linear terms in sigma to
+the cosh factor; it rejects (PhaseBranchError) a total argument outside
 (-pi, pi) or a zero of cosh, where the complex log stops being
 single-valued.
 """
@@ -112,6 +112,21 @@ def cosh_factor(alpha: float, beta):
     """
     sb = np.sin(beta)
     return np.square(sb * sech(alpha)), np.arctan2(math.tanh(alpha) * sb, np.cos(beta))
+
+
+def _exponent(alpha, r, beta):
+    """(log |e^{-g}|, arg e^{-g}, x2) at whitened ||t|| = r and <v2, t> = beta,
+    for the exponent g of the correction integral (see correction.py).
+
+    log |e^{-g}| = -r^2/2 + sech^2(alpha) beta^2/2 + log1p(-x2)/2, even in
+    beta and -inf at a zero of cosh (x2 = 1); the phase Arg cosh(alpha + i beta)
+    - tanh(alpha) beta is odd in beta.  r and beta broadcast.
+    """
+    x2, arg = cosh_factor(alpha, beta)
+    with np.errstate(divide="ignore"):
+        log_mag = 0.5 * (float(sech(alpha)) ** 2 * beta * beta - r * r
+                         + np.log1p(-np.minimum(x2, 1.0)))
+    return log_mag, arg - math.tanh(alpha) * beta, x2
 
 
 class ComplexCgfValue(NamedTuple):
@@ -218,48 +233,27 @@ class GaussianMixture:
         tau = self._check_vec(tau, "tau")
         return 0.5 * float(tau @ (self._sigma @ tau)) + float(logcosh(self._mu @ tau))
 
-    def log_ratio(self, tau, s):
-        """(log |r|, arg r) of r = mgf(tau + i s) / mgf(tau) for each row of s.
-
-        r = exp(-s' sigma s / 2 + i <s, sigma tau>) cosh(alpha + i beta) / cosh(alpha)
-        with alpha = <mu, tau> and beta = <mu, s>.  The log-magnitude is -inf
-        at a zero of cosh; the phase is <s, sigma tau> plus the principal
-        argument of the cosh factor, with no branch check.
-        """
-        tau = self._check_vec(tau, "tau")
-        s = np.asarray(s, dtype=float)
-        if s.ndim != 2 or s.shape[1] != self.params.d:
-            raise DimensionError(f"s has shape {s.shape}, expected (k, {self.params.d})")
-        x2, arg = cosh_factor(float(self._mu @ tau), s @ self._mu)
-        s_sigma = s @ self._sigma
-        with np.errstate(divide="ignore"):
-            log_mag = (-0.5 * np.einsum("ij,ij->i", s_sigma, s)
-                       + 0.5 * np.log1p(-np.minimum(x2, 1.0)))
-        return log_mag, s_sigma @ tau + arg
-
-    def _ratio_row(self, tau, t):
-        log_mag, phase = self.log_ratio(tau, self._check_vec(t, "t")[None, :])
-        return float(log_mag[0]), float(phase[0])
-
     def cgf_complex(self, tau, t):
         """cgf at tau + i t as (log-magnitude, argument).
 
-        The argument is <tau, sigma t> plus the principal argument of
-        cosh(alpha + i beta); evaluation is rejected when that total leaves
+        cgf(tau) plus the log of cosh_factor's ratio, -t' sigma t / 2 and
+        i <tau, sigma t>; evaluation is rejected when the argument leaves
         (-pi, pi) or the point is a zero of cosh.
         """
-        log_mag, im = self._ratio_row(tau, t)
-        if log_mag == -math.inf:
+        tau = self._check_vec(tau, "tau")
+        t = self._check_vec(t, "t")
+        alpha, beta = float(self._mu @ tau), float(self._mu @ t)
+        x2, arg = cosh_factor(alpha, beta)
+        if x2 >= 1.0:
             raise PhaseBranchError(
-                f"zero of cosh at alpha={float(self._mu @ tau):.6g}, "
-                f"beta={float(self._mu @ t):.6g}; log branch undefined"
-            )
+                f"zero of cosh at alpha={alpha:.6g}, beta={beta:.6g}; log branch undefined")
+        t_sigma = self._sigma @ t
+        im = float(tau @ t_sigma) + float(arg)
         if abs(im) >= math.pi:
             raise PhaseBranchError(
-                f"argument {im:.6g} outside the principal branch at "
-                f"beta={float(self._mu @ t):.6g}"
-            )
-        return ComplexCgfValue(self.cgf_real(tau) + log_mag, im)
+                f"argument {im:.6g} outside the principal branch at beta={beta:.6g}")
+        return ComplexCgfValue(self.cgf_real(tau) - 0.5 * float(t @ t_sigma)
+                               + 0.5 * math.log1p(-x2), im)
 
     def grad(self, tau):
         tau = self._check_vec(tau, "tau")
@@ -269,14 +263,6 @@ class GaussianMixture:
         tau = self._check_vec(tau, "tau")
         s = float(sech(self._mu @ tau))
         return self._sigma + (s * s) * np.outer(self._mu, self._mu)
-
-    def log_ratio_magnitude(self, tau, t):
-        """log |mgf(tau + i t) / mgf(tau)|; -inf at a zero of cosh."""
-        return self._ratio_row(tau, t)[0]
-
-    def phase_arg(self, tau, t):
-        """Smooth phase of mgf(tau + i t): <tau, sigma t> + Arg cosh(alpha + i beta)."""
-        return self._ratio_row(tau, t)[1]
 
     def whitened_mu_norm(self, alpha):
         """||H(alpha)^{-1/2} mu|| = sqrt(g / (1 + sech^2(alpha) g)) by rank-one
@@ -701,10 +687,7 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
     pole = (cos[:n] * cos[n:] <= 0.0) | (b1 - b0 >= math.pi)
     cos *= cos
     cos2 = np.where(pole, 0.0, np.minimum(cos[:n], cos[n:]))
-    z = np.exp(-2.0 * (ac + 1j * bc))
-    zp = 1.0 + z
-    s = 4.0 * z / (zp * zp)
-    t = (1.0 - z) / zp
+    s, t = _sech2_tanh(ac, bc)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         sup_s = q0 / (1.0 - q0 + q0 * cos2)
         rho = np.hypot(ha, np.maximum(bc - b0, b1 - bc))

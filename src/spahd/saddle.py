@@ -179,6 +179,9 @@ def _scalar_newton(model, a, b, c, tol, max_iter):
     res = math.sqrt(float(r @ r))
     if res <= tol:
         return tau, res, it
+    # past the double range of phi* the residual cannot meet tol either
+    if not math.isfinite(float(tau @ a) - model.cgf_real(tau)):
+        raise DimensionError(_past_range(a))
     # Rounding in b, w and the residual itself can leave an ill-conditioned
     # sigma above tol; Newton steps from this tau then wander at that floor,
     # so the d-dimensional search restarts from tau = a instead.

@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import spahd.correction
+import spahd.model
 from spahd import (
     AssumptionViolationError,
     ConfigError,
     DimensionError,
     GaussianMixture,
     MixtureParams,
+    PhaseBranchError,
     QuadratureError,
     QuadSpec,
     check_assumptions,
@@ -272,8 +273,9 @@ class TestGFunction:
 
     def test_reduced_exponent_matches_whitened_form(self):
         # g(t) from alpha, ||t|| and beta = <v2, t> alone equals the
-        # d-dimensional form: s = H^{-1/2} t and the full mgf ratio,
-        # -g(t) = log(mgf(tau + i s) / mgf(tau)) - i <s, a>
+        # d-dimensional form: s = H^{-1/2} t and the full complex cgf,
+        # -g(t) = cgf(tau + i s) - cgf(tau) - i <s, a>, wherever cgf_complex
+        # stays on its principal branch
         sigma = np.array([[1.1, 0.25, 0.0], [0.25, 0.8, -0.1], [0.0, -0.1, 0.9]])
         m = mixture([0.7, -0.2, 0.4], sigma)
         sp = solve_saddle(m, np.array([0.3, 0.1, -0.2]))
@@ -283,13 +285,19 @@ class TestGFunction:
         v2 = s_mat @ m.params.mu
         assert float(m.whitened_mu_norm(alpha)) == pytest.approx(np.linalg.norm(v2), rel=1e-14)
         rng = np.random.default_rng(21)
+        checked = 0
         for _ in range(20):
             t = rng.normal(size=3) * rng.uniform(0.1, 3.0)
             s = s_mat @ t
-            log_mag, phase = m.log_ratio(sp.tau, s[None, :])
+            try:
+                full = m.cgf_complex(sp.tau, s)
+            except PhaseBranchError:
+                continue
+            checked += 1
             g = g_function(m, sp, t)
-            assert -g.real == pytest.approx(float(log_mag[0]), rel=1e-12, abs=1e-13)
-            assert -g.imag == pytest.approx(float(phase[0]) - float(s @ sp.a), rel=1e-12, abs=1e-13)
+            assert -g.real == pytest.approx(full.re - m.cgf_real(sp.tau), rel=1e-12, abs=1e-13)
+            assert -g.imag == pytest.approx(full.im - float(s @ sp.a), rel=1e-12, abs=1e-13)
+        assert checked >= 15
 
 
 class TestFailureModes:
@@ -320,7 +328,7 @@ class TestFailureModes:
             x2, arg = cosh_factor(alpha, beta)
             return x2, arg + 0.05 * np.sin(2000.0 * beta)
 
-        monkeypatch.setattr(spahd.correction, "cosh_factor", rippled)
+        monkeypatch.setattr(spahd.model, "cosh_factor", rippled)
         with pytest.raises(QuadratureError):
             quad_i(mixture([1.0], [[1.0]]), [0.0], 100)
 

@@ -159,6 +159,18 @@ class TestErrorScaling:
                                               a_points=((0.1,), (1e160,))))
         assert [(r.a_norm, r.status) for r in records] == [(0.1, "ok"), (1e160, "DimensionError")]
 
+    def test_budget_ball_covers_ok_rows_past_squared_range(self, tmp_path):
+        # mu = 100, sigma = 1e4: a = 1e155 solves (phi* = 5e305) and its row
+        # is ok, so the budget's ball reaches it although ||a||^2 overflows
+        path = tmp_path / "wide.txt"
+        path.write_text("d = 1\nmu = 100\nsigma = 1e4\n")
+        records, _ = run_experiment(make_spec(str(path), n_grid=(50,),
+                                              a_points=((1e-4,), (1e155,))))
+        assert [r.status for r in records] == ["ok", "ok"]
+        model = GaussianMixture(load_model_file(str(path)))
+        assert [r.bound_total for r in records] == [budget_total(model, 50, 1e155)] * 2
+        assert budget_total(model, 50, 1e155) != budget_total(model, 50, 1e-4)
+
     def test_overflowed_densities_give_finite_rows(self, tmp_path):
         # d = 150, n = 1e5, a = 0: both densities are about e^725
         path = tmp_path / "scalable.txt"
@@ -452,6 +464,14 @@ class TestSpecFiles:
             make_spec(model_file, n_grid=(0,))
         with pytest.raises(ConfigError):
             make_spec(model_file, a_points=(), a_shells=())
+
+    @pytest.mark.parametrize("field", ["kappa", "tol"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_kappa_and_tol_must_be_finite_and_positive(self, model_file, field, value):
+        # a bad value used to abort the whole sweep (kappa) or fail every row
+        # (tol); the spec refuses it
+        with pytest.raises(ConfigError, match=field):
+            make_spec(model_file, **{field: value})
 
     def test_timing_column(self, model_file, tmp_path):
         records, _ = run_experiment(make_spec(model_file, timing=True))

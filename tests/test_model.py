@@ -4,6 +4,7 @@ Reference values were produced with mpmath at 40 digits and are inlined as
 literals; the kernel and certified-supremum checks run mpmath themselves.
 """
 
+import cmath
 import math
 import time
 
@@ -25,8 +26,10 @@ from spahd import (
 )
 from spahd import model as model_module
 from spahd.model import (
+    _exponent,
     c3_kernel,
     c4_kernel,
+    cosh_factor,
     logcosh,
     params_from_mapping,
     parse_kv_lines,
@@ -225,35 +228,42 @@ class TestCgfValues:
 
     @pytest.mark.parametrize("d", [1, 3, 64])
     def test_log_ratio_rows_match_one_row_methods(self, d):
+        # log(mgf(tau + i s) / mgf(tau)) for many rows at once, from one
+        # cosh_factor call on the array of beta = <mu, s>, equals cgf_complex
+        # one row at a time
         rng = np.random.default_rng(40 + d)
         q = np.linalg.qr(rng.normal(size=(d, d)))[0]
         sigma = q @ np.diag(rng.uniform(0.6, 1.4, d)) @ q.T
         mu = rng.normal(size=d)
         m = GaussianMixture(MixtureParams(d, 0.9 * mu / np.linalg.norm(mu), sigma))
+        sigma, mu = m.params.sigma, m.params.mu
         tau = 0.3 * rng.normal(size=d) / math.sqrt(d)
         s = 0.4 * rng.normal(size=(25, d)) / math.sqrt(d)
-        log_mag, phase = m.log_ratio(tau, s)
-        assert log_mag.shape == phase.shape == (25,)
+        x2, arg = cosh_factor(float(mu @ tau), s @ mu)
+        assert x2.shape == arg.shape == (25,)
+        log_mag = -0.5 * np.einsum("ij,jk,ik->i", s, sigma, s) + 0.5 * np.log1p(-x2)
+        phase = s @ sigma @ tau + arg
         for row, lm, ph in zip(s, log_mag, phase):
-            assert lm == pytest.approx(m.log_ratio_magnitude(tau, row), rel=1e-13, abs=1e-13)
-            assert ph == pytest.approx(m.phase_arg(tau, row), rel=1e-13, abs=1e-13)
             v = m.cgf_complex(tau, row)
             assert v.re - m.cgf_real(tau) == pytest.approx(lm, rel=1e-13, abs=1e-13)
             assert v.im == pytest.approx(ph, rel=1e-13, abs=1e-13)
 
-    def test_log_ratio_rejects_bad_shape(self):
+    def test_cgf_complex_rejects_bad_shape(self):
         m = mixture_1d()
         with pytest.raises(DimensionError):
-            m.log_ratio(np.zeros(1), np.zeros(1))
+            m.cgf_complex(np.zeros(1), np.zeros(2))
         with pytest.raises(DimensionError):
-            m.log_ratio(np.zeros(1), np.zeros((3, 2)))
+            m.cgf_complex(np.zeros(1), np.zeros((3, 2)))
+        with pytest.raises(DimensionError):
+            m.cgf_complex(np.zeros(2), np.zeros(1))
 
     def test_ratio_magnitude_consistency(self):
+        # log |mgf(tau + i t) / mgf(tau)| = -t^2 / 2 + log |cosh(tau + i t) / cosh(tau)|
+        # at mu = 1, sigma = 1, in complex arithmetic
         m = mixture_1d()
-        tau = np.array([0.7])
-        t = np.array([0.4])
-        direct = m.log_ratio_magnitude(tau, t)
-        via_cgf = m.cgf_complex(tau, t).re - m.cgf_real(tau)
+        tau, t = 0.7, 0.4
+        direct = -0.5 * t * t + math.log(abs(cmath.cosh(complex(tau, t)) / math.cosh(tau)))
+        via_cgf = m.cgf_complex(np.array([tau]), np.array([t])).re - m.cgf_real(np.array([tau]))
         assert direct == pytest.approx(via_cgf, abs=1e-14)
 
 
@@ -271,19 +281,19 @@ class TestBranchHandling:
             m.cgf_complex(np.zeros(1), np.array([2.0]))
 
     def test_log_magnitude_survives_zero(self):
-        # magnitude of a vanishing ratio is -inf, not an error
-        m = mixture_1d()
-        v = m.log_ratio_magnitude(np.zeros(1), np.array([math.pi / 2]))
-        assert v == -math.inf
-        log_mag, phase = m.log_ratio(np.zeros(1), np.array([[math.pi / 2], [0.1]]))
+        # the whitened exponent's magnitude at a zero of cosh (alpha = 0,
+        # beta = pi/2) is -inf, not an error, and its neighbours are finite
+        log_mag, phase, x2 = _exponent(0.0, 0.5, np.array([math.pi / 2, 0.1]))
         assert log_mag[0] == -math.inf and math.isfinite(log_mag[1])
+        assert x2[0] >= 1.0 > x2[1]
         assert np.all(np.isfinite(phase))
 
     def test_phase_arg_near_zero_of_cosh(self):
-        # one ulp from the zero the phase is still finite
-        m = mixture_1d()
-        t = math.pi / 2 * (1 - 1e-9)
-        assert math.isfinite(m.phase_arg(np.zeros(1), np.array([t])))
+        # next to the zero, down to one ulp below pi/2, the phase is finite
+        beta = np.array([math.pi / 2 * (1 - 1e-9), math.nextafter(math.pi / 2, 0.0)])
+        for alpha in (0.0, 1e-12, 0.3):
+            assert np.all(np.isfinite(_exponent(alpha, 0.0, beta)[1]))
+            assert np.all(np.isfinite(cosh_factor(alpha, beta)[1]))
 
 
 class TestDerivedQuantities:

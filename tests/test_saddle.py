@@ -1,6 +1,7 @@
 """Saddle equation solver and Legendre transform."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -207,6 +208,8 @@ class TestSolveBatch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             batch = _solve_batch(m, points, 1e-12)
+        # phi* leaves the double range at the 1e160-scaled point, whatever sigma
+        assert isinstance(batch[5], DimensionError)
         for a, row in zip(points, batch):
             try:
                 alone = solve_saddle(m, a)
@@ -352,3 +355,49 @@ def test_scalar_route_matches_fixed_point(d, seed, log_kappa, mu_norm, a_scale):
     assert np.max(np.abs(sp.tau - fixed.tau)) <= 1e-10 * max(1.0, float(np.linalg.norm(sp.tau)))
     h = m.hessian(sp.tau)
     assert sp.log_det_h == pytest.approx(np.linalg.slogdet(h)[1], rel=1e-12, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_kappa=st.floats(0.0, 6.0),
+    log_sigma=st.floats(-2.0, 2.0),
+    mu_norm=st.floats(0.0, 3.0),
+    a_scale=st.one_of(st.sampled_from([0.0, 5e-324, 2.5e-310, 1e-300]),
+                      st.floats(-300.0, 300.0).map(lambda e: 10.0**e)),
+    zeros=st.integers(0, 8),
+)
+def test_solve_saddle_returns_finite_or_raises_typed(d, seed, log_kappa, log_sigma, mu_norm,
+                                                     a_scale, zeros):
+    # sigma eigenvalue ratios up to 1e6, points from zero and subnormal up to
+    # 1e300 with some entries zero: a finite tau and phi*, or a SpahdError;
+    # past the double range of phi*, a DimensionError
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma = q @ np.diag(10.0**log_sigma * np.geomspace(1.0, 10.0**-log_kappa, d)) @ q.T
+    mu = rng.normal(size=d)
+    m = mixture(mu * (mu_norm / np.linalg.norm(mu)), 0.5 * (sigma + sigma.T))
+    direction = rng.normal(size=d)
+    direction[:min(zeros, d - 1)] = 0.0
+    a = a_scale * direction
+    # phi* lies in [p/2 - sqrt(p g), p/2] with p = a' sigma^-1 a, since logcosh
+    # is between 0 and |<mu, tau>|; p is taken from a / max |a_i| in logs
+    top = float(np.max(np.abs(a)))
+    past_range = False
+    if top > 1e150:
+        unit = a / top
+        log_half_p = math.log(0.5 * float(unit @ np.linalg.solve(m.params.sigma, unit)))
+        log_half_p += 2.0 * math.log(top)
+        slack = math.sqrt(2.0 * m._g) * math.exp(-0.5 * log_half_p)
+        past_range = slack < 1.0 and log_half_p + math.log1p(-slack) > math.log(sys.float_info.max)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            sp = solve_saddle(m, a)
+        except SpahdError as exc:
+            if past_range:
+                assert isinstance(exc, DimensionError)
+            return
+    assert not past_range
+    assert np.all(np.isfinite(sp.tau)) and math.isfinite(sp.phi_star)
