@@ -103,8 +103,7 @@ def _cmd_eval(args):
 def _cmd_correction(args):
     _, model = _load(args)
     saddle = solve_saddle(model, np.asarray(args.point), tol=args.tol)
-    spec = QuadSpec(nodes_per_axis=args.quad_nodes,
-                    trunc_radius=args.trunc_radius, rule=args.rule)
+    spec = QuadSpec(nodes_per_axis=args.quad_nodes, trunc_radius=args.trunc_radius)
     result = correction_integral(model, saddle, args.n, spec, kappa=args.kappa)
     _emit([
         ("i_re", result.i_value.real),
@@ -189,8 +188,6 @@ def main(argv=None) -> int:
     p.add_argument("-n", type=int, required=True, help="sample count")
     p.add_argument("--quad-nodes", type=int, default=24)
     p.add_argument("--trunc-radius", type=float, default=2.5)
-    p.add_argument("--rule", choices=("gauss_legendre", "trapezoid"),
-                   default="gauss_legendre")
     p.add_argument("--kappa", type=float, default=1.0)
     p.set_defaults(fn=_cmd_correction)
 

@@ -16,12 +16,12 @@ so g sees the model only through alpha and ||v2|| (whitened_mu_norm);
 g_function, the quadrature and the audits all evaluate it by model._exponent.
 Orthogonal to v2 the integrand is an exact standard Gaussian at scale
 1/sqrt(n) and integrates to one, which leaves a 1-d integral along v2 at
-any d, on panels of width 1/sqrt(n).  The panels reach until the Gaussian
-envelope at the ends is below 1e-16, and every result is validated by a
-second pass at a finer rule.  The assumption audits scan the same
-(||t||, beta) plane in beta, so they miss no direction and cost the same at
-every d.  The quadrature, g_function and the audits accept a
-GaussianMixture only (ConfigError otherwise).
+any d, by Gauss-Legendre on panels of width 1/sqrt(n).  The panels reach
+until the Gaussian envelope at the ends is below 1e-16, and every result is
+validated by a second pass with 8 more nodes per panel.  The assumption
+audits scan the same (||t||, beta) plane in beta, so they miss no direction
+and cost the same at every d.  The quadrature, g_function and the audits
+accept a GaussianMixture only (ConfigError otherwise).
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ class QuadSpec:
 
     nodes_per_axis: int = 24
     trunc_radius: float = 2.5
-    rule: str = "gauss_legendre"
 
     def __post_init__(self):
         if not is_count(self.nodes_per_axis, 16):
@@ -59,8 +58,6 @@ class QuadSpec:
         if not (2.5 <= self.trunc_radius < math.inf):
             raise ConfigError(f"trunc_radius must be finite and >= 2.5, got {self.trunc_radius}")
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
-        if self.rule not in ("gauss_legendre", "trapezoid"):
-            raise ConfigError(f"unknown rule {self.rule!r}")
 
 
 @dataclass(frozen=True)
@@ -115,19 +112,12 @@ def _leggauss(nodes: int):
     return xi, wi
 
 
-def _axis_rule(m: int, h: float, nodes_per_axis: int, rule: str):
-    """1-d nodes and weights over [-m h, m h]."""
-    if rule == "gauss_legendre":
-        xi, wi = _leggauss(nodes_per_axis)
-        centers = (np.arange(-m, m) + 0.5) * h
-        x = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
-        w = np.tile(0.5 * h * wi, 2 * m)
-        return x, w
-    n_int = 2 * m * nodes_per_axis
-    x = np.linspace(-m * h, m * h, n_int + 1)
-    w = np.full(n_int + 1, 2.0 * m * h / n_int)
-    w[0] *= 0.5
-    w[-1] *= 0.5
+def _axis_rule(m: int, h: float, nodes_per_axis: int):
+    """Gauss-Legendre nodes and weights over [-m h, m h], on 2m panels of width h."""
+    xi, wi = _leggauss(nodes_per_axis)
+    centers = (np.arange(-m, m) + 0.5) * h
+    x = (centers[:, None] + 0.5 * h * xi[None, :]).ravel()
+    w = np.tile(0.5 * h * wi, 2 * m)
     return x, w
 
 
@@ -201,19 +191,15 @@ def correction_integral(
     m = _panel_count_mixture(lam, spec.trunc_radius)
 
     def integral(nodes_per_axis):
-        x, w = _axis_rule(m, h, nodes_per_axis, spec.rule)
+        x, w = _axis_rule(m, h, nodes_per_axis)
         log_mag, phase, _ = _exponent(alpha, x, v2_norm * x)
         mag = np.exp(n * log_mag)
         phase = n * phase
         total = complex(np.sum(w * (mag * np.cos(phase) + 1j * (mag * np.sin(phase)))))
         return (n / (2.0 * math.pi)) ** 0.5 * total, len(x)
 
-    if spec.rule == "gauss_legendre":
-        fine_nodes = spec.nodes_per_axis + 8
-    else:
-        fine_nodes = 2 * spec.nodes_per_axis
     coarse, coarse_count = integral(spec.nodes_per_axis)
-    fine, fine_count = integral(fine_nodes)
+    fine, fine_count = integral(spec.nodes_per_axis + 8)
     gap = abs(coarse - fine) / max(1.0, abs(fine))
     if gap > _AGREEMENT_RTOL:
         raise QuadratureError(

@@ -54,8 +54,6 @@ CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,w
 # every package error raised inside a row becomes that row's status
 _ROW_ERRORS = (SpahdError,)
 
-_MODES = ("error_scaling", "correction_study", "clt_study")
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -74,8 +72,8 @@ class ExperimentSpec:
     timing: bool = False
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ConfigError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in _RUNNERS:
+            raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {self.mode!r}")
         if not self.n_grid:
             raise ConfigError("n_grid must not be empty")
         if any(n < 1 for n in self.n_grid):
@@ -408,24 +406,15 @@ def run_experiment(spec: ExperimentSpec, out=None):
     return records, csv_path
 
 
-def emit_plot_data(records, path, x="eps", y="i_minus_one", group="d"):
-    """Write grouped (x, y) pairs as JSON for external plotting."""
+def emit_plot_data(records, path):
+    """Write the (eps, i_minus_one) pairs of the ok rows, grouped by d, as
+    JSON for external plotting; the document also names x, y and group."""
     series = {}
     for r in records:
-        if r.status != "ok":
-            continue
-        key = str(getattr(r, group))
-        series.setdefault(key, []).append([getattr(r, x), getattr(r, y)])
-    doc = {"x": x, "y": y, "group": group, "series": series}
+        if r.status == "ok":
+            series.setdefault(str(r.d), []).append([r.eps, r.i_minus_one])
+    doc = {"x": "eps", "y": "i_minus_one", "group": "d", "series": series}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return doc
-
-
-def read_plot_data(path):
-    doc = json.loads(Path(path).read_text())
-    for key in ("x", "y", "group", "series"):
-        if key not in doc:
-            raise ConfigError(f"{path}: not a plot-data file")
     return doc
 
 

@@ -169,11 +169,6 @@ class ExactMeanDensity:
         self._q_mu = float(self._mu_w @ self._mu_w)
         self.last_window = None
 
-    @functools.cached_property
-    def log_binom_weights(self):
-        """log C(n, k) - n log 2 for every k = 0..n (built on first use)."""
-        return _log_binom_weights(self.n)
-
     def log_density(self, a) -> float:
         return self._log_density_batch(check_point(a, self.params.d, "a")[None, :])[0]
 

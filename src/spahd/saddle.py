@@ -51,31 +51,31 @@ class SaddlePoint:
 
 
 def solve_saddle(model: GaussianMixture, a, tol: float = 1e-12, max_iter: int = 100,
-                 method: str = "auto") -> SaddlePoint:
+                 method: str = "newton") -> SaddlePoint:
     """Solve grad cgf(tau) = a to gradient residual <= tol.
 
     method: 'newton' (the scalar route of the module docstring, with its
-    damped Newton fallback), 'fixed_point', or 'auto', which is 'newton'
-    with no fixed-point fallback.  iterations counts scalar and
+    damped Newton fallback) or 'fixed_point'.  iterations counts scalar and
     d-dimensional steps alike, and they share max_iter.  Raises ConfigError
     unless model is a GaussianMixture, NonconvergenceError with the last
-    residual when the budget runs out, and DimensionError unless tol is
-    finite and > 0 and max_iter is a positive whole number, or when phi*(a)
-    leaves the double range (||a|| past about 1e154 for a unit sigma).
+    residual when the budget runs out, and DimensionError for any other
+    method, unless tol is finite and > 0 and max_iter is a positive whole
+    number, or when phi*(a) leaves the double range (||a|| past about 1e154
+    for a unit sigma).
     """
     require_mixture(model, "solve_saddle")
     a = check_point(a, model.dim, "a")
-    if method in ("newton", "auto"):
+    if method == "newton":
         out = _solve_batch(model, a[None, :], tol, max_iter)[0]
         if isinstance(out, SpahdError):
             raise out
         return out
+    if method != "fixed_point":
+        raise DimensionError(f"unknown method {method!r}")
     _check_budget(tol, max_iter)
-    if method == "fixed_point":
-        tau, res, it = _fixed_point(model, a, tol, max_iter)
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _saddle_point(model, a, tau, res, it, method)
-    raise DimensionError(f"unknown method {method!r}")
+    tau, res, it = _fixed_point(model, a, tol, max_iter)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _saddle_point(model, a, tau, res, it, method)
 
 
 def _check_budget(tol, max_iter):

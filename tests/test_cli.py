@@ -109,6 +109,14 @@ class TestCorrection:
         assert abs(float(kv["i_im"])) < 1e-12
         assert int(kv["nodes_used"]) > 0
 
+    def test_rule_option_is_gone(self, capsys, model_file):
+        # Gauss-Legendre is the one rule; argparse refuses the old option
+        with pytest.raises(SystemExit) as exc:
+            main(["correction", "--model", model_file, "-a", "0.2", "-n", "200",
+                  "--rule", "trapezoid"])
+        assert exc.value.code == 2
+        assert "--rule" in capsys.readouterr().err
+
 
 class TestVerifyAssumptions:
     def test_clean_report(self, capsys, std_model_file):

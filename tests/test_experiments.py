@@ -32,7 +32,6 @@ from spahd.experiments import (
     emit_plot_data,
     format_csv,
     load_experiment_spec,
-    read_plot_data,
     read_records,
 )
 
@@ -487,15 +486,9 @@ class TestPlotData:
         records, _ = run_experiment(make_spec(model_file, n_grid=(5, 10)))
         path = tmp_path / "plot.json"
         doc = emit_plot_data(records, str(path))
-        back = read_plot_data(str(path))
+        back = json.loads(path.read_text())
         assert back == doc
         assert back["series"]["1"]  # d = 1 series present
-
-    def test_rejects_foreign_json(self, tmp_path):
-        p = tmp_path / "other.json"
-        p.write_text(json.dumps({"hello": 1}))
-        with pytest.raises(ConfigError):
-            read_plot_data(str(p))
 
 
 class TestFitSlope:

@@ -1,7 +1,6 @@
 """Exact and Monte Carlo reference densities, CLT comparison."""
 
 import functools
-import inspect
 import math
 import tracemalloc
 import warnings
@@ -107,8 +106,7 @@ class TestExactDensity:
 
     def test_binomial_weights_normalized(self):
         for n in [1, 2, 17, 400]:
-            oracle = ExactMeanDensity(params_1d(), n)
-            total = mpmath.fsum(mpmath.exp(w) for w in oracle.log_binom_weights)
+            total = mpmath.fsum(mpmath.exp(w) for w in _log_binom_weights(n))
             assert float(mpmath.log(total)) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("n, bound", [(31, 1e-13), (256, 1e-13), (257, 1e-12), (400, 1e-12)])
@@ -277,12 +275,6 @@ class TestWindowedOracle:
         k_lo, k_hi, tail_rel = oracle.last_window
         assert (k_hi == n and k_lo > 0) if sign > 0 else (k_lo == 0 and k_hi < n)
         assert tail_rel <= 1e-16
-
-    def test_full_weights_are_built_on_first_use(self):
-        attr = inspect.getattr_static(ExactMeanDensity, "log_binom_weights")
-        assert isinstance(attr, functools.cached_property)
-        oracle = ExactMeanDensity(params_1d(), 100000)
-        assert "log_binom_weights" not in vars(oracle)
 
     def test_build_and_query_allocate_no_order_n_arrays(self):
         # one d = 8, n = 1e5 build and query; an (n+1)-long float array alone is 800 KB

@@ -116,6 +116,8 @@ class TestSolver:
             solve_saddle(m, np.array([0.5]), tol=0.0)
         with pytest.raises(DimensionError):
             solve_saddle(m, np.array([0.5]), method="secant")
+        with pytest.raises(DimensionError):
+            solve_saddle(m, np.array([0.5]), method="auto")
 
     def test_rejects_non_finite_input(self):
         m = mixture([1.0, 0.5], np.eye(2))
@@ -125,7 +127,7 @@ class TestSolver:
         with pytest.raises(DimensionError):
             solve_saddle(m, np.zeros(2), tol=math.nan)
 
-    @pytest.mark.parametrize("method", ["newton", "fixed_point", "auto"])
+    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
     @pytest.mark.parametrize("max_iter", [math.nan, math.inf, 0, 2.5, -3,
                                           pytest.param(10**400, id="10**400")])
     def test_rejects_bad_iteration_budget(self, method, max_iter):
@@ -169,7 +171,7 @@ class TestSolver:
         m = mixture([1.0], [[1.0]])
         assert solve_saddle(m, np.array([0.5]), max_iter=100.0) == solve_saddle(m, np.array([0.5]))
 
-    @pytest.mark.parametrize("method", ["newton", "fixed_point", "auto"])
+    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
     def test_nan_residual_is_not_converged(self, method):
         class NanGradient(GaussianMixture):
             def grad(self, tau):
