@@ -211,7 +211,8 @@ def _sweep(spec, finish, clt=False):
     bound, passed to finish and reported by failed rows, gives the budget
     total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for clt
     rows, over the rows that pass their first step.  It is computed once per
-    (d, n), and only when a row asks for it.
+    (d, n), and only when a row asks for it; a failed row reports NaN where
+    it raises.
     With timing on, a row's wall_ms is its cell's wall time, including the
     cell's share of its d's set-up and saddle batch, divided evenly among
     the cell's rows.
@@ -250,7 +251,9 @@ def _sweep(spec, finish, clt=False):
                                    bound)
                 if isinstance(st, SpahdError):
                     nan = math.nan
-                    st = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps, bound(),
+                    total = _error_of(bound)
+                    st = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps,
+                                      nan if isinstance(total, SpahdError) else total,
                                       None, type(st).__name__)
                 cell.append(st)
             if spec.timing:

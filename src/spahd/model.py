@@ -160,9 +160,13 @@ class MixtureParams:
         if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma))):
             raise ModelDomainError("mu and sigma must be finite")
         scale = max(1.0, float(np.max(np.abs(sigma))))
-        if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
-            raise ModelDomainError("sigma is not symmetric")
-        sigma = 0.5 * (sigma + sigma.T)
+        # a difference or sum past the double range reads inf, without a warning
+        with np.errstate(over="ignore"):
+            if np.max(np.abs(sigma - sigma.T)) > 1e-10 * scale:
+                raise ModelDomainError("sigma is not symmetric")
+            twice = sigma + sigma.T
+        # halved first where the sum overflows: entries past half the double range
+        sigma = np.where(np.isfinite(twice), 0.5 * twice, 0.5 * sigma + 0.5 * sigma.T)
         try:
             np.linalg.cholesky(sigma)
         except np.linalg.LinAlgError as exc:
@@ -207,8 +211,11 @@ class GaussianMixture:
         self._mu_norm = float(np.linalg.norm(self._mu))
         # w = sigma^{-1} mu and g = <mu, w>, the fixed ingredients of the scalar
         # saddle equation and of ||H^{-1/2} mu||; log det sigma for log det H
-        self._w = np.linalg.solve(self._sigma, self._mu)
-        self._g = float(self._mu @ self._w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._w = np.linalg.solve(self._sigma, self._mu)
+            self._g = float(self._mu @ self._w)
+        if not math.isfinite(self._g):
+            raise ModelDomainError("<mu, sigma^-1 mu> leaves the double range")
         self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(self._sigma)))))
         # the diagonal of a diagonal sigma, which the saddle solves by division
         diag = np.diag(self._sigma)
@@ -281,14 +288,21 @@ class GaussianMixture:
         kernels oscillate over many periods of beta (g = <mu, sigma^{-1} mu>
         of 1e3 and more), or within about 1e-8 (relative) of the pole
         condition below, where the allowance for rounding alone passes
-        1e-6: hi is then still an upper bound, with a wider gap.  The region
-        contains a zero of cosh,
-        where both kernels are unbounded, exactly when
+        1e-6: hi is then still an upper bound, with a wider gap.  hi is inf,
+        and so still an upper bound, where the weight overflows, which takes g
+        past about 1e154 and alpha past about log(g) / 2.  The region
+        contains a zero of cosh, where both kernels are unbounded, exactly when
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
-        Gaussian gives zeros.  Brackets are cached per radii on the instance.
+        Gaussian gives zeros.  Raises DimensionError unless both radii are
+        finite and > 0 and ||mu|| * tau_radius is finite.  Brackets are cached
+        per radii on the instance.
         """
         if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
             raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
+        a_max = self._mu_norm * tau_radius
+        if a_max == math.inf:
+            raise DimensionError(f"the alpha range ||mu|| tau_radius leaves the double range "
+                                 f"at tau_radius = {tau_radius}")
         key = (float(tau_radius), float(t_radius))
         hit = self._c34_cache.get(key)
         if hit is not None:
@@ -298,7 +312,7 @@ class GaussianMixture:
         elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
             out = ((math.inf, math.inf), (math.inf, math.inf))
         else:
-            out = _certified_sup(self._g, self._mu_norm * tau_radius, t_radius)
+            out = _certified_sup(self._g, a_max, t_radius)
         self._c34_cache[key] = out
         return out
 
@@ -511,9 +525,11 @@ def _certified_sup(g, a_max, t_radius):
         # a corner cannot be halved, so its bound is final, and neither is an
         # element within tolerance but for its rounding allowance (near the
         # pole condition the allowance alone can pass it); both count
-        # towards hi
-        over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
-                & ((a1 > a0) | (u1 > u0)))
+        # towards hi; a bound whose weight r^k overflowed is inf - inf here,
+        # and stays open
+        with np.errstate(invalid="ignore"):
+            over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
+                    & ((a1 > a0) | (u1 > u0)))
         live = over[0] | over[1]
         if not live.any() or work + 4 * live.sum() > _SUP_WORK:
             break
@@ -644,6 +660,10 @@ def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
     x = 0.5 * (lo + hi)
     for _ in range(_SUP_NEWTON):
         _, d1, d2 = jet(x)
+        if not abs(d2) > 0.0:
+            # flat in rounding (c3 vanishes on alpha = 0); the tangent bound
+            # holds at any x of a concave run
+            break
         step = min(max(x - d1 / d2, lo), hi)
         done = abs(step - x) <= 4.0 * _EPS * max(1.0, abs(x))
         x = step
@@ -672,23 +692,25 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
     hu = 0.5 * (u1 - u0)
     ac = a0 + ha
     uc = u0 + hu
-    e2 = np.exp(-2.0 * np.concatenate((a0, a1, ac)))
-    den = 1.0 + e2
-    q = 4.0 * e2 / (den * den)
-    th = (1.0 - e2) / den
-    r = np.sqrt(g / (1.0 + g * q))
-    q0, qc = q[:n], q[2 * n:]
-    r0, r1, rc = r[:n], r[n:2 * n], r[2 * n:]
-    tr = t_radius
-    b0, b1, bc = r0 * tr * u0, r1 * tr * u1, rc * tr * uc
-    # min cos^2 beta over [b0, b1]: 0 where some pi/2 + k pi lies in it, that
-    # is where cos changes sign or the interval spans pi
-    cos = np.cos(np.concatenate((b0, b1)))
-    pole = (cos[:n] * cos[n:] <= 0.0) | (b1 - b0 >= math.pi)
-    cos *= cos
-    cos2 = np.where(pole, 0.0, np.minimum(cos[:n], cos[n:]))
-    s, t = _sech2_tanh(ac, bc)
+    # -2 alpha overflows past half the double range, where exp(-2 alpha) is 0
+    # all the same, and an undefined bound keeps its element open
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e2 = np.exp(-2.0 * np.concatenate((a0, a1, ac)))
+        den = 1.0 + e2
+        q = 4.0 * e2 / (den * den)
+        th = (1.0 - e2) / den
+        r = np.sqrt(g / (1.0 + g * q))
+        q0, qc = q[:n], q[2 * n:]
+        r0, r1, rc = r[:n], r[n:2 * n], r[2 * n:]
+        tr = t_radius
+        b0, b1, bc = r0 * tr * u0, r1 * tr * u1, rc * tr * uc
+        # min cos^2 beta over [b0, b1]: 0 where some pi/2 + k pi lies in it, that
+        # is where cos changes sign or the interval spans pi
+        cos = np.cos(np.concatenate((b0, b1)))
+        pole = (cos[:n] * cos[n:] <= 0.0) | (b1 - b0 >= math.pi)
+        cos *= cos
+        cos2 = np.where(pole, 0.0, np.minimum(cos[:n], cos[n:]))
+        s, t = _sech2_tanh(ac, bc)
         sup_s = q0 / (1.0 - q0 + q0 * cos2)
         rho = np.hypot(ha, np.maximum(bc - b0, b1 - bc))
         tb = np.abs(t) + sup_s * rho

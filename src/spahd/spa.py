@@ -126,9 +126,13 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
 
 def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
     """Budget total for queries with ||a|| <= a_norm: the model's suprema over
-    tau_radius = max(2 a_norm, 1e-3) and t_radius = 2.5 sqrt(d/n)."""
+    tau_radius = max(2 a_norm, 1e-3) and t_radius = 2.5 sqrt(d/n).  inf where
+    the alpha range ||mu|| tau_radius passes the double range: the bound is
+    vacuous there, as where one of its terms does."""
     d = model.dim
     tau_radius = max(2.0 * a_norm, 1e-3)
+    if not model._mu_norm * tau_radius < math.inf:
+        return math.inf
     t_radius = 2.5 * math.sqrt(d / n)
     return error_bound(
         d, n, model.c3_sup(tau_radius, t_radius), model.c4_sup(tau_radius, t_radius), kappa

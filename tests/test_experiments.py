@@ -206,6 +206,31 @@ class TestErrorScaling:
         assert all(0.0 < r.rel_err < 1e-3 for r in records)
         assert read_records(csv_path) == records
 
+    def test_alpha_range_past_double_range_keeps_the_rows(self, tmp_path):
+        # sigma = 8.9e307, a = 9e307 solves, but the budget's tau_radius
+        # 2 ||a|| overflows: the bound is inf and both rows are written
+        path = tmp_path / "huge.txt"
+        path.write_text("d = 1\nmu = 1\nsigma = 8.9e307\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, _ = run_experiment(make_spec(str(path), n_grid=(1,),
+                                                  a_points=((0.1,), (9e307,))))
+        assert format_csv(records).splitlines()[1:] == [
+            "1,1,0.1,4.228779714704212e-155,4.228779714704212e-155,0.0,0.0,1.0,inf,,ok",
+            "1,1,9e+307,0.0,0.0,1.0,inf,1.0,inf,,ok",
+        ]
+
+    def test_failed_rows_survive_a_budget_that_raises(self, model_file, monkeypatch):
+        # a bound that raises fails the ok rows that read it, and the failed
+        # rows report NaN for it instead of aborting the sweep
+        def refuse(*args):
+            raise DimensionError("no bound")
+
+        monkeypatch.setattr(spahd.experiments, "budget_total", refuse)
+        records, _ = run_experiment(make_spec(model_file, a_points=((0.1,), (math.nan,))))
+        assert [r.status for r in records] == ["DimensionError"] * 4
+        assert all(math.isnan(r.bound_total) for r in records)
+
     def test_eps_and_bound_columns(self, model_file):
         records, _ = run_experiment(make_spec(model_file, n_grid=(100,)))
         r = records[0]

@@ -7,6 +7,7 @@ literals; the kernel and certified-supremum checks run mpmath themselves.
 import cmath
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,10 +22,12 @@ from spahd import (
     MixtureParams,
     ModelDomainError,
     PhaseBranchError,
+    SpahdError,
     error_bound,
     load_model_file,
 )
 from spahd import model as model_module
+from spahd.spa import budget_total
 from spahd.model import (
     _exponent,
     c3_kernel,
@@ -124,6 +127,33 @@ class TestMixtureParams:
     def test_rejects_indefinite(self):
         with pytest.raises(ModelDomainError):
             MixtureParams(1, np.zeros(1), np.array([[-1.0]]))
+
+    def test_entry_past_half_the_double_range_stays_finite(self):
+        # sigma + sigma' overflows there; the symmetrized sigma must not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert MixtureParams(1, [1.0], [[1e308]]).sigma[0, 0] == 1e308
+            s = np.array([[1.5e308, 1e307], [1e307 * (1.0 + 2e-16), 1.6e308]])
+            out = MixtureParams(2, np.ones(2), s).sigma
+        assert np.isfinite(out).all() and out[1, 0] == out[0, 1] == 0.5 * (s[0, 1] + s[1, 0])
+        assert (out[0, 0], out[1, 1]) == (1.5e308, 1.6e308)
+        # elsewhere 0.5 (sigma + sigma') as before, bit for bit, subnormals included
+        s = np.array([[2.0, 0.3 + 1e-12], [0.3, 1.0]])
+        assert np.array_equal(MixtureParams(2, np.ones(2), s).sigma, 0.5 * (s + s.T))
+        assert MixtureParams(1, [1.0], [[5e-324]]).sigma[0, 0] == 5e-324
+
+    def test_asymmetry_past_the_double_range_is_rejected_quietly(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError, match="symmetric"):
+                MixtureParams(2, np.ones(2), [[1.0, 1.7e308], [-1.7e308, 1.0]])
+
+    def test_g_past_the_double_range_is_rejected(self):
+        # sigma = 5e-324 gives <mu, sigma^-1 mu> = inf, and a NaN whitened norm
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError, match="double range"):
+                GaussianMixture(MixtureParams(1, [1.0], [[5e-324]]))
 
     def test_pure_gaussian_flag(self):
         assert MixtureParams(1, np.zeros(1), np.eye(1)).is_pure_gaussian
@@ -543,6 +573,42 @@ class TestCertifiedSuprema:
         lo, hi = m.c34_bracket(1.0, 0.1)[1]
         assert hi >= 54.0 / 7.0 >= lo * (1.0 - 1e-12)
 
+    def test_alpha_range_near_the_top_of_the_double_range(self):
+        # -2 alpha overflows past 8.99e307; the kernels have long decayed there,
+        # so the bracket is the one at tau_radius 1e3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            brackets = mixture_1d().c34_bracket(1e308, 0.1)
+        assert brackets == ((0.38750181177904175, 0.38750181177904575),
+                            (0.5100711791536409, 0.5100711791536445))
+        assert brackets == mixture_1d().c34_bracket(1e3, 0.1)
+
+    def test_overflowing_weight_keeps_an_upper_bound(self):
+        # g = 1e216: far out in alpha the weight r^k and its rounding
+        # allowance overflow, and the bound inf - inf must stay open quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            brackets = mixture_1d(sigma=1e-216).c34_bracket(2e220, 4e-156)
+        assert brackets == ((0.0, math.inf), (2.0, math.inf))
+
+    def test_flat_edge_run_ends_its_newton_search(self):
+        # g = 1e100, an alpha range of 1e-15 and the budget's t_radius at
+        # d = 2, n = 80: c3 vanishes on the edge alpha = 0, and a run there
+        # that tested concave left Newton a zero curvature to divide by
+        model = mixture_1d(sigma=1e-100)
+        t_r = 2.5 * math.sqrt(2 / 80)
+        brackets = model.c34_bracket(1e-15, t_r)
+        for (lo, hi), ref in zip(brackets, _scan_reference(model, 1e-15, t_r)):
+            assert mpmath.mpf(hi) >= ref
+            assert 0.0 < lo <= hi
+
+    def test_alpha_range_past_the_double_range_raises(self):
+        # ||mu|| tau_radius = 1e309 is not a range any bound can be taken over
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError, match="alpha range"):
+                mixture_1d(mu=10.0).c34_bracket(1e308, 0.1)
+
     def test_no_large_arguments_warn(self):
         # the far boxes past alpha = 4 and a tau_radius of 2e160 stay quiet
         m = mixture_1d()
@@ -598,3 +664,64 @@ class TestModelFiles:
             params_from_mapping({"mu": "ones"})
         with pytest.raises(ConfigError):
             params_from_mapping({"d": "two"})
+
+
+_LOG_TOP = math.log10(1.7e308)
+
+
+def _log_uniform(lo, hi):
+    """10^x for x uniform in [lo, hi], with both ends drawn on their own too."""
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi)).map(lambda e: 10.0**e)
+
+
+def _typed(fn):
+    """fn(), or None where it raises a SpahdError."""
+    try:
+        return fn()
+    except SpahdError:
+        return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    log_kappa=st.floats(0.0, 6.0),
+    scale=_log_uniform(-300.0, _LOG_TOP),
+    mu_norm=_log_uniform(-300.0, 1.0),
+    tau_radius=_log_uniform(-300.0, _LOG_TOP),
+    t_radius=_log_uniform(-300.0, 1.0),
+    n=st.integers(1, 10**6),
+)
+def test_model_and_suprema_return_or_raise_typed(d, seed, log_kappa, scale, mu_norm,
+                                                 tau_radius, t_radius, n):
+    # sigma = Q diag(lambda) Q' with eigenvalue ratios up to 1e6 and max |sigma_ij|
+    # from 1e-300 to 1.7e308: each call returns, with finite values (a bracket
+    # may have hi = inf, and is inf throughout only at a zero of cosh), or
+    # raises a SpahdError, and none warns
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam = 10.0 ** -rng.uniform(0.0, log_kappa, d)
+    lam[0] = 1.0
+    shape = q @ np.diag(lam) @ q.T
+    shape = 0.5 * (shape + shape.T)
+    sigma = shape / np.max(np.abs(shape)) * scale
+    mu = rng.normal(size=d)
+    mu *= mu_norm / np.linalg.norm(mu)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = _typed(lambda: MixtureParams(d, mu, sigma))
+        if params is None:
+            return
+        assert np.isfinite(params.sigma).all()
+        model = _typed(lambda: GaussianMixture(params))
+        if model is None:
+            return
+        assert math.isfinite(float(model.whitened_mu_norm(0.0)))
+        brackets = _typed(lambda: model.c34_bracket(tau_radius, t_radius))
+        total = _typed(lambda: budget_total(model, n, 0.5 * tau_radius))
+    pole = float(model.whitened_mu_norm(0.0)) * t_radius >= 0.5 * math.pi
+    for lo, hi in brackets or ():
+        assert 0.0 <= lo <= hi
+        assert math.isfinite(lo) or (pole and lo == hi == math.inf)
+    assert total is None or total >= 0.0
