@@ -693,7 +693,7 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
     ac = a0 + ha
     uc = u0 + hu
     # -2 alpha overflows past half the double range, where exp(-2 alpha) is 0
-    # all the same, and an undefined bound keeps its element open
+    # all the same
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         e2 = np.exp(-2.0 * np.concatenate((a0, a1, ac)))
         den = 1.0 + e2

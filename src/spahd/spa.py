@@ -131,7 +131,7 @@ def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
     vacuous there, as where one of its terms does."""
     d = model.dim
     tau_radius = max(2.0 * a_norm, 1e-3)
-    if not model._mu_norm * tau_radius < math.inf:
+    if model._mu_norm * tau_radius == math.inf:
         return math.inf
     t_radius = 2.5 * math.sqrt(d / n)
     return error_bound(
