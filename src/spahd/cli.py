@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .correction import QuadSpec, check_assumptions, correction_integral
+from .correction import check_assumptions, correction_integral
 from .errors import SpahdError
 from .model import GaussianMixture, load_model_file
 from .oracle import ExactMeanDensity, clt_ratio
@@ -103,8 +103,7 @@ def _cmd_eval(args):
 def _cmd_correction(args):
     _, model = _load(args)
     saddle = solve_saddle(model, np.asarray(args.point), tol=args.tol)
-    spec = QuadSpec(nodes_per_axis=args.quad_nodes, trunc_radius=args.trunc_radius)
-    result = correction_integral(model, saddle, args.n, spec, kappa=args.kappa)
+    result = correction_integral(model, saddle, args.n, kappa=args.kappa)
     _emit([
         ("i_re", result.i_value.real),
         ("i_im", result.i_value.imag),
@@ -186,8 +185,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("correction", help="correction factor by contour quadrature")
     _add_model_args(p)
     p.add_argument("-n", type=int, required=True, help="sample count")
-    p.add_argument("--quad-nodes", type=int, default=24)
-    p.add_argument("--trunc-radius", type=float, default=2.5)
     p.add_argument("--kappa", type=float, default=1.0)
     p.set_defaults(fn=_cmd_correction)
 

@@ -35,7 +35,7 @@ import numpy as np
 from .errors import AssumptionViolationError, ConfigError, DimensionError, QuadratureError
 from .model import GaussianMixture, _exponent, check_point, is_count, require_mixture, sech
 from .saddle import SaddlePoint
-from .spa import check_sample_size, tail_bound_terms
+from .spa import TRUNC_RADIUS, check_sample_size, tail_bound_terms
 
 _SURFACE_FLOOR = 1e-16
 _PANEL_CAP = 200
@@ -47,16 +47,13 @@ _ZERO_X2 = 1.0 - 1e-15
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Quadrature controls.  Coarser settings than the floors are refused."""
+    """Gauss-Legendre nodes per panel of the coarse pass (the fine pass adds 8); >= 16."""
 
     nodes_per_axis: int = 24
-    trunc_radius: float = 2.5
 
     def __post_init__(self):
         if not is_count(self.nodes_per_axis, 16):
             raise ConfigError(f"nodes_per_axis must be a whole number >= 16, got {self.nodes_per_axis}")
-        if not (2.5 <= self.trunc_radius < math.inf):
-            raise ConfigError(f"trunc_radius must be finite and >= 2.5, got {self.trunc_radius}")
         object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
 
 
@@ -150,15 +147,13 @@ def _ball_phase_check(alpha, v2_norm, r0):
         )
 
 
-def _panel_count_mixture(lam, trunc_radius):
-    """Half-panel count along v2 at panel width 1/sqrt(n): enough that
-    exp(-n (m h)^2 lam / 2) is below the surface floor at both ends."""
+def _panel_count_mixture(lam):
+    """Half-panel count along v2 at panel width 1/sqrt(n), at least TRUNC_RADIUS:
+    enough that exp(-n (m h)^2 lam / 2) is below the surface floor at both ends."""
     reach = math.sqrt(-2.0 * math.log(_SURFACE_FLOOR) / lam) if lam > 0.0 else math.inf
-    if max(trunc_radius, reach) + 1 > _PANEL_CAP:
-        raise QuadratureError(
-            f"integrand magnitude does not decay within {_PANEL_CAP} panels"
-        )
-    return max(math.ceil(trunc_radius), math.ceil(reach)) + 1
+    if reach + 1 > _PANEL_CAP:
+        raise QuadratureError(f"integrand magnitude does not decay within {_PANEL_CAP} panels")
+    return math.ceil(max(TRUNC_RADIUS, reach)) + 1
 
 
 def correction_integral(
@@ -182,13 +177,13 @@ def correction_integral(
     spec = spec or QuadSpec()
     alpha = float(model.params.mu @ saddle.tau)
     v2_norm = float(model.whitened_mu_norm(alpha))
-    _ball_phase_check(alpha, v2_norm, spec.trunc_radius * math.sqrt(d / n))
+    _ball_phase_check(alpha, v2_norm, TRUNC_RADIUS * math.sqrt(d / n))
 
     # along v2, ||t|| = |x| and beta = ||v2|| x, so log |e^{-g}| is
     # -lam x^2 / 2 + log1p(-x2) / 2 with lam the eigenvalue of S sigma S on v2
     lam = 1.0 - float(sech(alpha)) ** 2 * v2_norm**2
     h = 1.0 / math.sqrt(n)
-    m = _panel_count_mixture(lam, spec.trunc_radius)
+    m = _panel_count_mixture(lam)
 
     def integral(nodes_per_axis):
         x, w = _axis_rule(m, h, nodes_per_axis)
@@ -216,9 +211,9 @@ def correction_integral(
     )
 
 
-def _shell_radii(d, n, trunc_radius=2.5):
+def _shell_radii(d, n):
     """Inside, shell, and far-field radii in the whitened coordinate."""
-    r0 = trunc_radius * math.sqrt(d / n)
+    r0 = TRUNC_RADIUS * math.sqrt(d / n)
     inside = r0 * (np.arange(1, 9) / 8.0)
     shell = np.geomspace(r0, 20.0 * r0, 24)
     far = np.geomspace(20.0 * r0, 1e3, 9)[1:]

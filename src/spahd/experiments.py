@@ -42,15 +42,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .correction import QuadSpec, correction_integral
+from .correction import correction_integral
 from .errors import ConfigError, FitError, SpahdError
-from .model import GaussianMixture, check_point, load_model_file, parse_kv_lines
-from .oracle import ExactMeanDensity, _check_standardized, _clt_compare
+from .model import (GaussianMixture, check_keys, check_point, load_model_file, parse_kv_lines,
+                    require_standardized)
+from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import _solve_batch
 from .spa import budget_total, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
+# every key a spec file may set
+_SPEC_KEYS = "mode model n_grid d_grid a_shells a_points seed out tol kappa timing".split()
 # every package error raised inside a row becomes that row's status
 _ROW_ERRORS = (SpahdError,)
 
@@ -66,8 +69,6 @@ class ExperimentSpec:
     seed: int = 0
     out: str | None = None
     tol: float = 1e-12
-    quad_nodes: int = 24
-    trunc_radius: float = 2.5
     kappa: float = 1.0
     timing: bool = False
 
@@ -124,9 +125,11 @@ def _parse_bool(text):
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
-    """Parse a key = value spec file; the model path resolves relative to it."""
+    """Parse a key = value spec file; the model path resolves relative to it.
+    A key the spec does not know is refused (ConfigError)."""
     path = Path(path)
     kv = parse_kv_lines(path.read_text())
+    check_keys(kv, _SPEC_KEYS, "spec")
     for key in ("mode", "model", "n_grid"):
         if key not in kv:
             raise ConfigError(f"spec is missing required key {key!r}")
@@ -162,8 +165,6 @@ def load_experiment_spec(path) -> ExperimentSpec:
         seed=int(kv.get("seed", "0")),
         out=kv.get("out"),
         tol=float(kv.get("tol", "1e-12")),
-        quad_nodes=int(kv.get("quad_nodes", "24")),
-        trunc_radius=float(kv.get("trunc_radius", "2.5")),
         kappa=float(kv.get("kappa", "1.0")),
         timing=_parse_bool(kv.get("timing", "off")),
     )
@@ -276,7 +277,7 @@ def _begin(params, n, a, saddle, clt):
     or the saddle's error, or (None, None) for a clt row once its model and
     point pass the checks."""
     if clt:
-        _check_standardized(params)
+        require_standardized(params, "clt_study")
         check_point(a, params.d, "a")
         return None, None
     if isinstance(saddle, SpahdError):
@@ -306,10 +307,8 @@ def run_error_scaling(spec: ExperimentSpec):
 
 
 def run_correction_study(spec: ExperimentSpec):
-    quad = QuadSpec(nodes_per_axis=spec.quad_nodes, trunc_radius=spec.trunc_radius)
-
     def finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound):
-        corr = correction_integral(model, saddle, n, quad, kappa=spec.kappa)
+        corr = correction_integral(model, saddle, n, kappa=spec.kappa)
         gap = est.log_density - log_exact
         # I - 1 against the exact ratio rho_exact / rho_spa - 1
         i_true_m1 = expm1_or_inf(-gap)

@@ -36,10 +36,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, ModelDomainError, PhaseBranchError
+from .errors import (ConfigError, DimensionError, ModelDomainError, PhaseBranchError,
+                     StandardizationError)
 
 _LOG2 = math.log(2.0)
 _EPS = 2.0**-52
+# exp(-2 x) is 0 in doubles from x = 373 on, so |x| is clamped here before
+# it is doubled: the values are the same, and 2|x| cannot overflow
+_EXP_CLAMP = 400.0
 
 # argmax of 2 sech^2(x) tanh(x) on [0, inf); the kernel rises to 4/(3 sqrt 3)
 # there and decays afterwards
@@ -49,7 +53,7 @@ _K3_ARGMAX = math.atanh(1.0 / math.sqrt(3.0))
 def logcosh(x):
     """log cosh(x), overflow-free: |x| + log1p(exp(-2|x|)) - log 2."""
     ax = np.abs(x)
-    return ax + np.log1p(np.exp(-2.0 * ax)) - _LOG2
+    return ax + np.log1p(np.exp(-2.0 * np.minimum(ax, _EXP_CLAMP))) - _LOG2
 
 
 def sech(x):
@@ -72,7 +76,7 @@ def _sech2_tanh(alpha, beta):
     tanh w = (1 - z) / (1 + z), which lose no digits where sech^2 is tiny and
     blow up only at the zeros of cosh (z = -1).
     """
-    z = np.exp(-2.0 * (np.abs(alpha) + 1j * np.asarray(beta)))
+    z = np.exp(-2.0 * (np.minimum(np.abs(alpha), _EXP_CLAMP) + 1j * np.asarray(beta)))
     zp = 1.0 + z
     return 4.0 * z / (zp * zp), (1.0 - z) / zp
 
@@ -236,8 +240,14 @@ class GaussianMixture:
             raise DimensionError(f"{name} has shape {v.shape}, expected ({self.params.d},)")
         return v
 
+    # past the double range cgf_real, grad and hessian read inf (nan where infs of
+    # both signs meet), quietly; the saddle batch, already under one np.errstate, calls
+    # _cgf_real and _grad so that its rows pay for no errstate entry of their own
     def cgf_real(self, tau):
-        tau = self._check_vec(tau, "tau")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._cgf_real(self._check_vec(tau, "tau"))
+
+    def _cgf_real(self, tau):
         return 0.5 * float(tau @ (self._sigma @ tau)) + float(logcosh(self._mu @ tau))
 
     def cgf_complex(self, tau, t):
@@ -263,12 +273,16 @@ class GaussianMixture:
                                + 0.5 * math.log1p(-x2), im)
 
     def grad(self, tau):
-        tau = self._check_vec(tau, "tau")
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._grad(self._check_vec(tau, "tau"))
+
+    def _grad(self, tau):
         return self._sigma @ tau + math.tanh(float(self._mu @ tau)) * self._mu
 
     def hessian(self, tau):
         tau = self._check_vec(tau, "tau")
-        s = float(sech(self._mu @ tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = float(sech(self._mu @ tau))
         return self._sigma + (s * s) * np.outer(self._mu, self._mu)
 
     def whitened_mu_norm(self, alpha):
@@ -369,6 +383,14 @@ def require_mixture(model, what):
     """ConfigError unless model is a GaussianMixture, whose structure `what` uses."""
     if not isinstance(model, GaussianMixture):
         raise ConfigError(f"{what} needs a GaussianMixture, got {type(model).__name__}")
+
+
+def require_standardized(params, what):
+    """StandardizationError unless the second moment sigma + mu mu', which is
+    also hessian(0), is the identity to within 1e-10 in every entry."""
+    if np.max(np.abs(params.second_moment() - np.eye(params.d))) > 1e-10:
+        raise StandardizationError(f"{what} needs sigma + mu mu' = identity; "
+                                   "use MixtureParams.standardized()")
 
 
 # --- certified c3/c4 suprema ----------------------------------------------
@@ -573,7 +595,8 @@ def _certified_sup(g, a_max, t_radius):
 
 def _halve(a0, a1, u0, u1, cut_a, cut_u):
     """The elements, halved along alpha where cut_a and along u where cut_u."""
-    am = np.where(cut_a, 0.5 * (a0 + a1), a1)
+    # halved before the sum, which passes the double range for a1 near its top
+    am = np.where(cut_a, 0.5 * a0 + 0.5 * a1, a1)
     um = np.where(cut_u, 0.5 * (u0 + u1), u1)
     both = cut_a & cut_u
     halves = ((a0, am, u0, um),
@@ -846,6 +869,13 @@ def parse_kv_lines(text):
     return out
 
 
+def check_keys(kv, known, what):
+    """ConfigError naming every key of kv that a `what` file does not know."""
+    unknown = sorted(set(kv) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; known: {', '.join(known)}")
+
+
 def _build_mu(spec_text, d):
     text = spec_text.strip().lower()
     m = _re.fullmatch(r"(ones|unit)(?:\s*\*\s*([-+0-9.eE]+))?", text)
@@ -882,6 +912,7 @@ def _build_sigma(spec_text, d):
 
 def params_from_mapping(kv, d_override=None):
     """MixtureParams from parsed key/value strings, optionally re-instantiated at another d."""
+    check_keys(kv, ("d", "mu", "sigma"), "model")
     if "d" not in kv:
         raise ConfigError("model file must set d")
     try:

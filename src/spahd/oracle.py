@@ -14,23 +14,20 @@ attached.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError, StandardizationError
-from .model import GaussianMixture, MixtureParams, check_point, is_count
+from .errors import DimensionError
+from .model import GaussianMixture, MixtureParams, check_point, is_count, require_standardized
 from .saddle import c3_ball
 from .spa import budget_total, check_sample_size, exp_or_inf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
 
-# weights come from exact integer binomials up to this n, from Loader's form above
-_EXACT_MAX_N = 256
 # a query sums every term less than this many nats below the largest ...
 _WINDOW_NATS = 40.0
 # ... and widens its window until the cut tails are below this share of the sum
@@ -82,35 +79,20 @@ def _stirlerr(z, z_min):
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _exact_log_binom(n):
-    """log C(n, k) - n log 2 for every k, from exact integer binomials
-    (a running c = c (n - k) // (k + 1)), free of cancellation; read-only."""
-    logs, c = [], 1
-    for k in range(n + 1):
-        logs.append(math.log(c))
-        c = c * (n - k) // (k + 1)
-    out = np.array(logs) - n * math.log(2.0)
-    out.setflags(write=False)
-    return out
-
-
 def _log_binom_weights(n, k_lo=0, k_hi=None):
     """log C(n, k) - n log 2 for k = k_lo..k_hi (default: every k).
 
-    Up to n = 256 from exact integer binomials.  Beyond, from Loader's
-    deviance-plus-Stirling-error form (C. Loader, "Fast and Accurate
+    From Loader's deviance-plus-Stirling-error form (C. Loader, "Fast and Accurate
     Computation of Binomial Probabilities", 2000), with p = 1/2 and u = (2k - n)/n:
 
         stirlerr(n) - stirlerr(k) - stirlerr(n - k) - n D(u) - log(2 pi k (n - k) / n) / 2
 
     where n D(u) = bd0(k, n/2) + bd0(n - k, n/2) = n [u atanh u + log(1 - u^2)/2]
     is taken from two log1p of nonnegative exact ratios, so every term keeps
-    its relative precision at any k; no term is a difference of log k! values.
+    its relative precision at any k and n; no term is a difference of
+    log k! values, and none is log C(n, k) less n log 2, which cancels.
     """
     k_hi = n if k_hi is None else k_hi
-    if n <= _EXACT_MAX_N:
-        return _exact_log_binom(n)[k_lo:k_hi + 1]
     lo, hi = max(k_lo, 1), min(k_hi, n - 1)
     k = np.arange(lo, hi + 1.0)
     rest = n - k
@@ -383,18 +365,10 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     """
     x = check_point(x, params.d, "x")
     n = check_sample_size(n)
-    _check_standardized(params)
+    require_standardized(params, "clt_ratio")
     a = x / math.sqrt(n)
     log_exact = ExactMeanDensity(params, n).log_density(a)
     return _clt_compare(GaussianMixture(params), n, x, a, log_exact, kappa)[0]
-
-
-def _check_standardized(params):
-    """StandardizationError unless sigma + mu mu' = identity."""
-    second = params.sigma + np.outer(params.mu, params.mu)
-    if np.max(np.abs(second - np.eye(params.d))) > 1e-10:
-        raise StandardizationError("clt_ratio needs sigma + mu mu' = identity; "
-                                   "use MixtureParams.standardized()")
 
 
 def _clt_compare(model, n, x, a, log_exact, kappa):

@@ -25,6 +25,10 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # exp underflows to subnormal/zero below roughly -745.13
 _UNDERFLOW_LOG = -745.0
 
+# the one truncation radius: the budget's c3/c4 region and tail terms, the correction's
+# trust ball and the audit shells all describe the ball ||t|| <= TRUNC_RADIUS sqrt(d/n)
+TRUNC_RADIUS = 2.5
+
 
 @dataclass(frozen=True)
 class SpaEstimate:
@@ -117,7 +121,7 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
     term_main = exp_or_inf(40.0 * c4 * eps * eps) * (c3 * c3 + c4) * eps
     term_exp = math.exp(-float(d))
     term_tail = _tail_power(eps, d, kappa)
-    return ErrorBudget(eps=eps, c3=c3, c4=c4, kappa=kappa, r_const=2.5,
+    return ErrorBudget(eps=eps, c3=c3, c4=c4, kappa=kappa, r_const=TRUNC_RADIUS,
                        term_main=term_main, term_exp=term_exp,
                        term_tail=term_tail,
                        total=term_main + term_exp + term_tail,
@@ -126,14 +130,14 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
 
 def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
     """Budget total for queries with ||a|| <= a_norm: the model's suprema over
-    tau_radius = max(2 a_norm, 1e-3) and t_radius = 2.5 sqrt(d/n).  inf where
-    the alpha range ||mu|| tau_radius passes the double range: the bound is
-    vacuous there, as where one of its terms does."""
+    tau_radius = max(2 a_norm, 1e-3) and t_radius = TRUNC_RADIUS sqrt(d/n).
+    inf where the alpha range ||mu|| tau_radius passes the double range: the
+    bound is vacuous there, as where one of its terms does."""
     d = model.dim
     tau_radius = max(2.0 * a_norm, 1e-3)
     if model._mu_norm * tau_radius == math.inf:
         return math.inf
-    t_radius = 2.5 * math.sqrt(d / n)
+    t_radius = TRUNC_RADIUS * math.sqrt(d / n)
     return error_bound(
         d, n, model.c3_sup(tau_radius, t_radius), model.c4_sup(tau_radius, t_radius), kappa
     ).total
@@ -143,7 +147,7 @@ def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:
     """Endpoint bounds for the truncated contour mass.
 
     Returns (exp(-d)/sqrt(d), (e d^2 / (n kappa^2))^(d/2)): the near-shell
-    and far-field contributions outside the radius-2.5 sqrt(d/n) ball.
+    and far-field contributions outside the TRUNC_RADIUS sqrt(d/n) ball.
     """
     d, n = check_sample_size(d, "d"), check_sample_size(n)
     if not (kappa > 0):

@@ -117,6 +117,14 @@ class TestCorrection:
         assert exc.value.code == 2
         assert "--rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("option", [["--trunc-radius", "3"], ["--quad-nodes", "32"]])
+    def test_quadrature_options_are_gone(self, capsys, model_file, option):
+        # one truncation radius and the default node count; argparse refuses both
+        with pytest.raises(SystemExit) as exc:
+            main(["correction", "--model", model_file, "-a", "0.2", "-n", "200", *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
 
 class TestVerifyAssumptions:
     def test_clean_report(self, capsys, std_model_file):

@@ -154,11 +154,8 @@ class TestCorrectionIntegral:
     def test_spec_floors(self):
         with pytest.raises(ConfigError):
             QuadSpec(nodes_per_axis=8)
-        with pytest.raises(ConfigError):
-            QuadSpec(trunc_radius=1.0)
 
     @pytest.mark.parametrize("kw", [
-        {"trunc_radius": math.nan}, {"trunc_radius": math.inf},
         {"nodes_per_axis": math.nan}, {"nodes_per_axis": 20.5}, {"nodes_per_axis": math.inf},
     ])
     def test_spec_rejects_non_finite_and_fractional(self, kw):

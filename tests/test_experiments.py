@@ -289,7 +289,7 @@ class TestCellBatch:
                          a_points=((0.0, 0.0), (0.2, -0.1), (0.2, -0.1)))
         records, _ = run_experiment(spec)
         model = GaussianMixture(load_model_file(model_file, d_override=2))
-        quad = QuadSpec(nodes_per_axis=spec.quad_nodes, trunc_radius=spec.trunc_radius)
+        quad = QuadSpec()
         for r, a in zip(records, spec.a_points):
             corr = correction_integral(model, solve_saddle(model, np.array(a)), 200, quad)
             assert r.status == "ok"
@@ -463,6 +463,14 @@ class TestSpecFiles:
         assert spec.a_shells == ((0.0, 1), (0.3, 2))
         assert spec.seed == 3
         assert spec.timing
+
+    @pytest.mark.parametrize("line", ["kapa = 2", "trunc_radius = 3", "quad_nodes = 32"])
+    def test_unknown_key_is_refused(self, tmp_path, model_file, line):
+        p = tmp_path / "s.spec"
+        p.write_text(f"mode = error_scaling\nmodel = {model_file}\nn_grid = 10\n"
+                     f"a_points = 0.1\n{line}\n")
+        with pytest.raises(ConfigError, match=repr(line.split()[0])):
+            load_experiment_spec(str(p))
 
     def test_missing_required_key(self, tmp_path):
         p = tmp_path / "s.spec"

@@ -74,6 +74,13 @@ class TestScalarKernels:
     def test_logcosh_even(self, x):
         assert logcosh(x) == logcosh(-x)
 
+    def test_top_of_the_double_range_is_quiet(self):
+        # 2|alpha| passes the double range; the values are those of the limit
+        assert logcosh(1e308) == 1e308
+        assert logcosh(-1.7e308) == 1.7e308
+        assert c3_kernel(1e308, 0.1) == 0.0
+        assert c4_kernel(1e308, 0.1) == 0.0
+
     def test_sech(self):
         assert sech(0.0) == 1.0
         assert sech(5.0) == pytest.approx(1.0 / math.cosh(5.0), rel=1e-15)
@@ -199,6 +206,18 @@ class TestCgfValues:
     def test_hessian_reference(self):
         m = mixture_1d()
         assert m.hessian(np.array([1.0]))[0, 0] == pytest.approx(HESS_1, rel=1e-14)
+
+    def test_past_the_double_range_is_quiet(self):
+        # tau' sigma tau and sigma tau overflow in their matmuls
+        m = mixture_1d(sigma=1e308)
+        assert m.cgf_real([1e10]) == math.inf
+        assert m.grad([1e10])[0] == math.inf
+        assert m.hessian([1e10])[0, 0] == 1e308
+        # and <mu, tau> in theirs, at d > 1
+        m = GaussianMixture(MixtureParams(2, np.array([10.0, 10.0]), np.eye(2)))
+        assert m.cgf_real([1e308, 1e308]) == math.inf
+        assert np.all(m.grad([1e308, 1e308]) == 1e308 + 10.0)
+        assert np.array_equal(m.hessian([1e308, 1e308]), np.eye(2))
 
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(0)
@@ -609,6 +628,15 @@ class TestCertifiedSuprema:
             with pytest.raises(DimensionError, match="alpha range"):
                 mixture_1d(mu=10.0).c34_bracket(1e308, 0.1)
 
+    def test_halving_at_the_top_of_the_double_range_is_quiet(self):
+        # a box reaching alpha = 1.7e308 is halved without summing its ends;
+        # at g = 1e300 its weight overflows, so hi stays inf
+        m = mixture_1d(mu=1.0, sigma=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (lo3, hi3), (lo4, hi4) = m.c34_bracket(1.7e308, 1e-300)
+        assert 0.0 <= lo3 <= hi3 and 0.0 <= lo4 <= hi4
+
     def test_no_large_arguments_warn(self):
         # the far boxes past alpha = 4 and a tau_radius of 2e160 stay quiet
         m = mixture_1d()
@@ -655,6 +683,14 @@ class TestModelFiles:
         p = load_model_file(str(path))
         assert p.d == 2
         assert np.allclose(p.mu, 0.3)
+
+    def test_unknown_key_is_refused(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("d = 1\nmu = 1.0\nsigmaa = 1\n")
+        with pytest.raises(ConfigError, match="'sigmaa'"):
+            load_model_file(path)
+        with pytest.raises(ConfigError, match="'kappa'"):
+            params_from_mapping({"d": "1", "kappa": "2"})
 
     def test_defaults_and_missing_d(self):
         # mu defaults to zero and sigma to identity, but d is mandatory
@@ -720,6 +756,11 @@ def test_model_and_suprema_return_or_raise_typed(d, seed, log_kappa, scale, mu_n
         assert math.isfinite(float(model.whitened_mu_norm(0.0)))
         brackets = _typed(lambda: model.c34_bracket(tau_radius, t_radius))
         total = _typed(lambda: budget_total(model, n, 0.5 * tau_radius))
+        tau = tau_radius * q[:, 0]
+        cgf, grad, hess = model.cgf_real(tau), model.grad(tau), model.hessian(tau)
+    # past the double range a value reads inf, or nan where infs of both signs meet
+    assert not cgf < 0.0 and grad.shape == (d,)
+    assert np.array_equal(hess, hess.T) and np.isfinite(hess).all()
     pole = float(model.whitened_mu_norm(0.0)) * t_radius >= 0.5 * math.pi
     for lo, hi in brackets or ():
         assert 0.0 <= lo <= hi

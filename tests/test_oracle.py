@@ -12,11 +12,13 @@ import pytest
 from spahd import (
     DimensionError,
     ExactMeanDensity,
+    GaussianMixture,
     McOracleConfig,
     MixtureParams,
     StandardizationError,
     clt_ratio,
     exact_mean_density,
+    legendre_gap_report,
     mc_density,
 )
 import spahd.oracle
@@ -111,12 +113,23 @@ class TestExactDensity:
 
     @pytest.mark.parametrize("n, bound", [(31, 1e-13), (256, 1e-13), (257, 1e-12), (400, 1e-12)])
     def test_log_binom_weights_match_mpmath(self, n, bound):
-        # exact binomials up to n = 256; beyond, Loader's form, whose
-        # Stirling errors switch from a table to the series at k = 16
+        # Loader's form at every n, whose Stirling errors switch from a
+        # table to the series at k = 16
         with mpmath.workdps(40):
             ref = [float(mpmath.log(mpmath.binomial(n, k)) - n * mpmath.log(2))
                    for k in range(n + 1)]
         assert np.max(np.abs(_log_binom_weights(n) - ref)) <= bound
+
+    @pytest.mark.parametrize("n", [100, 200, 256])
+    def test_small_n_weights_are_within_rounding(self, n):
+        # log C(n, k) - n log 2 from exact integer binomials cancels near the
+        # peak (up to 1.7e-14 off at n = 256); Loader's form does not
+        w = _log_binom_weights(n, 0, n)
+        with mpmath.workdps(40):
+            ref = [mpmath.log(mpmath.binomial(n, k)) - n * mpmath.log(2) for k in range(n + 1)]
+            err = [abs(mpmath.mpf(float(x)) - r) for x, r in zip(w, ref)]
+            assert all(e <= 2e-15 * abs(r) for e, r in zip(err, ref))
+            assert all(err[k] <= 2e-15 for k in range(n + 1) if abs(k - n / 2) <= 5)
 
     def test_density_overflow_gives_inf(self):
         # d = 150, n = 1e5, a = 0: the density is about e^725
@@ -441,6 +454,18 @@ class TestCltRatio:
     def test_requires_unit_second_moment(self):
         with pytest.raises(StandardizationError):
             clt_ratio(params_1d(), 100, np.zeros(1))
+
+    def test_one_standardization_tolerance(self):
+        # sigma + mu mu' = hessian(0) is 1e-9 off the identity: the clt ratio
+        # and the Legendre gap report both refuse it at the same 1e-10
+        p = MixtureParams(1, np.array([0.6]), np.array([[0.64 + 1e-9]]))
+        with pytest.raises(StandardizationError):
+            clt_ratio(p, 100, np.zeros(1))
+        with pytest.raises(StandardizationError):
+            legendre_gap_report(GaussianMixture(p), np.array([0.1]))
+        ok = MixtureParams(1, np.array([0.6]), np.array([[0.64 + 1e-11]]))
+        assert clt_ratio(ok, 100, np.zeros(1)).ratio > 0.0
+        assert legendre_gap_report(GaussianMixture(ok), np.array([0.1])).gap >= 0.0
 
     @pytest.mark.parametrize("n, x", BAD_N_OR_POINT)
     def test_typed_errors(self, n, x):
