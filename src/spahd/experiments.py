@@ -13,9 +13,10 @@ timing is requested, because timing and reproducible bytes cannot coexist;
 a row's wall_ms is then an even share of its cell's wall time.
 
 A (d, n) cell is evaluated as one batch: the saddles of a d's query points
-are solved once (saddle._solve_batch) and serve every n, and the exact
-oracle answers all points of a cell in one batch query, whose merged
-windows share their Loader weights.  Each row keeps its own status, and
+are solved once (saddle._solve_batch) and serve every n, the budgets of
+all a d's cells read one batched c3/c4 search, and the exact oracle
+answers all points of a cell in one batch query, whose merged windows
+share their Loader weights.  Each row keeps its own status, and
 its values are those of the one-point calls at its point, bit for bit.
 
 Modes differ in how i_minus_one is obtained:
@@ -27,7 +28,8 @@ Modes differ in how i_minus_one is obtained:
   clt_study        reuses the columns: a_norm is ||x||, rho_spa the scaled
                    Gaussian limit n^{d/2} gamma_d(x), rho_exact the exact
                    scaled-mean density, rel_err = i_minus_one = |ratio - 1|,
-                   bound_total the cubic-plus-budget bound.
+                   bound_total the row's cubic term plus the budget over
+                   its cell's ball.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .model import (GaussianMixture, check_keys, check_point, load_model_file, p
                     require_standardized)
 from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import _solve_batch
-from .spa import budget_total, exp_or_inf, expm1_or_inf, spa_density
+from .spa import budget_region, budget_total, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -200,11 +202,14 @@ def _query_points(spec, d):
 def _sweep(spec, finish, clt=False):
     """Common d/n loop; the query points of each (d, n) cell are one batch.
 
-    The saddles of a d's points are solved once, as one batch, and serve
-    every n; clt rows need none.  In each cell every row first takes its own
-    step: its spa estimate, or for a clt row the standardization check.  The
-    oracle then evaluates the points of the rows that passed as one batch,
-    and finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
+    Each d runs in phases.  First its model is built and the saddles of
+    its points are solved once, as one batch, to serve every n; clt rows
+    need none.  Then in each cell every row takes its own first step: its
+    spa estimate, or for a clt row the standardization check.  Then one
+    batched c3/c4 search (GaussianMixture._fill_c34) brackets the budget
+    regions of all the d's cells at once.  Last, in each cell the oracle
+    evaluates the points of the rows that passed as one batch, and
+    finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
     builds each row; a clt row gets its point x as a and None for saddle
     and est, and queries the oracle at x / sqrt(n).  A package error raised
     at any step of a row becomes that row's status.
@@ -212,11 +217,13 @@ def _sweep(spec, finish, clt=False):
     bound, passed to finish and reported by failed rows, gives the budget
     total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for clt
     rows, over the rows that pass their first step.  It is computed once per
-    (d, n), and only when a row asks for it; a failed row reports NaN where
-    it raises.
-    With timing on, a row's wall_ms is its cell's wall time, including the
-    cell's share of its d's set-up and saddle batch, divided evenly among
-    the cell's rows.
+    (d, n), when a row first asks for it, and reads the brackets the batched
+    search left in the model's cache; a region that search skipped, or a
+    budget that raises, is left to that call, so a failed row reports NaN
+    where it raises.
+    With timing on, a row's wall_ms is its cell's wall time, first step,
+    oracle batch and rows, plus the cell's share of its d's set-up, saddle
+    batch and batched search, divided evenly among the cell's rows.
     """
     d_values = spec.d_grid
     records = []
@@ -233,16 +240,23 @@ def _sweep(spec, finish, clt=False):
                  for p, r in zip(pts, norms)]
         points = np.array(pts).reshape(len(pts), params.d)
         saddles = [None] * len(pts) if clt else _solve_batch(model, points, spec.tol)
-        share = (time.perf_counter() - t_d) * 1e3 / len(spec.n_grid)
+        cells = []
         for n in spec.n_grid:
             t_cell = time.perf_counter()
-            eps = params.d**2 / n
-            oracle = ExactMeanDensity(params, n)
             queries = points / math.sqrt(n) if clt else points
             starts = [_error_of(_begin, params, n, q, s, clt)
                       for q, s in zip(queries, saddles)]
             alive = [i for i, st in enumerate(starts) if not isinstance(st, SpahdError)]
             radius = max((norms[i] for i in alive), default=0.0) / (math.sqrt(n) if clt else 1.0)
+            cells.append((n, queries, starts, alive, radius, time.perf_counter() - t_cell))
+        regions = [budget_region(model, n, radius) for n, _, _, _, radius, _ in cells]
+        model._fill_c34([region for region in regions if region is not None])
+        first_steps = sum(first_s for *_, first_s in cells)
+        share = (time.perf_counter() - t_d - first_steps) * 1e3 / len(cells)
+        for n, queries, starts, alive, radius, first_s in cells:
+            t_cell = time.perf_counter()
+            eps = params.d**2 / n
+            oracle = ExactMeanDensity(params, n)
             bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             logs = dict(zip(alive, oracle._log_density_batch(queries[alive]) if alive else ()))
             cell = []
@@ -258,7 +272,7 @@ def _sweep(spec, finish, clt=False):
                                       None, type(st).__name__)
                 cell.append(st)
             if spec.timing:
-                wall = (share + (time.perf_counter() - t_cell) * 1e3) / len(cell)
+                wall = (share + (first_s + time.perf_counter() - t_cell) * 1e3) / len(cell)
                 cell = [replace(rec, wall_ms=wall) for rec in cell]
             records += cell
     return records
@@ -327,7 +341,7 @@ def run_correction_study(spec: ExperimentSpec):
 def run_clt_study(spec: ExperimentSpec):
     def finish(model, d, n, x, saddle, est, log_exact, x_norm, eps, bound):
         comparison, log_gauss = _clt_compare(model, n, x, x / math.sqrt(n), log_exact,
-                                             spec.kappa)
+                                             bound())
         rho_limit = exp_or_inf(0.5 * d * math.log(n) + log_gauss)
         gap = abs(comparison.ratio - 1.0)
         return ResultRecord(

@@ -240,15 +240,34 @@ class GaussianMixture:
             raise DimensionError(f"{name} has shape {v.shape}, expected ({self.params.d},)")
         return v
 
-    # past the double range cgf_real, grad and hessian read inf (nan where infs of
-    # both signs meet), quietly; the saddle batch, already under one np.errstate, calls
-    # _cgf_real and _grad so that its rows pay for no errstate entry of their own
+    # past the double range cgf_real, grad and hessian read inf, quietly; where
+    # products of both signs overflow in a matmul and meet as inf - inf, cgf_real
+    # and grad take them again from tau and sigma scaled to max |entry| 1 (only
+    # then, so the fast forms cost nothing more).  The saddle batch, already
+    # under one np.errstate, calls _cgf_real and _grad so that its rows pay for
+    # no errstate entry of their own
     def cgf_real(self, tau):
+        tau = self._check_vec(tau, "tau")
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._cgf_real(self._check_vec(tau, "tau"))
+            value = self._cgf_real(tau)
+            if math.isfinite(value):
+                return value
+            alpha, _, quad = self._scaled(tau)
+            return 0.5 * quad + float(logcosh(alpha))
 
     def _cgf_real(self, tau):
         return 0.5 * float(tau @ (self._sigma @ tau)) + float(logcosh(self._mu @ tau))
+
+    def _scaled(self, tau):
+        """(<mu, tau>, sigma tau, tau' sigma tau), each product taken with tau
+        and sigma scaled to max |entry| 1 and scaled back at the end, so that
+        an overflow reads inf of the right sign; called under np.errstate."""
+        t_max = float(np.max(np.abs(tau)))
+        s_max = float(np.max(np.abs(self._sigma)))
+        unit_tau = tau / t_max
+        sigma_tau = (self._sigma / s_max) @ unit_tau
+        return (float(self._mu @ unit_tau) * t_max, sigma_tau * s_max * t_max,
+                float(unit_tau @ sigma_tau) * s_max * t_max * t_max)
 
     def cgf_complex(self, tau, t):
         """cgf at tau + i t as (log-magnitude, argument).
@@ -273,8 +292,13 @@ class GaussianMixture:
                                + 0.5 * math.log1p(-x2), im)
 
     def grad(self, tau):
+        tau = self._check_vec(tau, "tau")
         with np.errstate(over="ignore", invalid="ignore"):
-            return self._grad(self._check_vec(tau, "tau"))
+            value = self._grad(tau)
+            if np.all(np.isfinite(value)):
+                return value
+            alpha, sigma_tau, _ = self._scaled(tau)
+            return sigma_tau + math.tanh(alpha) * self._mu
 
     def _grad(self, tau):
         return self._sigma @ tau + math.tanh(float(self._mu @ tau)) * self._mu
@@ -309,26 +333,42 @@ class GaussianMixture:
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
         Gaussian gives zeros.  Raises DimensionError unless both radii are
         finite and > 0 and ||mu|| * tau_radius is finite.  Brackets are cached
-        per radii on the instance.
+        per radii on the instance (see _fill_c34).
         """
+        key = self._c34_key(tau_radius, t_radius)
+        if key not in self._c34_cache:
+            self._fill_c34([key])
+        return self._c34_cache[key]
+
+    def _c34_key(self, tau_radius, t_radius):
+        """The cache key (tau_radius, t_radius) of a region c34_bracket accepts."""
         if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
             raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
-        a_max = self._mu_norm * tau_radius
-        if a_max == math.inf:
+        if self._mu_norm * tau_radius == math.inf:
             raise DimensionError(f"the alpha range ||mu|| tau_radius leaves the double range "
                                  f"at tau_radius = {tau_radius}")
-        key = (float(tau_radius), float(t_radius))
-        hit = self._c34_cache.get(key)
-        if hit is not None:
-            return hit
-        if self.is_pure_gaussian:
-            out = ((0.0, 0.0), (0.0, 0.0))
-        elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
-            out = ((math.inf, math.inf), (math.inf, math.inf))
-        else:
-            out = _certified_sup(self._g, a_max, t_radius)
-        self._c34_cache[key] = out
-        return out
+        return float(tau_radius), float(t_radius)
+
+    def _fill_c34(self, regions):
+        """Cache the brackets of every (tau_radius, t_radius) region not yet
+        cached, searching them all in one _certified_sup call; a region that
+        c34_bracket refuses is skipped, so that its own call raises."""
+        todo = {}
+        for tau_radius, t_radius in regions:
+            try:
+                key = self._c34_key(tau_radius, t_radius)
+            except DimensionError:
+                continue
+            if key in self._c34_cache or key in todo:
+                continue
+            if self.is_pure_gaussian:
+                self._c34_cache[key] = ((0.0, 0.0), (0.0, 0.0))
+            elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
+                self._c34_cache[key] = ((math.inf, math.inf), (math.inf, math.inf))
+            else:
+                todo[key] = (self._g, self._mu_norm * tau_radius, t_radius)
+        if todo:
+            self._c34_cache.update(zip(todo, _certified_sup(list(todo.values()))))
 
     def c3_sup(self, tau_radius, t_radius):
         """Certified upper bound of the whitened third-derivative kernel's
@@ -387,8 +427,11 @@ def require_mixture(model, what):
 
 def require_standardized(params, what):
     """StandardizationError unless the second moment sigma + mu mu', which is
-    also hessian(0), is the identity to within 1e-10 in every entry."""
-    if np.max(np.abs(params.second_moment() - np.eye(params.d))) > 1e-10:
+    also hessian(0), is the identity to within 1e-10 in every entry.  mu mu'
+    overflows quietly to inf, which fails the check."""
+    with np.errstate(over="ignore"):
+        second = params.second_moment()
+    if np.max(np.abs(second - np.eye(params.d))) > 1e-10:
         raise StandardizationError(f"{what} needs sigma + mu mu' = identity; "
                                    "use MixtureParams.standardized()")
 
@@ -430,7 +473,9 @@ def require_standardized(params, what):
 # is settled or dropped, or before it would pass _SUP_WORK element
 # evaluations (about 0.1 s).  hi, the largest bound of an element not
 # dropped, is an upper bound of the supremum, and when the search closes
-# hi <= lo (1 + _SUP_RTOL) up to the allowances.
+# hi <= lo (1 + _SUP_RTOL) up to the allowances.  Several regions can be
+# searched at once: they share each round's element evaluations, and each
+# keeps its own lo, hi, work limit and cuts.
 
 _SUP_RTOL = 1e-6
 # a computed kernel value is off by a few ulps of |K| plus the change of K
@@ -449,6 +494,9 @@ _SUP_SLACK = 1e-9
 _SUP_GRID = 8
 _SUP_WIDTH = 0.075
 _SUP_SEGMENTS = 2
+# the u breaks of the boxes and of the segments along u
+_SUP_EU = np.arange(_SUP_GRID + 1) / _SUP_GRID
+_SUP_SU = np.arange(_SUP_GRID * _SUP_SEGMENTS + 1) / (_SUP_GRID * _SUP_SEGMENTS)
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
 _SUP_ASPECT = 0.25
@@ -500,97 +548,148 @@ def _jet(t_radius, u, q, th, r, k, k0, k1, k2):
             d2 * w + 2.0 * d1 * w1 + uv * w2, -uaa * b_u * b_u * w)
 
 
-def _cover(a_boxes, a_segments):
-    """(a0, a1, u0, u1) of the first cover: boxes over the alpha breaks
-    a_boxes, segments of u = 0 and u = 1 over a_segments, segments of the
-    lines alpha = 0 and alpha = a_segments[-1], and the four corners."""
-    eu = np.arange(_SUP_GRID + 1) / _SUP_GRID
-    su = np.arange(_SUP_GRID * _SUP_SEGMENTS + 1) / (_SUP_GRID * _SUP_SEGMENTS)
-    na, ma, mu = a_boxes.size - 1, a_segments.size - 1, su.size - 1
-    end = a_segments[-1]
-    a0 = np.concatenate([np.repeat(a_boxes[:-1], _SUP_GRID), a_segments[:-1], a_segments[:-1],
-                         np.zeros(mu), np.full(mu, end), [0.0, end, 0.0, end]])
-    a1 = np.concatenate([np.repeat(a_boxes[1:], _SUP_GRID), a_segments[1:], a_segments[1:],
-                         np.zeros(mu), np.full(mu, end), [0.0, end, 0.0, end]])
-    u0 = np.concatenate([np.resize(eu[:-1], na * _SUP_GRID), np.zeros(ma), np.ones(ma),
-                         su[:-1], su[:-1], [0.0, 0.0, 1.0, 1.0]])
-    u1 = np.concatenate([np.resize(eu[1:], na * _SUP_GRID), np.zeros(ma), np.ones(ma),
-                         su[1:], su[1:], [0.0, 0.0, 1.0, 1.0]])
-    return a0, a1, u0, u1
-
-
-def _certified_sup(g, a_max, t_radius):
-    """((lo3, hi3), (lo4, hi4)) over alpha <= a_max, u <= 1 for the mixture
-    with g = <mu, sigma^{-1} mu>."""
+def _first_cover(a_max):
+    """The rows a0, a1, u0, u1 of the first cover of alpha <= a_max, u <= 1:
+    boxes over the alpha breaks a_boxes, segments of u = 0 and u = 1 over
+    a_segments, segments of the lines alpha = 0 and alpha = a_max, and the
+    four corners."""
     near = min(a_max, _SUP_NEAR)
     cells = min(max(_SUP_GRID, math.ceil(near / _SUP_WIDTH)), 4 * _SUP_GRID)
     # boxes between powers of 4 past _SUP_NEAR
     far = [near]
     while far[-1] < a_max:
         far.append(min(4.0 * far[-1], a_max))
-    a0, a1, u0, u1 = _cover(*(np.concatenate((np.linspace(0.0, near, count + 1), far[1:]))
-                              for count in (cells, cells * _SUP_SEGMENTS)))
-    lo = np.zeros(2)
-    hi = np.zeros(2)
-    work = 0
-    for _ in range(_SUP_ROUNDS):
-        work += a0.size
+    a_boxes, a_segments = (np.concatenate((np.linspace(0.0, near, count + 1), far[1:]))
+                           for count in (cells, cells * _SUP_SEGMENTS))
+    boxes = (a_boxes.size - 1) * _SUP_GRID
+    ma, mu = a_segments.size - 1, _SUP_SU.size - 1
+    cover = np.zeros((4, boxes + 2 * ma + 2 * mu + 4))
+    a0, a1, u0, u1 = cover
+    a0[:boxes] = np.repeat(a_boxes[:-1], _SUP_GRID)
+    a1[:boxes] = np.repeat(a_boxes[1:], _SUP_GRID)
+    u0[:boxes].reshape(-1, _SUP_GRID)[:] = _SUP_EU[:-1]
+    u1[:boxes].reshape(-1, _SUP_GRID)[:] = _SUP_EU[1:]
+    low, high = slice(boxes, boxes + ma), slice(boxes + ma, boxes + 2 * ma)
+    a0[low] = a0[high] = a_segments[:-1]
+    a1[low] = a1[high] = a_segments[1:]
+    u0[high] = u1[high] = 1.0
+    left = slice(boxes + 2 * ma, boxes + 2 * ma + mu)
+    right = slice(boxes + 2 * ma + mu, boxes + 2 * ma + 2 * mu)
+    u0[left] = u0[right] = _SUP_SU[:-1]
+    u1[left] = u1[right] = _SUP_SU[1:]
+    # the right segments, then the corners (0, 0), (a_max, 0), (0, 1), (a_max, 1)
+    a0[right] = a1[right] = a0[-3::2] = a1[-3::2] = a_segments[-1]
+    u0[-2:] = u1[-2:] = 1.0
+    return cover
+
+
+def _certified_sup(regions):
+    """[((lo3, hi3), (lo4, hi4)), ...]: one bracket per region
+    (g, a_max, t_radius), over alpha <= a_max, u <= 1 for a mixture with
+    g = <mu, sigma^{-1} mu>.
+
+    The regions share each round's _element_bounds calls: every element
+    carries its region, and a region's elements stay together, in the order
+    a search of that region alone holds them.  Each region keeps its own
+    lo, hi, work count, stop test, Newton runs and cuts (_sup_round), so
+    its bracket is, bit for bit, the one that search gives."""
+    out = [None] * len(regions)
+    covers = [_first_cover(a_max) for _, a_max, _ in regions]
+    a0, a1, u0, u1 = np.concatenate(covers, axis=1)
+    reg = np.repeat(np.arange(len(regions)), [c.shape[1] for c in covers])
+    g_of, _, t_of = np.array(regions, dtype=float).T
+    lo = np.zeros((len(regions), 2))
+    hi = np.zeros((len(regions), 2))
+    work = [0] * len(regions)
+    for rounds_left in range(_SUP_ROUNDS - 1, -1, -1):
         # in chunks, so that no temporary grows large
-        parts = [_element_bounds(g, t_radius, *(x[i:i + _SUP_CHUNK] for x in (a0, a1, u0, u1)))
+        parts = [_element_bounds(*(x[i:i + _SUP_CHUNK] for x in (g_of[reg], t_of[reg],
+                                                                 a0, a1, u0, u1)))
                  for i in range(0, a0.size, _SUP_CHUNK)]
-        value, ub, allow, drop, concave, e_a, e_u = (
-            parts[0] if len(parts) == 1 else (np.concatenate(x, axis=1) for x in zip(*parts)))
-        lo = np.fmax(lo, np.max(value, axis=1))
-        for which in (0, 1):
-            _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], allow[which], lo,
-                            concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
-        # a corner cannot be halved, so its bound is final, and neither is an
-        # element within tolerance but for its rounding allowance (near the
-        # pole condition the allowance alone can pass it); both count
-        # towards hi; a bound whose weight r^k overflowed is inf - inf here,
-        # and stays open
-        with np.errstate(invalid="ignore"):
-            over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
-                    & ((a1 > a0) | (u1 > u0)))
-        live = over[0] | over[1]
-        if not live.any() or work + 4 * live.sum() > _SUP_WORK:
+        bounds = (parts[0] if len(parts) == 1
+                  else [np.concatenate(x, axis=1) for x in zip(*parts)])
+        kept, open_ = [], []
+        end = 0
+        for k, count in enumerate(np.bincount(reg, minlength=len(regions)).tolist()):
+            if count:
+                run = slice(end, end + count)
+                end += count
+                work[k] += count
+                more = _sup_round(regions[k], lo[k], hi[k], work[k], rounds_left == 0,
+                                  [x[run] for x in (a0, a1, u0, u1)],
+                                  [x[:, run] for x in bounds])
+                if more is None:
+                    (lo3, lo4), (hi3, hi4) = lo[k], hi[k]
+                    out[k] = (float(lo3), float(hi3)), (float(lo4), float(hi4))
+                else:
+                    kept.append(more)
+                    open_.append(k)
+        if not kept:
             break
-        # an element at the corner alpha = 0, u = 1, the point nearest a zero
-        # of cosh, whose bound is _SUP_FAR times lo or more has many halvings
-        # ahead
-        far = (np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
-               & (a0 == 0.0) & (u1 == 1.0))
-        hi = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
-        # halve each open element along the sides whose second-order term,
-        # for a kernel it is open for, exceeds a quarter of that kernel's
-        # tolerance and is not below _SUP_ASPECT times the other side's (an
-        # undefined term, 0 * inf where a bound overflowed, counts as over)
-        tol = 0.25 * _SUP_RTOL * lo[:, None]
-        over = over[:, live]
-        a0, a1, u0, u1, far = a0[live], a1[live], u0[live], u1[live], far[live]
-        e_a, e_u = (np.where(over, e[:, live], 0.0) for e in (e_a, e_u))
-        cut_a, cut_u = ((h > 0.0) & np.any(~(e <= tol) & ~(e < _SUP_ASPECT * f), axis=0)
-                        for h, e, f in ((a1 - a0, e_a, e_u), (u1 - u0, e_u, e_a)))
-        # an element open on its first-order terms alone is halved both ways
-        both = ~(cut_a | cut_u)
-        cut_a |= both & (a1 > a0)
-        cut_u |= both & (u1 > u0)
-        # graded cuts, in order, while the pieces they add beyond the 4 the
-        # work check counted for each element keep within _SUP_WORK
-        pieces = (np.where(cut_a, _SUP_GRADED.size + 1, 1)
-                  * np.where(cut_u, _SUP_GRADED.size + 1, 1) - 4)
-        far &= np.cumsum(np.where(far, pieces, 0)) <= _SUP_WORK - work - 4 * over.shape[1]
-        if far.any():
-            a0, a1, u0, u1 = (np.concatenate(x) for x in zip(
-                _halve(*(x[~far] for x in (a0, a1, u0, u1, cut_a, cut_u))),
-                _graded(*(x[far] for x in (a0, a1, u0, u1, cut_a, cut_u)))))
-        else:
-            a0, a1, u0, u1 = _halve(a0, a1, u0, u1, cut_a, cut_u)
-    # every element not dropped is bounded by ub; the open ones only when the
-    # work or round limit stopped the search, and then hi > lo (1 + _SUP_RTOL)
-    hi = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
-    hi = np.maximum(hi, lo)
-    return (float(lo[0]), float(hi[0])), (float(lo[1]), float(hi[1]))
+        a0, a1, u0, u1 = kept[0] if len(kept) == 1 else (np.concatenate(x) for x in zip(*kept))
+        reg = np.repeat(open_, [x[0].size for x in kept])
+    return out
+
+
+def _sup_round(region, lo, hi, work, last, elements, bounds):
+    """One round of the search of region (g, a_max, t_radius), given its
+    elements (a0, a1, u0, u1) and their _element_bounds: raises lo and hi in
+    place, and returns None when the search is done (at the latest in the
+    last round), or else the elements of its next round.  work counts the
+    elements the search has evaluated."""
+    g, _, t_radius = region
+    a0, a1, u0, u1 = elements
+    value, ub, allow, drop, concave, e_a, e_u = bounds
+    lo[:] = np.fmax(lo, np.max(value, axis=1))
+    for which in (0, 1):
+        _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], allow[which], lo,
+                        concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
+    # a corner cannot be halved, so its bound is final, and neither is an
+    # element within tolerance but for its rounding allowance (near the
+    # pole condition the allowance alone can pass it); both count
+    # towards hi; a bound whose weight r^k overflowed is inf - inf here,
+    # and stays open
+    with np.errstate(invalid="ignore"):
+        over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
+                & ((a1 > a0) | (u1 > u0)))
+    live = over[0] | over[1]
+    if last or not live.any() or work + 4 * live.sum() > _SUP_WORK:
+        # every element not dropped is bounded by ub; the open ones only
+        # when the work or round limit stopped the search, and then
+        # hi > lo (1 + _SUP_RTOL)
+        hi[:] = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
+        hi[:] = np.maximum(hi, lo)
+        return None
+    # an element at the corner alpha = 0, u = 1, the point nearest a zero
+    # of cosh, whose bound is _SUP_FAR times lo or more has many halvings
+    # ahead
+    far = (np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
+           & (a0 == 0.0) & (u1 == 1.0))
+    hi[:] = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
+    # halve each open element along the sides whose second-order term,
+    # for a kernel it is open for, exceeds a quarter of that kernel's
+    # tolerance and is not below _SUP_ASPECT times the other side's (an
+    # undefined term, 0 * inf where a bound overflowed, counts as over)
+    tol = 0.25 * _SUP_RTOL * lo[:, None]
+    over = over[:, live]
+    a0, a1, u0, u1, far = a0[live], a1[live], u0[live], u1[live], far[live]
+    e_a, e_u = (np.where(over, e[:, live], 0.0) for e in (e_a, e_u))
+    cut_a, cut_u = ((h > 0.0) & np.any(~(e <= tol) & ~(e < _SUP_ASPECT * f), axis=0)
+                    for h, e, f in ((a1 - a0, e_a, e_u), (u1 - u0, e_u, e_a)))
+    # an element open on its first-order terms alone is halved both ways
+    both = ~(cut_a | cut_u)
+    cut_a |= both & (a1 > a0)
+    cut_u |= both & (u1 > u0)
+    # graded cuts, in order, while the pieces they add beyond the 4 the
+    # work check counted for each element keep within _SUP_WORK
+    pieces = (np.where(cut_a, _SUP_GRADED.size + 1, 1)
+              * np.where(cut_u, _SUP_GRADED.size + 1, 1) - 4)
+    far &= np.cumsum(np.where(far, pieces, 0)) <= _SUP_WORK - work - 4 * over.shape[1]
+    if far.any():
+        return tuple(np.concatenate(x) for x in zip(
+            _halve(*(x[~far] for x in (a0, a1, u0, u1, cut_a, cut_u))),
+            _graded(*(x[far] for x in (a0, a1, u0, u1, cut_a, cut_u)))))
+    return _halve(a0, a1, u0, u1, cut_a, cut_u)
 
 
 def _halve(a0, a1, u0, u1, cut_a, cut_u):
@@ -700,14 +799,15 @@ def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
 def _element_bounds(g, t_radius, a0, a1, u0, u1):
     """(value, ub, allow, drop, concave, e_a, e_u) for elements
     [a0, a1] x [u0, u1]: boxes, edge segments (one side of zero length) and
-    points.  Each is (2, m), one row per kernel: |G| at the centre, the
+    points, each in the region of its own g and t_radius (arrays like a0).
+    Each is (2, m), one row per kernel: |G| at the centre, the
     second-order upper bound, its rounding allowance (included in the
     bound), whether the element holds no local maximum off the edges,
     whether it is a segment with |G| concave along it, and the second-order
     terms along alpha and u."""
     # one entry per element and kernel: the c3 half, then the c4 half
     m = a0.size
-    a0, a1, u0, u1 = (np.concatenate((x, x)) for x in (a0, a1, u0, u1))
+    g, tr, a0, a1, u0, u1 = (np.concatenate((x, x)) for x in (g, t_radius, a0, a1, u0, u1))
     n = 2 * m
     c4 = np.repeat([0, 1], m)
     k = 3.0 + c4
@@ -722,10 +822,10 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         den = 1.0 + e2
         q = 4.0 * e2 / (den * den)
         th = (1.0 - e2) / den
-        r = np.sqrt(g / (1.0 + g * q))
+        g3 = np.concatenate((g, g, g))
+        r = np.sqrt(g3 / (1.0 + g3 * q))
         q0, qc = q[:n], q[2 * n:]
         r0, r1, rc = r[:n], r[n:2 * n], r[2 * n:]
-        tr = t_radius
         b0, b1, bc = r0 * tr * u0, r1 * tr * u1, rc * tr * uc
         # min cos^2 beta over [b0, b1]: 0 where some pi/2 + k pi lies in it, that
         # is where cos changes sign or the interval spans pi

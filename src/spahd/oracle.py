@@ -368,16 +368,18 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
     require_standardized(params, "clt_ratio")
     a = x / math.sqrt(n)
     log_exact = ExactMeanDensity(params, n).log_density(a)
-    return _clt_compare(GaussianMixture(params), n, x, a, log_exact, kappa)[0]
+    model = GaussianMixture(params)
+    budget = budget_total(model, n, float(np.linalg.norm(a)), kappa)
+    return _clt_compare(model, n, x, a, log_exact, budget)[0]
 
 
-def _clt_compare(model, n, x, a, log_exact, kappa):
+def _clt_compare(model, n, x, a, log_exact, budget):
     """(CltComparison, log Gaussian limit) at x, a = x / sqrt(n), given the
-    log exact density at a, for a standardized model; shared by clt_ratio
-    and the clt_study rows."""
+    log exact density at a and the budget total over a ball that holds a,
+    for a standardized model; shared by clt_ratio, whose ball is a's own,
+    and the clt_study rows, whose ball is their cell's."""
     d = model.dim
     log_gauss = -0.5 * d * _LOG_2PI - 0.5 * float(x @ x)
     ratio = exp_or_inf(log_exact - 0.5 * d * math.log(n) - log_gauss)
     local = c3_ball(model, a) * float(np.linalg.norm(x))**3 / math.sqrt(n)
-    bound = local + budget_total(model, n, float(np.linalg.norm(a)), kappa)
-    return CltComparison(ratio=ratio, bound=bound), log_gauss
+    return CltComparison(ratio=ratio, bound=local + budget), log_gauss

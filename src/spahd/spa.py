@@ -128,19 +128,25 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
                        eps_warning=eps > 0.25)
 
 
-def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
-    """Budget total for queries with ||a|| <= a_norm: the model's suprema over
-    tau_radius = max(2 a_norm, 1e-3) and t_radius = TRUNC_RADIUS sqrt(d/n).
-    inf where the alpha range ||mu|| tau_radius passes the double range: the
-    bound is vacuous there, as where one of its terms does."""
-    d = model.dim
+def budget_region(model, n: int, a_norm: float):
+    """(tau_radius, t_radius) of the suprema that budget_total reads for
+    queries with ||a|| <= a_norm: tau_radius = max(2 a_norm, 1e-3) and
+    t_radius = TRUNC_RADIUS sqrt(d/n); None where the alpha range
+    ||mu|| tau_radius passes the double range."""
     tau_radius = max(2.0 * a_norm, 1e-3)
     if model._mu_norm * tau_radius == math.inf:
+        return None
+    return tau_radius, TRUNC_RADIUS * math.sqrt(model.dim / n)
+
+
+def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
+    """Budget total for queries with ||a|| <= a_norm: the model's suprema over
+    budget_region's radii.  inf where that has none: the bound is vacuous
+    there, as where one of its terms passes the double range."""
+    region = budget_region(model, n, a_norm)
+    if region is None:
         return math.inf
-    t_radius = TRUNC_RADIUS * math.sqrt(d / n)
-    return error_bound(
-        d, n, model.c3_sup(tau_radius, t_radius), model.c4_sup(tau_radius, t_radius), kappa
-    ).total
+    return error_bound(model.dim, n, model.c3_sup(*region), model.c4_sup(*region), kappa).total
 
 
 def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from spahd import (
 )
 from spahd.correction import QuadSpec, correction_integral
 from spahd.oracle import ExactMeanDensity
-from spahd.saddle import solve_saddle
+from spahd.saddle import c3_ball, solve_saddle
 from spahd.spa import budget_total, spa_density
 from spahd.experiments import (
     CSV_HEADER,
@@ -313,6 +313,29 @@ class TestCellBatch:
             assert calls == [(1, 4), (2, 4)]
             assert len(records) == 24 and all(r.status == "ok" for r in records)
 
+    def test_cells_of_a_d_share_one_search(self, model_file, tmp_path, monkeypatch):
+        # every n-cell of a d reads its budget from one batched search
+        calls = []
+        certified_sup = model_module._certified_sup
+
+        def counting(regions):
+            calls.append(len(regions))
+            return certified_sup(regions)
+
+        monkeypatch.setattr(model_module, "_certified_sup", counting)
+        standard = tmp_path / "standard.txt"
+        standard.write_text("d = 1\nmu = 0.6\nsigma = 0.64\n")
+        for path, mode in ((model_file, "error_scaling"), (str(standard), "clt_study")):
+            calls.clear()
+            records, _ = run_experiment(make_spec(path, mode=mode, n_grid=(50, 200, 800),
+                                                  a_points=((0.0,), (0.1,), (-0.3,))))
+            assert calls == [3]
+            assert len(records) == 9 and all(r.status == "ok" for r in records)
+        calls.clear()
+        run_experiment(make_spec(model_file, d_grid=(1, 2), n_grid=(50, 200), a_points=(),
+                                 a_shells=((0.0, 1), (0.2, 2))))
+        assert calls == [2, 2]
+
     def test_timing_shares_each_cell_among_its_rows(self, model_file):
         spec = make_spec(model_file, n_grid=(50, 200), a_points=((0.0,), (0.1,), (0.2,)),
                          timing=True)
@@ -357,11 +380,17 @@ class TestCltStudy:
         records, _ = run_experiment(spec)
         assert builds == [50, 200]
         params = load_model_file(standard_file)
+        model = GaussianMixture(params)
         for r, x in zip(records, [0.0, 0.7, -1.5] * 2):
             comparison = clt_ratio(params, r.n, np.array([x]))
             assert r.status == "ok"
             assert r.rel_err == r.i_minus_one == abs(comparison.ratio - 1.0)
-            assert r.bound_total == comparison.bound
+            # the row's own cubic term plus the budget over its cell's ball,
+            # which holds the row's own ball: never below clt_ratio's bound
+            norm = float(np.linalg.norm([x]))
+            local = c3_ball(model, np.array([x]) / math.sqrt(r.n)) * norm**3 / math.sqrt(r.n)
+            assert r.bound_total == local + budget_total(model, r.n, 1.5 / math.sqrt(r.n))
+            assert r.bound_total >= comparison.bound
             assert r.rho_exact == exact_mean_density(params, r.n, np.array([x / math.sqrt(r.n)]))
 
     def test_overflowed_limit_density(self, tmp_path):
@@ -390,22 +419,22 @@ class TestCltStudy:
         for r in failed:
             assert r.bound_total == budget_total(model, r.n, 1.5 / math.sqrt(r.n))
 
-    def test_one_cold_suprema_pair_per_row(self, standard_file, monkeypatch):
-        # each clt row needs the suprema at its own radius; a sweep with no
-        # failed row computes no other pair
+    def test_one_search_per_model(self, standard_file, monkeypatch):
+        # the rows read their cell's budget, and the cells of one model share
+        # one batched search, with one region per cell
         calls = []
         certified_sup = model_module._certified_sup
 
-        def counting(*args):
-            calls.append(args)
-            return certified_sup(*args)
+        def counting(regions):
+            calls.append(regions)
+            return certified_sup(regions)
 
         monkeypatch.setattr(model_module, "_certified_sup", counting)
         spec = make_spec(standard_file, mode="clt_study", n_grid=(50, 200),
                          a_points=((0.0,), (1.5,), (-0.8,)))
         records, _ = run_experiment(spec)
-        assert all(r.status == "ok" for r in records)
-        assert len(calls) == len(records) == 6
+        assert all(r.status == "ok" for r in records) and len(records) == 6
+        assert [len(regions) for regions in calls] == [2]
 
     def test_unstandardized_model_fails_each_row(self, model_file):
         records, _ = run_experiment(make_spec(model_file, mode="clt_study"))

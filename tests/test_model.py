@@ -219,6 +219,26 @@ class TestCgfValues:
         assert np.all(m.grad([1e308, 1e308]) == 1e308 + 10.0)
         assert np.array_equal(m.hessian([1e308, 1e308]), np.eye(2))
 
+    def test_products_of_both_signs_past_the_double_range(self):
+        # the matmuls meet +inf and -inf in sigma tau and tau' sigma tau;
+        # cgf and gradient still read inf of the right sign
+        sigma = 1e308 * np.array([[1.0, -0.5], [-0.5, 1.0]])
+        m = GaussianMixture(MixtureParams(2, np.array([0.5, 0.0]), sigma))
+        tau = 1e300 * np.ones(2)
+        assert m.cgf_real(tau) == math.inf
+        assert np.array_equal(m.grad(tau), [math.inf, math.inf])
+        assert m.cgf_real(tau * [1.0, -1.0]) == math.inf
+        assert np.array_equal(m.grad(tau * [1.0, -1.0]), [math.inf, -math.inf])
+
+    def test_overflowing_products_of_a_finite_value(self):
+        # 1.5e308 * 1.2 overflows in sigma tau, though sigma tau = 1.8e307 (1, 1)
+        # and tau' sigma tau = 4.32e307 stay in range
+        sigma = 1.5e308 * np.array([[1.0, -0.9], [-0.9, 1.0]])
+        m = GaussianMixture(MixtureParams(2, np.array([0.5, 0.0]), sigma))
+        tau = np.array([1.2, 1.2])
+        assert m.grad(tau) == pytest.approx([1.8e307, 1.8e307], rel=1e-12)
+        assert m.cgf_real(tau) == pytest.approx(2.16e307, rel=1e-12)
+
     def test_grad_matches_finite_differences(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
@@ -538,7 +558,7 @@ class TestCertifiedSuprema:
         # value bound covers the kernel, and the curvature term along u covers
         # a 60-digit second difference, at every point of a 5 x 5 scan
         t_r = 0.5 * math.pi / math.sqrt(g / (1.0 + g)) * frac
-        out = model_module._element_bounds(g, t_r, *(np.array([x]) for x in (a0, a1, u0, 1.0)))
+        out = model_module._element_bounds(*(np.array([x]) for x in (g, t_r, a0, a1, u0, 1.0)))
         ub, e_u = out[1][:, 0], out[-1][:, 0]
         hu = 0.5 * (1.0 - u0)
         with mpmath.workdps(60):
@@ -575,6 +595,29 @@ class TestCertifiedSuprema:
         for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.6, t_r, 241, 1201)):
             assert mpmath.mpf(hi) >= ref
             assert 0.0 < lo <= hi
+
+    def test_batched_search_matches_one_search_per_region(self):
+        # one search over many regions gives each, bit for bit, the bracket of
+        # a search over it alone, in either order: the 1e-3 floor ball of the
+        # standardized mu = 0.6 model, a region 1e-8 from the pole condition,
+        # g = 1e4 where the bracket stays wider than 1e-6, a region past the
+        # pole, and budget regions over several d and n
+        edge = 0.5 * math.pi / math.sqrt(0.5)  # g = 1, ||H(0)^{-1/2} mu|| = sqrt(1/2)
+        wide = GaussianMixture(MixtureParams(2, np.array([100.0, 0.0]), np.eye(2)))
+        regions = [(0.5625, 0.6e-3, 2.5 * math.sqrt(1 / 50)),
+                   (1.0, 0.6, edge * (1.0 - 1e-8)),
+                   (wide._g, 60.0, 0.3 * 0.5 * math.pi / float(wide.whitened_mu_norm(0.0))),
+                   (1.0, 0.6, 1.05 * edge)]
+        regions += [(g, a_max, 2.5 * math.sqrt(d / n)) for g, a_max in ((1.0, 0.2), (0.5625, 0.27))
+                    for d in (1, 8, 64) for n in (200, 6400, 100000)]
+        alone = [model_module._certified_sup([region])[0] for region in regions]
+        assert model_module._certified_sup(regions) == alone
+        assert model_module._certified_sup(regions[::-1]) == alone[::-1]
+        floor, near, gap, pole = alone[:4]
+        assert all(hi <= lo * (1.0 + 1e-6) for lo, hi in floor)
+        assert all(0.0 < lo <= hi < math.inf for lo, hi in near)
+        assert all(hi > lo * (1.0 + 1e-6) for lo, hi in gap)
+        assert all(hi == math.inf for _, hi in pole)
 
     def test_bracket_accessor(self):
         m = mixture_1d()

@@ -455,6 +455,14 @@ class TestCltRatio:
         with pytest.raises(StandardizationError):
             clt_ratio(params_1d(), 100, np.zeros(1))
 
+    def test_mu_past_the_squared_range_fails_standardization_quietly(self):
+        # mu mu' overflows for ||mu|| past about 1.34e154: the check refuses
+        # the model without a NumPy overflow warning first
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StandardizationError):
+                clt_ratio(MixtureParams(1, [1e200], [[1.0]]), 10, [0.0])
+
     def test_one_standardization_tolerance(self):
         # sigma + mu mu' = hessian(0) is 1e-9 off the identity: the clt ratio
         # and the Legendre gap report both refuse it at the same 1e-10
