@@ -212,7 +212,9 @@ def _sweep(spec, finish, clt=False):
     finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
     builds each row; a clt row gets its point x as a and None for saddle
     and est, and queries the oracle at x / sqrt(n).  A package error raised
-    at any step of a row becomes that row's status.
+    at any step of a row becomes that row's status; an oracle that cannot be
+    built (n past oracle.MAX_N, say) gives its error to each row of its cell
+    that passed its first step.
 
     bound, passed to finish and reported by failed rows, gives the budget
     total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for clt
@@ -256,7 +258,9 @@ def _sweep(spec, finish, clt=False):
         for n, queries, starts, alive, radius, first_s in cells:
             t_cell = time.perf_counter()
             eps = params.d**2 / n
-            oracle = ExactMeanDensity(params, n)
+            oracle = _error_of(ExactMeanDensity, params, n)
+            if isinstance(oracle, SpahdError):
+                starts, alive = [oracle if i in alive else st for i, st in enumerate(starts)], []
             bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
             logs = dict(zip(alive, oracle._log_density_batch(queries[alive]) if alive else ()))
             cell = []

@@ -145,7 +145,10 @@ class MixtureParams:
     """Parameters of the symmetric Gaussian mixture in dimension d.
 
     sigma must be symmetric positive definite; mu = 0 degenerates to the pure
-    Gaussian, which every routine accepts (is_pure_gaussian flags it).
+    Gaussian, which every routine accepts (is_pure_gaussian flags it).  The
+    Cholesky factor that checks sigma is kept, sigma = chol chol', with its
+    inverse chol_inv; log det sigma, the oracle's whitening at every n and
+    the Monte Carlo draws read them, so no other code factors sigma.
     """
 
     d: int
@@ -172,11 +175,13 @@ class MixtureParams:
         # halved first where the sum overflows: entries past half the double range
         sigma = np.where(np.isfinite(twice), 0.5 * twice, 0.5 * sigma + 0.5 * sigma.T)
         try:
-            np.linalg.cholesky(sigma)
+            # sigma = L L'; L and L^-1, set once here, serve every user of a factor
+            chol = np.linalg.cholesky(sigma)
+            chol_inv = np.linalg.solve(chol, np.eye(self.d))
         except np.linalg.LinAlgError as exc:
             raise ModelDomainError("sigma is not positive definite") from exc
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma", sigma)
+        for name, value in (("mu", mu), ("sigma", sigma), ("chol", chol), ("chol_inv", chol_inv)):
+            object.__setattr__(self, name, value)
 
     @property
     def is_pure_gaussian(self) -> bool:
@@ -220,7 +225,7 @@ class GaussianMixture:
             self._g = float(self._mu @ self._w)
         if not math.isfinite(self._g):
             raise ModelDomainError("<mu, sigma^-1 mu> leaves the double range")
-        self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(np.linalg.cholesky(self._sigma)))))
+        self._log_det_sigma = 2.0 * float(np.sum(np.log(np.diag(params.chol))))
         # the diagonal of a diagonal sigma, which the saddle solves by division
         diag = np.diag(self._sigma)
         self._sigma_diag = diag if np.array_equal(self._sigma, np.diag(diag)) else None

@@ -20,13 +20,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ModelDomainError
 from .model import GaussianMixture, MixtureParams, check_point, is_count, require_standardized
 from .saddle import c3_ball
 from .spa import budget_total, check_sample_size, exp_or_inf
 
 _LOG_2PI = math.log(2.0 * math.pi)
 _MC_CHUNK = 1 << 16
+_INT64_MAX = 2**63 - 1
+# a little below the cube root of the largest double
+_CBRT_MAX = 5.6e102
 
 # a query sums every term less than this many nats below the largest ...
 _WINDOW_NATS = 40.0
@@ -35,6 +38,10 @@ _TAIL_REL = 1e-16
 # a batch of queries computes its weights over spans of at most this many
 # terms, so that no temporary passes glibc's 128 KiB mmap threshold
 _SPAN_TERMS = 4096
+# the largest n the oracle takes: a query's first window holds about 9 sqrt(n)
+# terms and its temporaries about 140 bytes a term, 27 MB at n = 1e9 (and past
+# 2^53 a term's k would not be an exact double)
+MAX_N = 10**9
 
 # Stirling error log k! - log(sqrt(2 pi k) (k/e)^k) for k = 0..15 (k = 0 unused)
 _STIRLERR_SMALL = np.array([
@@ -123,8 +130,13 @@ def _geometric_tail(log_edge, ratio):
 class ExactMeanDensity:
     """Exact density of the n-sample mean, reusable across query points.
 
-    Precomputes the inverse Cholesky factor of sigma/n and the whitened mu;
-    no work is O(n).  A query finds the largest log term f(k) = log C(n,k) - n log 2
+    Derives sigma/n's factor from the one the parameters keep, sigma = L L'
+    (L / sqrt(n), log det(sigma/n) and the whitening sqrt(n) L^-1, with no
+    factorization or solve of its own), and the whitened mu; no work is O(n).
+    n is at most MAX_N (DimensionError past it, before anything is
+    allocated), and a ModelDomainError refuses a model whose (sigma/n)^-1 mu,
+    or <mu, (sigma/n)^-1 mu> times the factors the peak search applies, leaves
+    the double range.  A query finds the largest log term f(k) = log C(n,k) - n log 2
     - |a - m_k mu|^2_(sigma/n) / 2 from its exact forward difference, sums
     the O(sqrt n) terms within 40 nats of it (the window grows if it must)
     and bounds the two cut tails by geometric series; last_window holds
@@ -133,27 +145,38 @@ class ExactMeanDensity:
     sweep queries all points of a cell as one batch, which shares the
     weights of overlapping windows; log_density is a batch of one.
     density() is inf above the double range; log_density() stays exact,
-    and is -inf below it.
+    and is -inf below it, and where the squared distance of a to its nearest
+    mean in the sigma/n metric nears the top of the double range.
     """
 
     def __init__(self, params: MixtureParams, n: int):
         n = check_sample_size(n)
+        if n > MAX_N:
+            raise DimensionError(f"the exact oracle takes n <= {MAX_N}, got {n}")
         self.params = params
         self.n = n
-        chol = np.linalg.cholesky(params.sigma / n)
-        self._log_norm = -0.5 * params.d * _LOG_2PI - float(np.sum(np.log(np.diag(chol))))
-        # the whitening x -> L^-1 x, with sigma/n = L L'; a query applies it
-        # once, as a product, which is as precise as a triangular solve here
-        self._whiten = np.linalg.solve(chol, np.eye(params.d))
-        self._mu_w = self._whiten @ params.mu
-        # (sigma/n)^-1 mu, whose product with a is <a_w, mu_w>
-        self._mu_dual = self._whiten.T @ self._mu_w
-        self._q_mu = float(self._mu_w @ self._mu_w)
+        self._log_norm = (0.5 * params.d * (math.log(n) - _LOG_2PI)
+                          - float(np.sum(np.log(np.diag(params.chol)))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # whitening by sigma/n's factor L / sqrt(n): x -> sqrt(n) L^-1 x, one product per query
+            self._whiten = math.sqrt(n) * params.chol_inv
+            self._mu_w = self._whiten @ params.mu
+            # (sigma/n)^-1 mu, whose product with a is <a_w, mu_w>
+            self._mu_dual = self._whiten.T @ self._mu_w
+            q_mu = float(self._mu_w @ self._mu_w)
+        # the peak search's slope, curv, drift and quad_j (see _log_density_batch)
+        slope = 4.0 * q_mu / (n * n)
+        self._search = (slope, 4.0 / (n + 2.0) + slope, q_mu * (n - 1.0) / n,
+                        2.0 * q_mu / (n * n))
+        if not (np.isfinite(self._mu_dual).all() and np.isfinite(self._search).all()):
+            raise ModelDomainError(
+                f"(sigma/n)^-1 mu or <mu, (sigma/n)^-1 mu> leaves the double range at n = {n}")
         self.last_window = None
 
     def log_density(self, a) -> float:
         return self._log_density_batch(check_point(a, self.params.d, "a")[None, :])[0]
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _log_density_batch(self, points):
         """log_density at each row of points (k, d), all finite, as a list.
 
@@ -164,16 +187,13 @@ class ExactMeanDensity:
         and result are those it gets alone; a point whose tail bound fails
         widens its own window.  last_window is the last point's.
         """
-        n, q_mu, mu = self.n, self._q_mu, self.params.mu
+        n, mu = self.n, self.params.mu
         # f(k+1) - f(k) = log((n - k)/(k + 1)) + lead - slope k, exactly; it
-        # falls by at least curv per step, so f is concave with one peak
-        slope = 4.0 * q_mu / (n * n)
-        curv = 4.0 / (n + 2.0) + slope
-        drift = q_mu * (n - 1.0) / n
-        # half the squared distance |a - m_k mu|^2 in the sigma/n metric,
+        # falls by at least curv per step, so f is concave with one peak.
+        # Half the squared distance |a - m_k mu|^2 in the sigma/n metric,
         # expanded about the peak's mean m_p, whose residual is whitened as
         # is, so no large terms cancel: q_p / 2 + j (quad_j j - lin_j), j = k - peak
-        quad_j = 2.0 * q_mu / (n * n)
+        slope, curv, drift, quad_j = self._search
 
         def step(k, lead):
             return math.log((n - k) / (k + 1.0)) + lead - slope * k
@@ -183,32 +203,32 @@ class ExactMeanDensity:
             return math.ceil(0.5 + math.sqrt(0.25 + 2.0 * nats / curv))
 
         queries = []
-        with np.errstate(over="ignore"):
-            for row, a in enumerate(points):
-                q_cross = float(a @ self._mu_dual)
-                if not math.isfinite(q_cross):
-                    continue  # far: see below
-                lead = 2.0 * (q_cross + drift) / n
-                # the peak is the first k with step(k) <= 0 (step(n) = -inf);
-                # since the steps fall by curv or more, it lies within
-                # step(mid) / curv of mid
-                mid = n // 2
-                span = step(mid, lead) / curv
-                peak = max(mid - math.floor(-span) - 1, 0) if span <= 0 else mid + 1
-                hi = mid if span <= 0 else min(mid + math.ceil(span) + 1, n)
-                while peak < hi:  # bisection
-                    mid = (peak + hi) // 2
-                    if step(mid, lead) <= 0.0:
-                        hi = mid
-                    else:
-                        peak = mid + 1
-                r_w = self._whiten @ (a - (2.0 * peak - n) / n * mu)
-                if not np.isfinite(r_w).all():
-                    # a leaves the double range in the sigma/n metric, and so
-                    # does its distance to every mean m_k mu, |m_k| <= 1
-                    continue
-                queries.append((peak, row, lead, 2.0 * float(r_w @ self._mu_w) / n,
-                                0.5 * float(r_w @ r_w)))
+        for row, a in enumerate(points):
+            q_cross = float(a @ self._mu_dual)
+            if not math.isfinite(q_cross):
+                continue  # far: see below
+            # +-inf where it overflows, which puts the peak at k = n or 0
+            lead = 2.0 * (q_cross + drift) / n
+            # the peak is the first k with step(k) <= 0 (step(n) = -inf);
+            # since the steps fall by curv or more, it lies within
+            # step(mid) / curv of mid
+            mid = n // 2
+            span = min(max(step(mid, lead) / curv, -n), n)
+            peak = max(mid - math.floor(-span) - 1, 0) if span <= 0 else mid + 1
+            hi = mid if span <= 0 else min(mid + math.ceil(span) + 1, n)
+            while peak < hi:  # bisection
+                mid = (peak + hi) // 2
+                if step(mid, lead) <= 0.0:
+                    hi = mid
+                else:
+                    peak = mid + 1
+            r_w = self._whiten @ (a - (2.0 * peak - n) / n * mu)
+            lin_j, half_q = 2.0 * float(r_w @ self._mu_w) / n, 0.5 * float(r_w @ r_w)
+            if not (math.isfinite(lin_j) and math.isfinite(half_q)):
+                # a's distance to the peak's mean, and so to every mean m_k mu,
+                # nears the top of the double range in the sigma/n metric
+                continue
+            queries.append((peak, row, lead, lin_j, half_q))
 
         first = reach(_WINDOW_NATS)
         # j and quad_j j over a first window that no end of 0..n cuts
@@ -224,7 +244,9 @@ class ExactMeanDensity:
                 j = np.arange(k_lo - peak, k_hi - peak + 1.0)
                 quad = quad_j * j
             f = weights - j * (quad - lin_j)
-            top = f[peak - k_lo]
+            # the peak's term, unless rounding puts a neighbour above it where
+            # a step of k moves the mean by many standard deviations
+            top = f.max()
             log_sum = top + math.log(np.exp(f - top).sum())
             # past each edge the steps are no larger than the edge's own
             tail = ((_geometric_tail(f[-1] - log_sum, step(k_hi, lead)) if k_hi < n else 0.0)
@@ -304,7 +326,6 @@ def _sample_means(params, n, count, seed):
     binomial and one Gaussian draw regardless of n.
     """
     d = params.d
-    chol = np.linalg.cholesky(params.sigma)
     out = np.empty((count, d))
     pos = 0
     chunk_idx = 0
@@ -314,7 +335,7 @@ def _sample_means(params, n, count, seed):
         k = rng.binomial(n, 0.5, size=take)
         z = rng.standard_normal((take, d))
         out[pos:pos + take] = (
-            ((2.0 * k - n) / n)[:, None] * params.mu + (z @ chol.T) / math.sqrt(n)
+            ((2.0 * k - n) / n)[:, None] * params.mu + (z @ params.chol.T) / math.sqrt(n)
         )
         pos += take
         chunk_idx += 1
@@ -325,30 +346,43 @@ def mc_density(params: MixtureParams, n: int, a, config: McOracleConfig | None =
     """Kernel density estimate of the mean density at a, with bootstrap stderr.
 
     Returns (estimate, stderr).  Only supported for d <= 4, where product-
-    kernel estimates at a point are still reasonable at 1e4+ samples.
+    kernel estimates at a point are still reasonable at 1e4+ samples, and
+    for n <= 2^63 - 1, which the binomial draw takes; DimensionError also
+    where the spread of the sample means, the estimate or its bootstrap
+    standard error leaves the double range.
     """
     if params.d > 4:
         raise DimensionError(f"mc oracle supports d <= 4, got d={params.d}")
     n = check_sample_size(n)
+    if n > _INT64_MAX:
+        raise DimensionError(f"mc oracle draws n <= 2^63 - 1, got {n}")
     cfg = config or McOracleConfig()
     a = check_point(a, params.d, "a")
     x = _sample_means(params, n, cfg.samples, cfg.seed)
     if cfg.bandwidth is not None:
         h = np.full(params.d, cfg.bandwidth)
     else:
-        sd = np.std(x, axis=0, ddof=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = np.std(x, axis=0, ddof=1)
+        if not np.isfinite(sd).all():
+            raise DimensionError("the spread of the sample means leaves the double range")
         sd = np.where(sd > 0, sd, 1.0 / math.sqrt(n))
         h = sd * cfg.samples ** (-1.0 / (params.d + 4))
-    u = (x - a) / h
-    log_k = -0.5 * np.sum(u * u, axis=1) - np.sum(np.log(h)) - 0.5 * params.d * _LOG_2PI
-    v = np.exp(log_k)
-    est = float(np.mean(v))
-    boot_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB007]))
-    boot = np.empty(cfg.bootstrap)
-    for b in range(cfg.bootstrap):
-        idx = boot_rng.integers(0, cfg.samples, cfg.samples)
-        boot[b] = np.mean(v[idx])
-    return est, float(np.std(boot, ddof=1))
+    # past the double range a kernel reads 0 or inf, which the check below refuses
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = (x - a) / h
+        log_k = -0.5 * np.sum(u * u, axis=1) - np.sum(np.log(h)) - 0.5 * params.d * _LOG_2PI
+        v = np.exp(log_k)
+        est = float(np.mean(v))
+        boot_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0xB007]))
+        boot = np.empty(cfg.bootstrap)
+        for b in range(cfg.bootstrap):
+            idx = boot_rng.integers(0, cfg.samples, cfg.samples)
+            boot[b] = np.mean(v[idx])
+        stderr = float(np.std(boot, ddof=1))
+    if not (math.isfinite(est) and math.isfinite(stderr)):
+        raise DimensionError("the kernel estimate or its bootstrap leaves the double range")
+    return est, stderr
 
 
 class CltComparison(NamedTuple):
@@ -361,11 +395,13 @@ def clt_ratio(params: MixtureParams, n: int, x, kappa: float = 1.0) -> CltCompar
 
     Requires a standardized model (sigma + mu mu' = identity).  The bound is
     the cubic local term C3(a) ||x||^3 / sqrt(n) at a = x / sqrt(n) plus the
-    multiplicative budget total, both up to absolute constants.
+    multiplicative budget total, both up to absolute constants; an x whose
+    ||x||^3 leaves the double range is a DimensionError.
     """
     x = check_point(x, params.d, "x")
     n = check_sample_size(n)
     require_standardized(params, "clt_ratio")
+    _clt_norm(x)
     a = x / math.sqrt(n)
     log_exact = ExactMeanDensity(params, n).log_density(a)
     model = GaussianMixture(params)
@@ -379,7 +415,17 @@ def _clt_compare(model, n, x, a, log_exact, budget):
     for a standardized model; shared by clt_ratio, whose ball is a's own,
     and the clt_study rows, whose ball is their cell's."""
     d = model.dim
+    x_norm = _clt_norm(x)
     log_gauss = -0.5 * d * _LOG_2PI - 0.5 * float(x @ x)
     ratio = exp_or_inf(log_exact - 0.5 * d * math.log(n) - log_gauss)
-    local = c3_ball(model, a) * float(np.linalg.norm(x))**3 / math.sqrt(n)
+    local = c3_ball(model, a) * x_norm**3 / math.sqrt(n)
     return CltComparison(ratio=ratio, bound=local + budget), log_gauss
+
+
+def _clt_norm(x):
+    """||x||; DimensionError where ||x||^3, the local term's factor, leaves the double range."""
+    with np.errstate(over="ignore"):
+        x_norm = float(np.linalg.norm(x))
+    if not x_norm < _CBRT_MAX:
+        raise DimensionError(f"||x||^3 leaves the double range at ||x|| = {x_norm:.6g}")
+    return x_norm

@@ -336,6 +336,31 @@ class TestCellBatch:
                                  a_shells=((0.0, 1), (0.2, 2))))
         assert calls == [2, 2]
 
+    def test_sigma_is_factored_once_per_sweep(self, model_file, monkeypatch):
+        # the parameters keep sigma's factor; the model and each n's oracle read it
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counting(m):
+            calls.append(m.shape)
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counting)
+        records, _ = run_experiment(make_spec(model_file, n_grid=(50, 200, 800),
+                                              a_points=((0.0,), (0.1,))))
+        assert calls == [(1, 1)]
+        assert len(records) == 6 and all(r.status == "ok" for r in records)
+
+    def test_oracle_past_its_limit_fails_its_cells_rows(self, model_file):
+        # the oracle refuses n past MAX_N when it is built; that cell's rows
+        # carry its DimensionError and the n = 50 rows stay ok
+        n_big = spahd.oracle.MAX_N + 1
+        records, _ = run_experiment(make_spec(model_file, n_grid=(50, n_big),
+                                              a_points=((0.0,), (0.1,))))
+        assert [(r.n, r.status) for r in records] == [
+            (50, "ok"), (50, "ok"), (n_big, "DimensionError"), (n_big, "DimensionError")]
+        assert all(math.isnan(r.rho_exact) and r.bound_total > 0 for r in records[2:])
+
     def test_timing_shares_each_cell_among_its_rows(self, model_file):
         spec = make_spec(model_file, n_grid=(50, 200), a_points=((0.0,), (0.1,), (0.2,)),
                          timing=True)
@@ -439,6 +464,15 @@ class TestCltStudy:
     def test_unstandardized_model_fails_each_row(self, model_file):
         records, _ = run_experiment(make_spec(model_file, mode="clt_study"))
         assert [r.status for r in records] == ["StandardizationError"] * 2
+
+    def test_point_whose_cube_overflows_fails_only_its_row(self, standard_file):
+        # ||x||^3 of the local term leaves the double range: that row is a
+        # DimensionError, where a bare OverflowError used to end the sweep
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records, _ = run_experiment(make_spec(standard_file, mode="clt_study", n_grid=(50,),
+                                                  a_points=((0.5,), (1e120,))))
+        assert [r.status for r in records] == ["ok", "DimensionError"]
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Exact and Monte Carlo reference densities, CLT comparison."""
 
+import collections
 import functools
 import math
 import tracemalloc
@@ -8,6 +9,8 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spahd import (
     DimensionError,
@@ -15,6 +18,8 @@ from spahd import (
     GaussianMixture,
     McOracleConfig,
     MixtureParams,
+    ModelDomainError,
+    SpahdError,
     StandardizationError,
     clt_ratio,
     exact_mean_density,
@@ -22,7 +27,7 @@ from spahd import (
     mc_density,
 )
 import spahd.oracle
-from spahd.oracle import _log_binom_weights
+from spahd.oracle import MAX_N, _log_binom_weights
 
 # mpmath 40-digit reference: mu = 1, sigma = 1, a = 0, n = 2
 EXACT_AT_0_N2 = 0.38587166612902681931
@@ -371,6 +376,105 @@ class TestOracleBatch:
             assert np.array_equal(_log_binom_weights(n, lo, k_hi), span[lo - k_lo:])
 
 
+def count_linalg(monkeypatch):
+    """Wrap every np.linalg routine in a counter; returns the counts by name."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in np.linalg.__all__:
+        fn = getattr(np.linalg, name)
+        if callable(fn) and not isinstance(fn, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, fn))
+    return calls
+
+
+class TestOracleDomain:
+    def test_another_n_reads_the_parameters_factor(self, monkeypatch):
+        # the oracle derives sigma/n's factor from sigma's, which the
+        # parameters keep, so building it at a second n needs no linear algebra
+        rng = np.random.default_rng(5)
+        q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        p = MixtureParams(3, rng.normal(size=3), q @ np.diag([0.5, 1.0, 2.0]) @ q.T)
+        ExactMeanDensity(p, 50)
+        calls = count_linalg(monkeypatch)
+        oracle = ExactMeanDensity(p, 800)
+        assert not calls
+        # against every term summed with a solve and a determinant of sigma/n
+        monkeypatch.undo()
+        a = np.array([0.1, -0.2, 0.05])
+        r = a - np.outer(np.arange(801) / 400.0 - 1.0, p.mu)
+        quad = np.sum(r * np.linalg.solve(p.sigma / 800, r.T).T, axis=1)
+        f = _log_binom_weights(800) - 0.5 * quad
+        top = f.max()
+        log_ref = (top + math.log(np.exp(f - top).sum())
+                   - 0.5 * np.linalg.slogdet(2.0 * math.pi * p.sigma / 800)[1])
+        assert oracle.log_density(a) == pytest.approx(log_ref, rel=1e-13)
+
+    @pytest.mark.parametrize("sigma, n", [(5e-324, 4), (1e-300, 10**6), (1e-308, 2)])
+    def test_mu_past_the_double_range_of_sigma_over_n(self, sigma, n):
+        # <mu, (sigma/n)^-1 mu> or the peak search's constants overflow: a
+        # typed error when the oracle is built, not a LinAlgError, an
+        # OverflowError or a silent -inf with warnings at the query
+        p = params_1d(1.0, sigma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ModelDomainError):
+                ExactMeanDensity(p, n)
+
+    def test_means_many_deviations_apart(self):
+        # each step of k moves the mean by about 1e12 standard deviations, so
+        # the window's terms are computed to about 1e8 nats, and the peak's
+        # neighbour may come out above it: that read +inf before
+        mu, sigma, n, a = 1.9063907382112716e91, 2.667803419122743e153, 686393, 0.1442817818122828
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = ExactMeanDensity(params_1d(mu, sigma), n).log_density(np.array([a]))
+        assert value == pytest.approx(mp_log_density([mu], [sigma], n, [a]), rel=1e-12)
+
+    def test_n_past_the_limit_is_refused_when_built(self):
+        # never queried: a window there would hold about 9 sqrt(n) terms
+        for n in (MAX_N + 1, 2**53, 10**300):
+            with pytest.raises(DimensionError):
+                ExactMeanDensity(params_1d(), n)
+        with pytest.raises(DimensionError):
+            clt_ratio(params_1d(0.6, 0.64), MAX_N + 1, np.zeros(1))
+
+    def test_query_at_the_limit_allocates_a_few_tens_of_mb(self):
+        oracle = ExactMeanDensity(params_1d(), MAX_N)
+        tracemalloc.start()
+        try:
+            value = oracle.log_density(np.array([1e-5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert math.isfinite(value) and peak < 40e6
+
+    def test_mc_keeps_a_peak_whose_squares_fit(self):
+        # mu = 0, sigma = 1e-300: the density at 0 is (2 pi 1e-306)^(-1/2)
+        est, stderr = mc_density(params_1d(0.0, 1e-300), 10**6, np.zeros(1))
+        assert est == pytest.approx((2e-306 * math.pi) ** -0.5, rel=0.05)
+        assert 0.0 < stderr < math.inf
+
+    def test_mc_n_past_int64_is_refused(self):
+        for n in (2**63, 10**300):
+            with pytest.raises(DimensionError):
+                mc_density(params_1d(), n, np.zeros(1))
+
+    @pytest.mark.parametrize("mu, sigma", [(1e200, 1.0), (0.0, 1e-310)])
+    def test_mc_refuses_draws_past_the_double_range(self, mu, sigma):
+        # the spread of the draws leaves the double range, or the bootstrap's
+        # squares of the kernel's peak density, about 2e158, do
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                mc_density(params_1d(mu, sigma), 10**6, np.zeros(1))
+
+
 class TestMcDensity:
     def test_matches_exact_within_band(self):
         # KDE smoothing bias at the peak is ~1-2%, so the band is
@@ -455,6 +559,15 @@ class TestCltRatio:
         with pytest.raises(StandardizationError):
             clt_ratio(params_1d(), 100, np.zeros(1))
 
+    @pytest.mark.parametrize("x", [1e120, 1e200])
+    def test_point_whose_cube_overflows(self, x):
+        # ||x||^3 leaves the double range: a typed error, not a bare
+        # OverflowError or a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DimensionError):
+                clt_ratio(params_1d(0.6, 0.64), 50, np.array([x]))
+
     def test_mu_past_the_squared_range_fails_standardization_quietly(self):
         # mu mu' overflows for ||mu|| past about 1.34e154: the check refuses
         # the model without a NumPy overflow warning first
@@ -491,3 +604,73 @@ class TestCltRatio:
 
 def r_bound_positive(comparison):
     return comparison.bound > 0
+
+
+def _typed(fn):
+    """fn(), or None where it raises a SpahdError."""
+    try:
+        return fn()
+    except SpahdError:
+        return None
+
+
+# point entries: non-finite, huge, subnormal and ordinary
+_ENTRY = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 1.7e308, -1e308, 1e154,
+                                    5e-324, -1e-310, 0.0]),
+                   st.floats(-3.0, 3.0))
+_MC_CONFIG = McOracleConfig(samples=10000, bootstrap=2)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    log_diag=st.lists(st.floats(math.log10(5e-324), 308.0), min_size=3, max_size=3),
+    log_kappa=st.floats(0.0, 15.0),
+    log_mu=st.one_of(st.none(), st.floats(-300.0, 300.0)),
+    rho=st.floats(0.0, 0.95),
+    point=st.lists(_ENTRY, min_size=3, max_size=3),
+    n=st.one_of(st.integers(1, 10**6), st.integers(10**6, 10**20),
+                st.sampled_from([MAX_N, MAX_N + 1, 2**63 - 1, 2**63, 10**300])),
+)
+def test_oracle_entry_points_return_or_raise_typed(d, seed, log_diag, log_kappa, log_mu, rho,
+                                                   point, n):
+    # sigma = S C S with diagonal entries S^2 from 5e-324 to 1e308 and a correlation
+    # matrix C of eigenvalue ratio up to 1e15; mu is 0 where log_mu is None.  Each
+    # call returns a finite value, or -inf for a log density and inf for a density
+    # past the double range, or raises a SpahdError, and none warns.  Queries run
+    # at n <= 1e6 only; past MAX_N the oracle is only built
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    lam = np.geomspace(1.0, 10.0**-log_kappa, d)
+    shape = q @ np.diag(lam) @ q.T
+    root = np.sqrt(np.diag(shape))
+    scale = 10.0 ** (0.5 * np.array(log_diag[:d]))
+    sigma = (shape / root[:, None] / root[None, :]) * scale[:, None] * scale[None, :]
+    mu = np.zeros(d) if log_mu is None else rng.normal(size=d)
+    if log_mu is not None:
+        mu *= 10.0**log_mu / np.linalg.norm(mu)
+    a = np.array(point[:d])
+    # a standardized model for clt_ratio: sigma = I - mu mu', ||mu|| = rho
+    u = rng.normal(size=d)
+    mu_std = rho * u / np.linalg.norm(u)
+    std = MixtureParams(d, mu_std, np.eye(d) - np.outer(mu_std, mu_std))
+    query = n <= 10**6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = _typed(lambda: MixtureParams(d, mu, sigma))
+        if params is not None:
+            oracle = _typed(lambda: ExactMeanDensity(params, n))
+            assert oracle is None or n <= MAX_N
+            if oracle is not None and query:
+                log = _typed(lambda: oracle.log_density(a))
+                # every finite point gets an answer
+                assert (log is None) == (not np.isfinite(a).all())
+                assert log is None or log < math.inf
+                density = _typed(lambda: exact_mean_density(params, n, a))
+                assert density is None or 0.0 <= density <= math.inf
+            mc = _typed(lambda: mc_density(params, n, a, _MC_CONFIG))
+            assert mc is None or (np.isfinite(mc).all() and min(mc) >= 0.0)
+        if query or n > MAX_N:
+            clt = _typed(lambda: clt_ratio(std, n, a))
+            assert clt is None or (0.0 <= clt.ratio <= math.inf and 0.0 <= clt.bound <= math.inf)
