@@ -14,10 +14,11 @@ a row's wall_ms is then an even share of its cell's wall time.
 
 A (d, n) cell is evaluated as one batch: the saddles of a d's query points
 are solved once (saddle._solve_batch) and serve every n, the budgets of
-all a d's cells read one batched c3/c4 search, and the exact oracle
-answers all points of a cell in one batch query, whose merged windows
-share their Loader weights.  Each row keeps its own status, and
-its values are those of the one-point calls at its point, bit for bit.
+all a d's cells come from one budget_totals call over one batched c3/c4
+search, and the exact oracle answers all points of a cell in one batch
+query, whose merged windows share their Loader weights.  Each row keeps
+its own status, and its values are those of the one-point calls at its
+point, bit for bit.
 
 Modes differ in how i_minus_one is obtained:
 
@@ -34,7 +35,6 @@ Modes differ in how i_minus_one is obtained:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 import math
@@ -50,7 +50,7 @@ from .model import (GaussianMixture, check_keys, check_point, load_model_file, p
                     require_standardized)
 from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import _solve_batch
-from .spa import budget_region, budget_total, exp_or_inf, expm1_or_inf, spa_density
+from .spa import budget_totals, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -206,23 +206,20 @@ def _sweep(spec, finish, clt=False):
     its points are solved once, as one batch, to serve every n; clt rows
     need none.  Then in each cell every row takes its own first step: its
     spa estimate, or for a clt row the standardization check.  Then one
-    batched c3/c4 search (GaussianMixture._fill_c34) brackets the budget
-    regions of all the d's cells at once.  Last, in each cell the oracle
-    evaluates the points of the rows that passed as one batch, and
+    budget_totals call gives every cell of the d its budget total from one
+    batched c3/c4 search.  Last, in each cell the oracle evaluates the
+    points of the rows that passed as one batch, and
     finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
     builds each row; a clt row gets its point x as a and None for saddle
     and est, and queries the oracle at x / sqrt(n).  A package error raised
     at any step of a row becomes that row's status; an oracle that cannot be
-    built (n past oracle.MAX_N, say) gives its error to each row of its cell
-    that passed its first step.
+    built (n past oracle.MAX_N, say), or else a budget that is an error,
+    gives its error to each row of its cell that passed its first step.
 
-    bound, passed to finish and reported by failed rows, gives the budget
-    total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for clt
-    rows, over the rows that pass their first step.  It is computed once per
-    (d, n), when a row first asks for it, and reads the brackets the batched
-    search left in the model's cache; a region that search skipped, or a
-    budget that raises, is left to that call, so a failed row reports NaN
-    where it raises.
+    bound, the number passed to finish and reported by failed rows, is the
+    budget total over the cell's ball: max ||a||, or max ||x|| / sqrt(n) for
+    clt rows, over the rows that pass their first step; failed rows report
+    NaN where the budget is an error.
     With timing on, a row's wall_ms is its cell's wall time, first step,
     oracle batch and rows, plus the cell's share of its d's set-up, saddle
     batch and batched search, divided evenly among the cell's rows.
@@ -251,17 +248,16 @@ def _sweep(spec, finish, clt=False):
             alive = [i for i, st in enumerate(starts) if not isinstance(st, SpahdError)]
             radius = max((norms[i] for i in alive), default=0.0) / (math.sqrt(n) if clt else 1.0)
             cells.append((n, queries, starts, alive, radius, time.perf_counter() - t_cell))
-        regions = [budget_region(model, n, radius) for n, _, _, _, radius, _ in cells]
-        model._fill_c34([region for region in regions if region is not None])
+        totals = budget_totals(model, [(n, radius) for n, _, _, _, radius, _ in cells], spec.kappa)
         first_steps = sum(first_s for *_, first_s in cells)
         share = (time.perf_counter() - t_d - first_steps) * 1e3 / len(cells)
-        for n, queries, starts, alive, radius, first_s in cells:
+        for (n, queries, starts, alive, _, first_s), bound in zip(cells, totals):
             t_cell = time.perf_counter()
             eps = params.d**2 / n
             oracle = _error_of(ExactMeanDensity, params, n)
-            if isinstance(oracle, SpahdError):
-                starts, alive = [oracle if i in alive else st for i, st in enumerate(starts)], []
-            bound = functools.cache(functools.partial(budget_total, model, n, radius, spec.kappa))
+            failed = [x for x in (oracle, bound) if isinstance(x, SpahdError)]
+            if failed:
+                starts, alive = [failed[0] if i in alive else st for i, st in enumerate(starts)], []
             logs = dict(zip(alive, oracle._log_density_batch(queries[alive]) if alive else ()))
             cell = []
             for i, (a, a_norm, st) in enumerate(zip(points, norms, starts)):
@@ -270,9 +266,8 @@ def _sweep(spec, finish, clt=False):
                                    bound)
                 if isinstance(st, SpahdError):
                     nan = math.nan
-                    total = _error_of(bound)
                     st = ResultRecord(params.d, n, a_norm, nan, nan, nan, nan, eps,
-                                      nan if isinstance(total, SpahdError) else total,
+                                      nan if isinstance(bound, SpahdError) else bound,
                                       None, type(st).__name__)
                 cell.append(st)
             if spec.timing:
@@ -318,7 +313,7 @@ def run_error_scaling(spec: ExperimentSpec):
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(expm1_or_inf(gap)), abs(expm1_or_inf(-gap)),
-            eps, bound(), None, "ok",
+            eps, bound, None, "ok",
         )
 
     return _sweep(spec, finish)
@@ -336,7 +331,7 @@ def run_correction_study(spec: ExperimentSpec):
         return ResultRecord(
             d, n, a_norm, est.density, exp_or_inf(log_exact),
             abs(expm1_or_inf(gap)), corr.abs_err_from_one,
-            eps, bound(), None, "ok" if consistent else "inconsistent",
+            eps, bound, None, "ok" if consistent else "inconsistent",
         )
 
     return _sweep(spec, finish)
@@ -345,7 +340,7 @@ def run_correction_study(spec: ExperimentSpec):
 def run_clt_study(spec: ExperimentSpec):
     def finish(model, d, n, x, saddle, est, log_exact, x_norm, eps, bound):
         comparison, log_gauss = _clt_compare(model, n, x, x / math.sqrt(n), log_exact,
-                                             bound())
+                                             bound)
         rho_limit = exp_or_inf(0.5 * d * math.log(n) + log_gauss)
         gap = abs(comparison.ratio - 1.0)
         return ResultRecord(

@@ -229,7 +229,6 @@ class GaussianMixture:
         # the diagonal of a diagonal sigma, which the saddle solves by division
         diag = np.diag(self._sigma)
         self._sigma_diag = diag if np.array_equal(self._sigma, np.diag(diag)) else None
-        self._c34_cache: dict[tuple[float, float], tuple[tuple[float, float], ...]] = {}
 
     @property
     def dim(self) -> int:
@@ -337,43 +336,36 @@ class GaussianMixture:
         contains a zero of cosh, where both kernels are unbounded, exactly when
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
         Gaussian gives zeros.  Raises DimensionError unless both radii are
-        finite and > 0 and ||mu|| * tau_radius is finite.  Brackets are cached
-        per radii on the instance (see _fill_c34).
+        finite and > 0 and ||mu|| * tau_radius is finite.  A batch of one
+        c34_brackets, so the instance keeps nothing of the search.
         """
-        key = self._c34_key(tau_radius, t_radius)
-        if key not in self._c34_cache:
-            self._fill_c34([key])
-        return self._c34_cache[key]
+        bracket, = self.c34_brackets([(tau_radius, t_radius)])
+        if isinstance(bracket, DimensionError):
+            raise bracket
+        return bracket
 
-    def _c34_key(self, tau_radius, t_radius):
-        """The cache key (tau_radius, t_radius) of a region c34_bracket accepts."""
-        if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
-            raise DimensionError(f"radii must be finite and > 0, got {tau_radius}, {t_radius}")
-        if self._mu_norm * tau_radius == math.inf:
-            raise DimensionError(f"the alpha range ||mu|| tau_radius leaves the double range "
-                                 f"at tau_radius = {tau_radius}")
-        return float(tau_radius), float(t_radius)
-
-    def _fill_c34(self, regions):
-        """Cache the brackets of every (tau_radius, t_radius) region not yet
-        cached, searching them all in one _certified_sup call; a region that
-        c34_bracket refuses is skipped, so that its own call raises."""
-        todo = {}
+    def c34_brackets(self, regions):
+        """c34_bracket of each (tau_radius, t_radius) region, or the
+        DimensionError it raises, in place.  The distinct regions that need
+        a search share one _certified_sup call; nothing is kept."""
+        out, todo = [], {}
         for tau_radius, t_radius in regions:
-            try:
-                key = self._c34_key(tau_radius, t_radius)
-            except DimensionError:
-                continue
-            if key in self._c34_cache or key in todo:
-                continue
-            if self.is_pure_gaussian:
-                self._c34_cache[key] = ((0.0, 0.0), (0.0, 0.0))
+            if not (0 < tau_radius < math.inf and 0 < t_radius < math.inf):
+                out.append(DimensionError(f"radii must be finite and > 0, "
+                                          f"got {tau_radius}, {t_radius}"))
+            elif self._mu_norm * tau_radius == math.inf:
+                out.append(DimensionError(f"the alpha range ||mu|| tau_radius leaves the "
+                                          f"double range at tau_radius = {tau_radius}"))
+            elif self.is_pure_gaussian:
+                out.append(((0.0, 0.0), (0.0, 0.0)))
             elif self.whitened_mu_norm(0.0) * t_radius >= 0.5 * math.pi:
-                self._c34_cache[key] = ((math.inf, math.inf), (math.inf, math.inf))
+                out.append(((math.inf, math.inf), (math.inf, math.inf)))
             else:
-                todo[key] = (self._g, self._mu_norm * tau_radius, t_radius)
-        if todo:
-            self._c34_cache.update(zip(todo, _certified_sup(list(todo.values()))))
+                # the search's index, for the bracket it finds
+                out.append(todo.setdefault((float(tau_radius), float(t_radius)), len(todo)))
+        found = _certified_sup([(self._g, self._mu_norm * tau_radius, t_radius)
+                                for tau_radius, t_radius in todo]) if todo else ()
+        return [found[x] if isinstance(x, int) else x for x in out]
 
     def c3_sup(self, tau_radius, t_radius):
         """Certified upper bound of the whitened third-derivative kernel's

@@ -128,25 +128,37 @@ def error_bound(d: int, n: int, c3: float, c4: float, kappa: float = 1.0) -> Err
                        eps_warning=eps > 0.25)
 
 
-def budget_region(model, n: int, a_norm: float):
-    """(tau_radius, t_radius) of the suprema that budget_total reads for
-    queries with ||a|| <= a_norm: tau_radius = max(2 a_norm, 1e-3) and
-    t_radius = TRUNC_RADIUS sqrt(d/n); None where the alpha range
-    ||mu|| tau_radius passes the double range."""
-    tau_radius = max(2.0 * a_norm, 1e-3)
-    if model._mu_norm * tau_radius == math.inf:
-        return None
-    return tau_radius, TRUNC_RADIUS * math.sqrt(model.dim / n)
-
-
 def budget_total(model, n: int, a_norm: float, kappa: float = 1.0) -> float:
-    """Budget total for queries with ||a|| <= a_norm: the model's suprema over
-    budget_region's radii.  inf where that has none: the bound is vacuous
-    there, as where one of its terms passes the double range."""
-    region = budget_region(model, n, a_norm)
-    if region is None:
-        return math.inf
-    return error_bound(model.dim, n, model.c3_sup(*region), model.c4_sup(*region), kappa).total
+    """Budget total for queries with ||a|| <= a_norm: a batch of one budget_totals."""
+    total, = budget_totals(model, [(n, a_norm)], kappa)
+    if isinstance(total, SpahdError):
+        raise total
+    return total
+
+
+def budget_totals(model, cells, kappa: float = 1.0) -> list:
+    """Budget total of each (n, a_norm) cell, for queries with ||a|| <= a_norm,
+    or the SpahdError it raises, in place: error_bound over the c3/c4 suprema
+    on tau_radius = max(2 a_norm, 1e-3) and t_radius = TRUNC_RADIUS sqrt(d/n),
+    from one c34_brackets call.  inf where ||mu|| tau_radius passes the double
+    range: the bound is vacuous there, as where one of its terms passes it."""
+    # a bad n gets a NaN t_radius, which c34_brackets refuses without a search
+    regions = [(max(2.0 * a_norm, 1e-3),
+                TRUNC_RADIUS * math.sqrt(model.dim / n) if is_count(n) else math.nan)
+               for n, a_norm in cells]
+    totals = []
+    for (n, _), (tau_radius, _), bracket in zip(cells, regions, model.c34_brackets(regions)):
+        try:
+            n = check_sample_size(n)
+            if model._mu_norm * tau_radius == math.inf:
+                totals.append(math.inf)
+            elif isinstance(bracket, SpahdError):
+                raise bracket
+            else:
+                totals.append(error_bound(model.dim, n, bracket[0][1], bracket[1][1], kappa).total)
+        except SpahdError as exc:
+            totals.append(exc)
+    return totals
 
 
 def tail_bound_terms(d: int, n: int, kappa: float = 1.0) -> tuple[float, float]:

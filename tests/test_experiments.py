@@ -221,12 +221,13 @@ class TestErrorScaling:
         ]
 
     def test_failed_rows_survive_a_budget_that_raises(self, model_file, monkeypatch):
-        # a bound that raises fails the ok rows that read it, and the failed
-        # rows report NaN for it instead of aborting the sweep
-        def refuse(*args):
-            raise DimensionError("no bound")
+        # a cell whose budget is an error fails the rows that passed their
+        # first step, and every failed row reports NaN for it instead of
+        # aborting the sweep
+        def refuse(model, cells, kappa):
+            return [DimensionError("no bound") for _ in cells]
 
-        monkeypatch.setattr(spahd.experiments, "budget_total", refuse)
+        monkeypatch.setattr(spahd.experiments, "budget_totals", refuse)
         records, _ = run_experiment(make_spec(model_file, a_points=((0.1,), (math.nan,))))
         assert [r.status for r in records] == ["DimensionError"] * 4
         assert all(math.isnan(r.bound_total) for r in records)
@@ -500,6 +501,27 @@ class TestDeterminism:
         out.write_text(format_csv(records))
         back = read_records(str(out))
         assert back == records
+
+    def test_budget_bytes_are_pinned(self, tmp_path):
+        # the CSV bytes of a small error_scaling and clt_study sweep, every
+        # bound_total included, so that a bracket or budget that drifts in
+        # any mode shows; all rows are ok
+        unit = tmp_path / "unit.txt"
+        unit.write_text("d = 1\nmu = unit\nsigma = identity\n")
+        records, _ = run_experiment(make_spec(str(unit), d_grid=(1, 2), n_grid=(50, 200),
+                                              a_points=(), a_shells=((0.0, 1), (0.3, 2))))
+        clt = []
+        for d, text in ((1, "mu = 0.6\nsigma = 0.64"), (2, "mu = 0.6, 0.0\nsigma = diag 0.64, 1.0")):
+            path = tmp_path / f"standard{d}.txt"
+            path.write_text(f"d = {d}\n{text}\n")
+            clt += run_experiment(make_spec(str(path), mode="clt_study", n_grid=(50, 200),
+                                            a_points=(), a_shells=((0.0, 1), (1.5, 2))))[0]
+        digests = []
+        for rows in (records, clt):
+            assert len(rows) == 12 and all(r.status == "ok" for r in rows)
+            digests.append(hashlib.sha256(format_csv(rows).encode()).hexdigest())
+        assert digests == ["ea5e9e4b96087f9d43740702a1b0219eb8dcee974b39d6aa29fdda517d5c19f1",
+                           "a6b8304140501751810af172da85f49c36854b00a6c04418793af8c70c09e70b"]
 
     def test_read_rejects_foreign_csv(self, tmp_path):
         bad = tmp_path / "bad.csv"

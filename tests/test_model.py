@@ -6,6 +6,7 @@ literals; the kernel and certified-supremum checks run mpmath themselves.
 
 import cmath
 import math
+import pickle
 import time
 import warnings
 
@@ -27,7 +28,7 @@ from spahd import (
     load_model_file,
 )
 from spahd import model as model_module
-from spahd.spa import budget_total
+from spahd.spa import budget_total, budget_totals
 from spahd.model import (
     _exponent,
     c3_kernel,
@@ -628,6 +629,50 @@ class TestCertifiedSuprema:
         assert gauss.c34_bracket(1.0, 1.0) == ((0.0, 0.0), (0.0, 0.0))
         assert m.c34_bracket(0.5, 3.33) == ((math.inf, math.inf), (math.inf, math.inf))
 
+    def test_batch_matches_one_region_at_a_time(self, monkeypatch):
+        # each region's entry is its c34_bracket, or an error of the class that
+        # raises, from one search over the distinct regions that need one: an
+        # ok region given twice, a NaN radius, an alpha range past the double
+        # range, a region past the pole and a second ok region
+        calls = []
+        certified_sup = model_module._certified_sup
+
+        def counting(regions):
+            calls.append(regions)
+            return certified_sup(regions)
+
+        m = mixture_1d(mu=10.0)
+        regions = [(0.5, 0.01), (math.nan, 0.1), (1e308, 0.1), (0.5, 0.01), (0.5, 3.0),
+                   (0.2, 0.02)]
+        alone = []
+        for region in regions:
+            try:
+                alone.append(m.c34_bracket(*region))
+            except DimensionError as exc:
+                alone.append(exc)
+        monkeypatch.setattr(model_module, "_certified_sup", counting)
+        batch = m.c34_brackets(regions)
+        assert calls == [[(m._g, 5.0, 0.01), (m._g, 2.0, 0.02)]]
+        assert [isinstance(x, DimensionError) for x in batch] == [False, True, True] + [False] * 3
+        for got, want in zip(batch, alone):
+            if isinstance(want, DimensionError):
+                assert (type(got), str(got)) == (type(want), str(want))
+            else:
+                assert got == want
+        assert batch[4] == ((math.inf, math.inf), (math.inf, math.inf))
+        calls.clear()
+        assert m.c34_brackets([(math.nan, 0.1), (0.5, 3.0)])[1] == batch[4]
+        assert m.c34_brackets([]) == [] and calls == []
+
+    def test_brackets_leave_the_model_as_it_was(self):
+        # the model keeps nothing of a search: its attributes pickle to the
+        # same bytes after c34_bracket and c34_brackets calls
+        m = mixture_1d()
+        before = pickle.dumps(vars(m))
+        m.c34_bracket(0.5, 0.5)
+        m.c34_brackets([(0.5, 0.5), (0.2, 0.1), (math.nan, 1.0)])
+        assert pickle.dumps(vars(m)) == before
+
     def test_c4_where_the_old_kernel_fell_short(self):
         # mu = 3 e1, sigma = 1, tau_radius 1, t_radius 0.1: the true kernel
         # reaches 7.714 (54/7 on the beta = 0 edge); 4 sech^2 - 6 sech^4 at 0 is -2
@@ -770,7 +815,7 @@ def _typed(fn):
     mu_norm=_log_uniform(-300.0, 1.0),
     tau_radius=_log_uniform(-300.0, _LOG_TOP),
     t_radius=_log_uniform(-300.0, 1.0),
-    n=st.integers(1, 10**6),
+    n=st.integers(-2, 10**6),
 )
 def test_model_and_suprema_return_or_raise_typed(d, seed, log_kappa, scale, mu_norm,
                                                  tau_radius, t_radius, n):
@@ -799,6 +844,7 @@ def test_model_and_suprema_return_or_raise_typed(d, seed, log_kappa, scale, mu_n
         assert math.isfinite(float(model.whitened_mu_norm(0.0)))
         brackets = _typed(lambda: model.c34_bracket(tau_radius, t_radius))
         total = _typed(lambda: budget_total(model, n, 0.5 * tau_radius))
+        totals = budget_totals(model, [(n, 0.5 * tau_radius), (n, 0.25 * tau_radius)])
         tau = tau_radius * q[:, 0]
         cgf, grad, hess = model.cgf_real(tau), model.grad(tau), model.hessian(tau)
     # past the double range a value reads inf, or nan where infs of both signs meet
@@ -809,3 +855,6 @@ def test_model_and_suprema_return_or_raise_typed(d, seed, log_kappa, scale, mu_n
         assert 0.0 <= lo <= hi
         assert math.isfinite(lo) or (pole and lo == hi == math.inf)
     assert total is None or total >= 0.0
+    # the batch gives each cell's total, or an error where budget_total raises
+    assert (None if isinstance(totals[0], SpahdError) else totals[0]) == total
+    assert all(isinstance(x, SpahdError) or x >= 0.0 for x in totals)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from spahd import DimensionError, GaussianMixture, MixtureParams, error_bound, spa_density, solve_saddle
-from spahd.spa import check_sample_size, log_gamma_ratio, tail_bound_terms
+from spahd.spa import (budget_total, budget_totals, check_sample_size, log_gamma_ratio,
+                       tail_bound_terms)
 
 # mpmath 40-digit references
 SPA_AT_0_N2 = 0.39894228040143267794  # mu = 1, sigma = 1, a = 0, n = 2
@@ -150,6 +151,31 @@ class TestErrorBudget:
         for c3, c4, kappa in [(math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan)]:
             with pytest.raises(DimensionError):
                 error_bound(2, 100, c3, c4, kappa=kappa)
+
+
+class TestBudgetTotals:
+    def test_batch_matches_one_cell_at_a_time(self):
+        # each cell's total is budget_total's, inf included: at a zero of
+        # cosh (n = 1) and past the alpha range's double range (a_norm = 1e308)
+        m = mixture_1d()
+        cells = [(50, 0.1), (200, 0.1), (50, 0.1), (1, 0.1), (2, 1e308), (200, 0.0), (10**6, 1.5)]
+        for kappa in (1.0, 0.5):
+            totals = budget_totals(m, cells, kappa)
+            assert totals == [budget_total(m, n, a_norm, kappa) for n, a_norm in cells]
+            assert totals[3] == totals[4] == math.inf
+            assert all(math.isfinite(t) for t in totals[:3] + totals[5:])
+        assert budget_totals(m, []) == []
+
+    @pytest.mark.parametrize("n", [0, -5, 2.5, math.nan, math.inf, 10**400])
+    def test_bad_sample_size_is_a_dimension_error(self, n):
+        # sqrt(d/n) used to be taken before n was checked: n = 0 raised a bare
+        # ZeroDivisionError and n = -5 a bare ValueError (math domain error)
+        m = mixture_1d()
+        with pytest.raises(DimensionError, match="n must be a positive integer"):
+            budget_total(m, n, 0.1)
+        ok, bad = budget_totals(m, [(50, 0.1), (n, 0.1)])
+        assert ok == budget_total(m, 50, 0.1)
+        assert isinstance(bad, DimensionError) and "positive integer" in str(bad)
 
 
 class TestTailTerms:
