@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .correction import check_assumptions, correction_integral
-from .errors import SpahdError
-from .model import GaussianMixture, load_model_file
+from .errors import ConfigError, SpahdError
+from .model import GaussianMixture, load_model_file, to_numbers
 from .oracle import ExactMeanDensity, clt_ratio
 from .saddle import legendre_gap_report, solve_saddle
 from .spa import exp_or_inf, expm1_or_inf, spa_density
@@ -27,8 +27,8 @@ def _floats(text):
     if not toks:
         raise argparse.ArgumentTypeError("expected at least one number")
     try:
-        return [float(t) for t in toks]
-    except ValueError as exc:
+        return to_numbers("point", toks)
+    except ConfigError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -47,10 +48,10 @@ import numpy as np
 from .correction import correction_integral
 from .errors import ConfigError, FitError, SpahdError
 from .model import (GaussianMixture, check_keys, check_point, load_model_file, parse_kv_lines,
-                    require_standardized)
+                    require_standardized, to_numbers)
 from .oracle import ExactMeanDensity, _clt_compare
 from .saddle import _solve_batch
-from .spa import budget_totals, exp_or_inf, expm1_or_inf, spa_density
+from .spa import budget_totals, check_sample_size, exp_or_inf, expm1_or_inf, spa_density
 
 CSV_HEADER = "d,n,a_norm,rho_spa,rho_exact,rel_err,i_minus_one,eps,bound_total,wall_ms,status"
 
@@ -79,8 +80,15 @@ class ExperimentSpec:
             raise ConfigError(f"mode must be one of {tuple(_RUNNERS)}, got {self.mode!r}")
         if not self.n_grid:
             raise ConfigError("n_grid must not be empty")
-        if any(n < 1 for n in self.n_grid):
-            raise ConfigError("n_grid entries must be >= 1")
+        for name, values, least in (("n_grid entry", self.n_grid, 1),
+                                    ("d_grid entry", self.d_grid or (), 1),
+                                    ("a_shells count", [c for _, c in self.a_shells], 1),
+                                    ("seed", (self.seed,), 0)):
+            for v in values:
+                if not (isinstance(v, (int, np.integer)) and v >= least):
+                    raise ConfigError(f"{name} must be a whole number >= {least}, got {v!r}")
+        if any(radius < 0 for radius, _ in self.a_shells):
+            raise ConfigError(f"a_shells radii must be >= 0, got {self.a_shells}")
         if not self.a_shells and not self.a_points:
             raise ConfigError("need at least one of a_shells, a_points")
         for name in ("kappa", "tol"):
@@ -123,7 +131,7 @@ def _parse_bool(text):
         return True
     if low in ("off", "false", "no", "0"):
         return False
-    raise ConfigError(f"expected a boolean flag, got {text!r}")
+    raise ConfigError(f"timing: expected on or off, got {text!r}")
 
 
 def load_experiment_spec(path) -> ExperimentSpec:
@@ -135,39 +143,32 @@ def load_experiment_spec(path) -> ExperimentSpec:
     for key in ("mode", "model", "n_grid"):
         if key not in kv:
             raise ConfigError(f"spec is missing required key {key!r}")
-    model_path = str((path.parent / kv["model"]).resolve())
-    n_grid = tuple(int(tok) for tok in kv["n_grid"].split())
+    model_path = os.path.realpath(path.parent / kv["model"])
     d_grid = None
     if "d_grid" in kv:
-        d_grid = tuple(int(tok) for tok in kv["d_grid"].split())
-        if any(d < 1 for d in d_grid):
-            raise ConfigError("d_grid entries must be >= 1")
+        d_grid = tuple(to_numbers("d_grid", kv["d_grid"].split(), int))
     shells = []
     for tok in kv.get("a_shells", "").split():
-        try:
-            radius_s, count_s = tok.split(":")
-            shells.append((float(radius_s), int(count_s)))
-        except ValueError as exc:
-            raise ConfigError(f"bad a_shells entry {tok!r}, expected radius:count") from exc
-        if shells[-1][0] < 0 or shells[-1][1] < 1:
-            raise ConfigError(f"bad a_shells entry {tok!r}")
+        radius, _, count = tok.partition(":")
+        key = f"a_shells entry {tok!r} (radius:count)"
+        shells.append((*to_numbers(key, [radius]), *to_numbers(key, [count], int)))
     points = []
     if "a_points" in kv:
         for group in kv["a_points"].split(";"):
             group = group.strip()
             if group:
-                points.append(tuple(float(tok) for tok in group.split()))
+                points.append(tuple(to_numbers("a_points", group.split())))
     return ExperimentSpec(
         mode=kv["mode"],
         model_path=model_path,
-        n_grid=n_grid,
+        n_grid=tuple(to_numbers("n_grid", kv["n_grid"].split(), int)),
         d_grid=d_grid,
         a_shells=tuple(shells),
         a_points=tuple(points),
-        seed=int(kv.get("seed", "0")),
+        seed=to_numbers("seed", [kv.get("seed", "0")], int)[0],
         out=kv.get("out"),
-        tol=float(kv.get("tol", "1e-12")),
-        kappa=float(kv.get("kappa", "1.0")),
+        tol=to_numbers("tol", [kv.get("tol", "1e-12")])[0],
+        kappa=to_numbers("kappa", [kv.get("kappa", "1.0")])[0],
         timing=_parse_bool(kv.get("timing", "off")),
     )
 
@@ -205,10 +206,10 @@ def _sweep(spec, finish, clt=False):
     Each d runs in phases.  First its model is built and the saddles of
     its points are solved once, as one batch, to serve every n; clt rows
     need none.  Then in each cell every row takes its own first step: its
-    spa estimate, or for a clt row the standardization check.  Then one
-    budget_totals call gives every cell of the d its budget total from one
-    batched c3/c4 search.  Last, in each cell the oracle evaluates the
-    points of the rows that passed as one batch, and
+    spa estimate, or for a clt row the checks of its model, point and n.
+    Then one budget_totals call gives every cell of the d its budget total
+    from one batched c3/c4 search.  Last, in each cell the oracle evaluates
+    the points of the rows that passed as one batch, and
     finish(model, d, n, a, saddle, est, log_exact, a_norm, eps, bound)
     builds each row; a clt row gets its point x as a and None for saddle
     and est, and queries the oracle at x / sqrt(n).  A package error raised
@@ -242,11 +243,12 @@ def _sweep(spec, finish, clt=False):
         cells = []
         for n in spec.n_grid:
             t_cell = time.perf_counter()
-            queries = points / math.sqrt(n) if clt else points
-            starts = [_error_of(_begin, params, n, q, s, clt)
-                      for q, s in zip(queries, saddles)]
+            starts = [_error_of(_begin, params, n, a, s, clt) for a, s in zip(points, saddles)]
             alive = [i for i, st in enumerate(starts) if not isinstance(st, SpahdError)]
-            radius = max((norms[i] for i in alive), default=0.0) / (math.sqrt(n) if clt else 1.0)
+            # a clt row checks n, so sqrt(n) is a float once a row is alive
+            root = math.sqrt(n) if clt and alive else 1.0
+            queries = points / root if clt else points
+            radius = max((norms[i] for i in alive), default=0.0) / root
             cells.append((n, queries, starts, alive, radius, time.perf_counter() - t_cell))
         totals = budget_totals(model, [(n, radius) for n, _, _, _, radius, _ in cells], spec.kappa)
         first_steps = sum(first_s for *_, first_s in cells)
@@ -287,11 +289,12 @@ def _error_of(fn, *args):
 
 def _begin(params, n, a, saddle, clt):
     """A row's first step, before its oracle query: (saddle, spa estimate)
-    or the saddle's error, or (None, None) for a clt row once its model and
-    point pass the checks."""
+    or the saddle's error, or (None, None) for a clt row once its model,
+    point and n pass the checks."""
     if clt:
         require_standardized(params, "clt_study")
         check_point(a, params.d, "a")
+        check_sample_size(n)
         return None, None
     if isinstance(saddle, SpahdError):
         return saddle

@@ -943,13 +943,11 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
 #   sigma: "identity" | "diag 2.0, 1.0" | "1.0 0.0; 0.0 2.0"
 # Exact grammar in README.md.
 
-
-def _parse_floats(text):
-    parts = [p for p in _re.split(r"[,\s]+", text.strip()) if p]
-    try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse numbers from {text!r}") from exc
+# Largest d a model file, its --dim override or a spec's d_grid may ask for:
+# building a model peaks at about 48 bytes per d^2 (about 200 MB at 2048), so a
+# larger d is refused before anything d-sized is built.  MixtureParams built
+# in code is not limited.
+MAX_D = 2048
 
 
 def parse_kv_lines(text):
@@ -966,6 +964,18 @@ def parse_kv_lines(text):
     return out
 
 
+def to_numbers(key, tokens, kind=float):
+    """The tokens of key's value as numbers of kind (int or float);
+    ConfigError naming key and the first token that is not one."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(kind(tok))
+        except ValueError:
+            raise ConfigError(f"{key}: cannot read {tok!r} as {kind.__name__}") from None
+    return out
+
+
 def check_keys(kv, known, what):
     """ConfigError naming every key of kv that a `what` file does not know."""
     unknown = sorted(set(kv) - set(known))
@@ -977,13 +987,13 @@ def _build_mu(spec_text, d):
     text = spec_text.strip().lower()
     m = _re.fullmatch(r"(ones|unit)(?:\s*\*\s*([-+0-9.eE]+))?", text)
     if m:
-        scale = float(m.group(2)) if m.group(2) is not None else 1.0
+        scale = to_numbers("mu", [m.group(2)])[0] if m.group(2) else 1.0
         if m.group(1) == "ones":
             return scale * np.ones(d)
         mu = np.zeros(d)
         mu[0] = scale
         return mu
-    vals = _parse_floats(spec_text)
+    vals = to_numbers("mu", spec_text.replace(",", " ").split())
     if len(vals) != d:
         raise ConfigError(f"mu has {len(vals)} entries, model has d = {d}")
     return np.array(vals)
@@ -994,17 +1004,15 @@ def _build_sigma(spec_text, d):
     if text == "identity":
         return np.eye(d)
     if text.startswith("diag"):
-        vals = _parse_floats(spec_text.strip()[4:].lstrip(" :"))
+        vals = to_numbers("sigma", spec_text.strip()[4:].lstrip(" :").replace(",", " ").split())
         if len(vals) != d:
             raise ConfigError(f"diag sigma has {len(vals)} entries, model has d = {d}")
         return np.diag(vals)
-    rows = [r for r in spec_text.split(";") if r.strip()]
-    if len(rows) != d:
-        raise ConfigError(f"sigma has {len(rows)} rows, model has d = {d}")
-    mat = np.array([_parse_floats(r) for r in rows])
-    if mat.shape != (d, d):
-        raise ConfigError(f"sigma parsed to shape {mat.shape}, expected ({d}, {d})")
-    return mat
+    rows = [to_numbers("sigma", r.replace(",", " ").split()) for r in spec_text.split(";")
+            if r.strip()]
+    if len(rows) != d or any(len(row) != d for row in rows):
+        raise ConfigError(f"sigma rows have {[len(row) for row in rows]} entries, model has d = {d}")
+    return np.array(rows)
 
 
 def params_from_mapping(kv, d_override=None):
@@ -1012,13 +1020,14 @@ def params_from_mapping(kv, d_override=None):
     check_keys(kv, ("d", "mu", "sigma"), "model")
     if "d" not in kv:
         raise ConfigError("model file must set d")
-    try:
-        d = int(kv["d"])
-    except ValueError as exc:
-        raise ConfigError(f"d must be an integer, got {kv['d']!r}") from exc
+    d = to_numbers("d", [kv["d"]], int)[0]
     if d_override is not None:
         d = int(d_override)
-    mu = _build_mu(kv.get("mu", "0" if d == 1 else ", ".join(["0"] * d)), d)
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
+    if d > MAX_D:
+        raise DimensionError(f"d = {d} is past MAX_D = {MAX_D}")
+    mu = _build_mu(kv["mu"], d) if "mu" in kv else np.zeros(d)
     sigma = _build_sigma(kv.get("sigma", "identity"), d)
     return MixtureParams(d, mu, sigma)
 

@@ -1,6 +1,10 @@
 """End-to-end runs of every CLI subcommand through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -242,3 +246,36 @@ class TestErrorPaths:
         rc, kv, _ = run_cli(capsys, ["experiment", "--spec", str(spec)])
         assert rc == 1
         assert kv["failed_rows"] == "1"
+
+    @pytest.mark.parametrize("point, named", [("0.1,x", "'x'"), ("1e", "'1e'"),
+                                              ("", "at least one number")])
+    def test_bad_point_token_is_an_argparse_error(self, capsys, model_file, point, named):
+        # argparse exits 2 and names the token the converter could not read
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--model", model_file, "-a", point])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument -a" in err and named in err
+
+    @pytest.mark.parametrize("command", ["experiment", "solve"])
+    def test_entry_point_prints_one_error_line(self, tmp_path, std_model_file, command):
+        # the real entry point, in a fresh interpreter: a spec with a negative
+        # seed and a model with a malformed mu scale each used to end in a
+        # traceback
+        if command == "experiment":
+            spec = tmp_path / "bad.spec"
+            spec.write_text(f"mode = clt_study\nmodel = {std_model_file}\n"
+                            "n_grid = 50\na_points = 0.1\nseed = -1\n")
+            argv = ["experiment", "--spec", str(spec)]
+        else:
+            model = tmp_path / "bad.txt"
+            model.write_text("d = 1\nmu = ones*1e\n")
+            argv = ["solve", "--model", str(model), "-a0.1"]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "spahd.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""

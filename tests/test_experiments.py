@@ -475,6 +475,17 @@ class TestCltStudy:
                                                   a_points=((0.5,), (1e120,))))
         assert [r.status for r in records] == ["ok", "DimensionError"]
 
+    @pytest.mark.parametrize("mode", ["clt_study", "error_scaling"])
+    def test_n_whose_root_overflows_fails_its_rows(self, standard_file, mode):
+        # sqrt(n) of a whole n past the double range raised a bare
+        # OverflowError that ended a clt sweep; now its rows fail, as in
+        # error_scaling, and the n = 50 rows stay ok
+        n_big = 10**400
+        records, _ = run_experiment(make_spec(standard_file, mode=mode, n_grid=(50, n_big),
+                                              a_points=((0.0,), (0.5,))))
+        assert [(r.n, r.status) for r in records] == [
+            (50, "ok"), (50, "ok"), (n_big, "DimensionError"), (n_big, "DimensionError")]
+
 
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, model_file, tmp_path):
