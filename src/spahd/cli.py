@@ -7,7 +7,7 @@ or diffed; floats are printed with repr and round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import hashlib
+import functools
 import numbers
 import sys
 
@@ -151,6 +151,8 @@ def _cmd_experiment(args):
     records, csv_path = run_experiment(spec, out=args.out)
     pairs = [("mode", spec.mode), ("rows", len(records))]
     if csv_path is not None:
+        import hashlib  # loads OpenSSL, a few MB of RSS: only a written CSV is hashed
+
         digest = hashlib.sha256(format_csv(records).encode()).hexdigest()
         pairs += [("csv", str(csv_path)), ("sha256", digest)]
     else:
@@ -164,7 +166,10 @@ def _cmd_experiment(args):
     return 0 if not bad else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser():
+    """The argument parser, built at the first call of main and kept: a
+    parse leaves no state in it, so every call of main reads the same one."""
     parser = argparse.ArgumentParser(
         prog="spahd",
         description="saddlepoint density approximation for Gaussian mixture means",
@@ -216,8 +221,11 @@ def main(argv=None) -> int:
     p.add_argument("--plot-data", default=None,
                    help="also write grouped x/y pairs as JSON")
     p.set_defaults(fn=_cmd_experiment)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (SpahdError, OSError) as exc:

@@ -1,4 +1,4 @@
-"""Sweep drivers producing the CSV study files, and the slope-fit reader.
+"""Sweep runners producing the CSV study files, and the slope fit.
 
 Every mode emits the same schema, one row per (d, n, query point):
 
@@ -35,7 +35,6 @@ Modes differ in how i_minus_one is obtained:
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
@@ -186,7 +185,7 @@ def _query_points(spec, d):
                 f"a_points entry has {len(vec)} components but d={d}"
             )
         pts.append(np.asarray(vec, dtype=float))
-    rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
+    rng = None
     origin_done = False
     for radius, count in spec.a_shells:
         if radius == 0.0:
@@ -194,6 +193,8 @@ def _query_points(spec, d):
                 pts.append(np.zeros(d))
                 origin_done = True
             continue
+        if rng is None:  # numpy.random costs MBs of RSS: built at the first draw
+            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, d]))
         u = rng.standard_normal((count, d))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
         pts.extend(radius * row for row in u)
@@ -205,8 +206,11 @@ def _sweep(spec, finish, clt=False):
 
     Each d runs in phases.  First its model is built and the saddles of
     its points are solved once, as one batch, to serve every n; clt rows
-    need none.  Then in each cell every row takes its own first step: its
-    spa estimate, or for a clt row the checks of its model, point and n.
+    need none.  A d_grid entry whose set-up raises a package error (a d
+    past MAX_D, or one that the model's explicit mu or the spec's a_points
+    do not fit) gives that error to each of its rows.  Then in each cell
+    every row takes its own first step: its spa estimate, or for a clt row
+    the checks of its model, point and n.
     Then one budget_totals call gives every cell of the d its budget total
     from one batched c3/c4 search.  Last, in each cell the oracle evaluates
     the points of the rows that passed as one batch, and
@@ -229,17 +233,13 @@ def _sweep(spec, finish, clt=False):
     records = []
     for d in d_values or (None,):
         t_d = time.perf_counter()
-        params = load_model_file(spec.model_path, d_override=d)
-        model = GaussianMixture(params)
-        pts = _query_points(spec, params.d)
-        # np.linalg.norm squares first, so it reads inf past about 1.34e154;
-        # a finite point's norm is then taken from it rescaled by max |a_i|
-        with np.errstate(over="ignore"):
-            norms = [float(np.linalg.norm(p)) for p in pts]
-        norms = [_rescaled_norm(p) if r == math.inf and np.all(np.isfinite(p)) else r
-                 for p, r in zip(pts, norms)]
-        points = np.array(pts).reshape(len(pts), params.d)
-        saddles = [None] * len(pts) if clt else _solve_batch(model, points, spec.tol)
+        # without a d_grid the model file's own d is the only one, so its
+        # set-up error ends the sweep
+        setup = _setup(spec, d, clt) if d is None else _error_of(_setup, spec, d, clt)
+        if isinstance(setup, SpahdError):
+            records += _refused_rows(spec, d, setup, t_d)
+            continue
+        params, model, points, norms, saddles = setup
         cells = []
         for n in spec.n_grid:
             t_cell = time.perf_counter()
@@ -277,6 +277,39 @@ def _sweep(spec, finish, clt=False):
                 cell = [replace(rec, wall_ms=wall) for rec in cell]
             records += cell
     return records
+
+
+def _setup(spec, d, clt):
+    """A d's model set-up: (params, model, points, norms, saddles), with
+    saddles None for clt rows."""
+    params = load_model_file(spec.model_path, d_override=d)
+    model = GaussianMixture(params)
+    pts = _query_points(spec, params.d)
+    # np.linalg.norm squares first, so it reads inf past about 1.34e154;
+    # a finite point's norm is then taken from it rescaled by max |a_i|
+    with np.errstate(over="ignore"):
+        norms = [float(np.linalg.norm(p)) for p in pts]
+    norms = [_rescaled_norm(p) if r == math.inf and np.all(np.isfinite(p)) else r
+             for p, r in zip(pts, norms)]
+    points = np.array(pts).reshape(len(pts), params.d)
+    saddles = [None] * len(pts) if clt else _solve_batch(model, points, spec.tol)
+    return params, model, points, norms, saddles
+
+
+def _refused_rows(spec, d, exc, t_d):
+    """The rows of a d_grid entry whose set-up raised exc: one per n and
+    per query point the spec names, each with exc's class as its status and
+    NaN for every number; with timing on, the set-up's wall time is divided
+    evenly among them."""
+    count = (len(spec.a_points) + sum(c for r, c in spec.a_shells if r != 0.0)
+             + any(r == 0.0 for r, _ in spec.a_shells))
+    nan = math.nan
+    rows = [ResultRecord(d, n, nan, nan, nan, nan, nan, nan, nan, None, type(exc).__name__)
+            for n in spec.n_grid for _ in range(count)]
+    if spec.timing:
+        wall = (time.perf_counter() - t_d) * 1e3 / len(rows)
+        rows = [replace(rec, wall_ms=wall) for rec in rows]
+    return rows
 
 
 def _error_of(fn, *args):
@@ -375,25 +408,6 @@ def format_csv(records) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_records(path):
-    text = Path(path).read_text()
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError(f"{path}: not a study file (bad header)")
-    records = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != 11:
-            raise ConfigError(f"{path}: bad row {ln!r}")
-        records.append(ResultRecord(
-            d=int(f[0]), n=int(f[1]), a_norm=float(f[2]),
-            rho_spa=float(f[3]), rho_exact=float(f[4]), rel_err=float(f[5]),
-            i_minus_one=float(f[6]), eps=float(f[7]), bound_total=float(f[8]),
-            wall_ms=None if f[9] == "" else float(f[9]), status=f[10],
-        ))
-    return records
-
-
 def run_experiment(spec: ExperimentSpec, out=None):
     """Run a sweep; write the CSV and a sha256 manifest when an output is set.
 
@@ -407,6 +421,8 @@ def run_experiment(spec: ExperimentSpec, out=None):
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = format_csv(records)
     csv_path.write_text(payload)
+    import hashlib  # loads OpenSSL, a few MB of RSS: only a written CSV is hashed
+
     digest = hashlib.sha256(payload.encode()).hexdigest()
     manifest = {
         "mode": spec.mode,

@@ -1,5 +1,7 @@
 """End-to-end runs of every CLI subcommand through main()."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from spahd import cli
 from spahd.cli import main
 
 STD_MODEL = "d = 1\nmu = 0.6\nsigma = diag 0.64\n"
@@ -279,3 +282,127 @@ class TestErrorPaths:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+def call(capsys, argv):
+    """(exit code, stdout, stderr) of one main(argv) call; an argparse exit
+    counts with its code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.fixture
+def clt_spec(tmp_path, std_model_file):
+    path = tmp_path / "clt.spec"
+    path.write_text(f"mode = clt_study\nmodel = {std_model_file}\n"
+                    "n_grid = 50 200\na_points = 0.0; 0.5\n")
+    return str(path)
+
+
+COMMANDS = ("solve", "eval", "correction", "verify-assumptions", "clt", "experiment")
+
+
+def good_and_bad(model, spec):
+    """Per subcommand, a call that runs and one that argparse refuses."""
+    m = ["--model", model]
+    return {
+        "solve": (["solve", *m, "-a", "0.2"], ["solve", *m]),
+        "eval": (["eval", *m, "-a", "0.2", "-n", "50"], ["eval", *m, "-a", "0.2"]),
+        "correction": (["correction", *m, "-a", "0.2", "-n", "50"],
+                       ["correction", *m, "-a", "0.2", "-n", "x"]),
+        "verify-assumptions": (["verify-assumptions", *m, "-a", "0.0", "-a", "0.3", "-n", "50",
+                                "--samples", "200"], ["verify-assumptions", *m, "-n", "50"]),
+        "clt": (["clt", *m, "-x", "0.5", "-n", "50"], ["clt", *m, "-x", "0.5", "-n"]),
+        "experiment": (["experiment", "--spec", spec], ["experiment", "--spec"]),
+    }
+
+
+class TestRepeatedCalls:
+    # main builds its parser once per process; every call must still read
+    # as if it were the first
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_argparse_error_between_two_good_calls(self, capsys, std_model_file, clt_spec,
+                                                   command):
+        good, bad = good_and_bad(std_model_file, clt_spec)[command]
+        first, refused, third = call(capsys, good), call(capsys, bad), call(capsys, good)
+        assert first == third and first[0] == 0 and first[1]
+        assert refused[0] == 2 and refused[1] == ""
+        assert refused[2].startswith("usage: spahd") and "error:" in refused[2]
+
+    @pytest.mark.parametrize("command", [None, *COMMANDS])
+    def test_help_is_the_same_on_every_call(self, capsys, command):
+        argv = [command, "--help"] if command else ["--help"]
+        first, second, third = (call(capsys, argv) for _ in range(3))
+        assert first == second == third
+        assert first[0] == 0 and first[1].startswith("usage: spahd") and first[2] == ""
+
+    def test_append_does_not_carry_points_over(self, capsys, std_model_file):
+        one = ["verify-assumptions", "--model", std_model_file, "-a", "0.3", "-n", "50",
+               "--samples", "200"]
+        two = one[:3] + ["-a", "0.0"] + one[3:]
+        cli._parser.cache_clear()
+        fresh = call(capsys, one)  # the first parse of a new parser
+        outs = [call(capsys, argv) for argv in (two, one, two, one)]
+        assert outs[1] == outs[3] == fresh
+        assert outs[0] == outs[2] != fresh
+        assert "samples = 200" in fresh[1] and "samples = 320" in outs[0][1]
+
+    def test_parser_is_built_once(self, capsys, monkeypatch, std_model_file, clt_spec):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        try:
+            cli._parser()
+            assert len(built) == 7  # spahd and its six subcommands
+            built.clear()
+            cli._parser.cache_clear()
+            goods = [good for good, _ in good_and_bad(std_model_file, clt_spec).values()]
+            codes = [call(capsys, goods[i % len(goods)])[0] for i in range(20)]
+            assert codes == [0] * 20
+            assert len(built) == 7
+        finally:
+            cli._parser.cache_clear()
+
+
+IMPORT_PROBE = """
+import json, sys
+import spahd, spahd.cli
+from spahd.experiments import load_experiment_spec, run_experiment
+spec, out = sys.argv[1:]
+loaded = lambda: sorted(m for m in ("hashlib", "numpy.random") if m in sys.modules)
+assert spahd.cli.main(["experiment", "--spec", spec]) == 0
+run_experiment(load_experiment_spec(spec))
+before = loaded()
+assert spahd.cli.main(["experiment", "--spec", spec, "--out", out]) == 0
+print(json.dumps([before, loaded()]))
+"""
+
+
+def test_only_a_written_csv_loads_hashlib(tmp_path, clt_spec):
+    # hashlib (OpenSSL) and numpy.random cost MBs of RSS in every process
+    # that imports them; a sweep of explicit points that writes no CSV
+    # needs neither
+    out = tmp_path / "run.csv"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE, clt_spec, str(out)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    before, after = json.loads(proc.stdout.splitlines()[-1])
+    assert before == [] and after == ["hashlib"]
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert manifest["csv_sha256"] == digest
+    assert f"sha256 = {digest}" in proc.stdout

@@ -1,9 +1,11 @@
 """Sweep runners, CSV/manifest determinism, slope fitting."""
 
+import csv
 import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,10 +31,10 @@ from spahd.spa import budget_total, spa_density
 from spahd.experiments import (
     CSV_HEADER,
     ExperimentSpec,
+    ResultRecord,
     emit_plot_data,
     format_csv,
     load_experiment_spec,
-    read_records,
 )
 
 # mpmath 40-digit reference: mu = 1, sigma = 1, a = 0, n = 2
@@ -44,6 +46,15 @@ def model_file(tmp_path):
     path = tmp_path / "model.txt"
     path.write_text("d = 1\nmu = unit\nsigma = identity\n")
     return str(path)
+
+
+def read_rows(path):
+    """A study CSV read back into ResultRecords with the csv module."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == CSV_HEADER.split(",")
+    return [ResultRecord(int(f[0]), int(f[1]), *map(float, f[2:9]),
+                         None if f[9] == "" else float(f[9]), f[10]) for f in rows[1:]]
 
 
 def make_spec(model_file, **kw):
@@ -204,7 +215,7 @@ class TestErrorScaling:
         assert [r.status for r in records] == ["ok"] * 3
         assert all(r.bound_total == math.inf for r in records)
         assert all(0.0 < r.rel_err < 1e-3 for r in records)
-        assert read_records(csv_path) == records
+        assert read_rows(csv_path) == records
 
     def test_alpha_range_past_double_range_keeps_the_rows(self, tmp_path):
         # sigma = 8.9e307, a = 9e307 solves, but the budget's tau_radius
@@ -487,6 +498,43 @@ class TestCltStudy:
             (50, "ok"), (50, "ok"), (n_big, "DimensionError"), (n_big, "DimensionError")]
 
 
+class TestRefusedD:
+    # a d_grid entry whose model or points cannot be built used to end the
+    # whole sweep, so the rows of every other d were lost
+    @pytest.mark.parametrize("mode", sorted(spahd.experiments._RUNNERS))
+    @pytest.mark.parametrize("model, bad_d, a_points, error", [
+        ("mu = 0.6\nsigma = diag 0.64", 2, (), "ConfigError"),  # mu has 1 entry, d = 2
+        ("mu = 0.6\nsigma = diag 0.64", 2049, (), "DimensionError"),  # past MAX_D
+        ("mu = unit\nsigma = identity", 3, ((0.1,),), "ConfigError"),  # a point of d = 1
+    ], ids=["mu", "max_d", "a_points"])
+    def test_refused_d_fails_only_its_rows(self, tmp_path, mode, model, bad_d, a_points,
+                                           error):
+        path = tmp_path / "model.txt"
+        path.write_text(f"d = 1\n{model}\n")
+        spec = make_spec(str(path), mode=mode, n_grid=(50, 200), a_points=a_points,
+                         a_shells=((0.0, 1), (0.3, 2), (0.0, 1)))
+        alone, _ = run_experiment(replace(spec, d_grid=(1,)))
+        records, _ = run_experiment(replace(spec, d_grid=(1, bad_d)))
+        assert format_csv(records[:len(alone)]) == format_csv(alone)
+        # one row per n and per point the spec names: the a_points, the
+        # origin once, and two shell draws
+        per_n = len(a_points) + 3
+        refused = records[len(alone):]
+        assert [(r.d, r.n, r.status) for r in refused] == (
+            [(bad_d, 50, error)] * per_n + [(bad_d, 200, error)] * per_n)
+        for r in refused:
+            numbers = (r.a_norm, r.rho_spa, r.rho_exact, r.rel_err, r.i_minus_one, r.eps,
+                       r.bound_total)
+            assert all(math.isnan(v) for v in numbers) and r.wall_ms is None
+
+    def test_refused_d_rows_are_timed(self, tmp_path):
+        path = tmp_path / "standard.txt"
+        path.write_text("d = 1\nmu = 0.6\nsigma = diag 0.64\n")
+        records, _ = run_experiment(make_spec(str(path), d_grid=(2, 1), timing=True))
+        assert [r.status for r in records] == ["ConfigError"] * 2 + ["ok"] * 2
+        assert all(r.wall_ms >= 0 for r in records)
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, model_file, tmp_path):
         spec = make_spec(
@@ -510,8 +558,7 @@ class TestDeterminism:
         records, _ = run_experiment(spec)
         out = tmp_path / "x.csv"
         out.write_text(format_csv(records))
-        back = read_records(str(out))
-        assert back == records
+        assert read_rows(out) == records
 
     def test_budget_bytes_are_pinned(self, tmp_path):
         # the CSV bytes of a small error_scaling and clt_study sweep, every
@@ -533,12 +580,6 @@ class TestDeterminism:
             digests.append(hashlib.sha256(format_csv(rows).encode()).hexdigest())
         assert digests == ["ea5e9e4b96087f9d43740702a1b0219eb8dcee974b39d6aa29fdda517d5c19f1",
                            "a6b8304140501751810af172da85f49c36854b00a6c04418793af8c70c09e70b"]
-
-    def test_read_rejects_foreign_csv(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ConfigError):
-            read_records(str(bad))
 
 
 class TestSpecFiles:
@@ -607,7 +648,7 @@ class TestSpecFiles:
         # timing rows still parse, but reruns are no longer byte-stable
         out = tmp_path / "t.csv"
         out.write_text(format_csv(records))
-        assert read_records(str(out))[0].wall_ms is not None
+        assert read_rows(out)[0].wall_ms is not None
 
 
 class TestPlotData:

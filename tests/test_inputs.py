@@ -119,7 +119,8 @@ def test_d_below_one_is_refused(tmp_path, d):
 @pytest.mark.parametrize("d", [MAX_D + 1, 10**12])
 def test_oversized_d_is_refused_before_anything_is_built(tmp_path, capsys, route, d):
     # one check covers a model file's d, --dim and d_grid; nothing d-sized
-    # is allocated first
+    # is allocated first.  A d_grid entry's refusal is the status of its
+    # rows, so the sweep's other d values keep theirs
     path = _write(tmp_path / "m.model", MODEL, d=d if route == "file" else 1, mu="ones",
                   sigma="identity")
     tracemalloc.start()
@@ -127,13 +128,13 @@ def test_oversized_d_is_refused_before_anything_is_built(tmp_path, capsys, route
         if route == "dim":
             assert main(["solve", "--model", str(path), "--dim", str(d), "-a", "0.1"]) == 1
             assert "MAX_D" in capsys.readouterr().err
+        elif route == "d_grid":
+            records, _ = run_experiment(ExperimentSpec("error_scaling", str(path), (50,),
+                                                       d_grid=(d,), a_shells=((0.0, 1),)))
+            assert [(r.d, r.status) for r in records] == [(d, "DimensionError")]
         else:
             with pytest.raises(DimensionError, match="MAX_D"):
-                if route == "d_grid":
-                    run_experiment(ExperimentSpec("error_scaling", str(path), (50,), d_grid=(d,),
-                                                  a_shells=((0.0, 1),)))
-                else:
-                    load_model_file(path, d if route == "override" else None)
+                load_model_file(path, d if route == "override" else None)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
