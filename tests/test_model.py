@@ -50,6 +50,30 @@ GRAD_1 = 1.76159415595576488812  # 1 + tanh(1)
 K3_ARGMAX = 0.65847894846240835431
 K3_MAX = 0.76980035891950101935  # 4 / (3 sqrt 3)
 
+# (lo3, hi3, lo4, hi4) as float.hex, one row per region of
+# TestCertifiedSuprema.test_brackets_are_pinned_bit_for_bit
+PINNED_BRACKETS = [
+    ('0x1.6c22b292bbd05p-2', '0x1.6c22b292bbd34p-2', '0x1.105c0fd0505aep-1', '0x1.105c0fd0505d6p-1'),
+    ('0x1.5df8f447d64d6p-2', '0x1.5df8f447d64f5p-2', '0x1.008016ad6c5cfp-1', '0x1.008016ad6c5e2p-1'),
+    ('0x1.5d8c79845e30ap-2', '0x1.5d8c79845e329p-2', '0x1.0008313eae31bp-1', '0x1.0008313eae32fp-1'),
+    ('0x1.d99cc66641f61p-2', '0x1.d99cc66641fd7p-2', '0x1.99b8fcb54fdd7p-1', '0x1.99b8fcb54fe55p-1'),
+    ('0x1.612615ef35683p-2', '0x1.612615ef356a6p-2', '0x1.0405b031e9153p-1', '0x1.0405b031e916fp-1'),
+    ('0x1.5dc063a36eca2p-2', '0x1.5dc063a36ecc0p-2', '0x1.00418f28ccd86p-1', '0x1.00418f28ccd9bp-1'),
+    ('0x1.933b264314628p+1', '0x1.933b2643147a8p+1', '0x1.c59fbe64f8678p+3', '0x1.c59fbe64f8874p+3'),
+    ('0x1.7b03fc880e55fp-2', '0x1.7b03fc880e59ap-2', '0x1.2175f8200372ap-1', '0x1.2175f8200375fp-1'),
+    ('0x1.5f60300bf8f01p-2', '0x1.5f60300bf8f22p-2', '0x1.020dc6c09f4edp-1', '0x1.020dc6c09f506p-1'),
+    ('0x1.92b47a5b3ba06p-2', '0x1.92b47a5b3ba4fp-2', '0x1.105c0fd0505aep-1', '0x1.105c0fd0505d6p-1'),
+    ('0x1.8c367db25e511p-2', '0x1.8c367db25e557p-2', '0x1.0405b031e9153p-1', '0x1.0405b031e916fp-1'),
+    ('0x1.8aa7021ed58fbp-2', '0x1.8aa7021ed593ep-2', '0x1.01005ac0ba6f1p-1', '0x1.01005ac0ba708p-1'),
+    ('0x1.9bfb313cdbb0ep-2', '0x1.9bfb313cdbb61p-2', '0x1.2175f8200372ap-1', '0x1.2175f8200375fp-1'),
+    ('0x1.8e551b4aa1afdp-2', '0x1.8e551b4aa1b45p-2', '0x1.0816d708019a0p-1', '0x1.0816d708019bep-1'),
+    ('0x1.8b2b74e53f98fp-2', '0x1.8b2b74e53f9d3p-2', '0x1.02016b5b4bfb9p-1', '0x1.02016b5b4bfd3p-1'),
+    ('0x1.43f936807571dp-12', '0x1.43f9368080fe8p-12', '0x1.3c6166a650ad6p-2', '0x1.3c6166b831104p-2'),
+    ('0x1.c258c60c1ba97p+76', '0x1.c2590aaa813f5p+76', '0x1.36fad3db85a4ep+104', '0x1.36fb1697581dbp+104'),
+    ('0x1.33fd1346f99b9p+6', '0x1.7e93f04e727d6p+6', '0x1.3889112d6da9ep+13', '0x1.8df0694b76558p+13'),
+    ('0x1.103b3eb898ab5p+123', 'inf', '0x1.2f6f4ee9e95dep+183', 'inf'),
+]
+
 
 def mixture_1d(mu=1.0, sigma=1.0):
     return GaussianMixture(MixtureParams(1, np.array([mu]), np.array([[sigma]])))
@@ -619,6 +643,27 @@ class TestCertifiedSuprema:
         assert all(0.0 < lo <= hi < math.inf for lo, hi in near)
         assert all(hi > lo * (1.0 + 1e-6) for lo, hi in gap)
         assert all(hi == math.inf for _, hi in pole)
+
+    def test_brackets_are_pinned_bit_for_bit(self):
+        # float.hex of (lo3, hi3, lo4, hi4), so that a change to the search
+        # that moves any bracket by one ulp shows: g = 1 over the budget
+        # regions of the scaling sweep's (d, n) grid at a_max 0.6 and of the
+        # correction sweep's at 1.2, then the 1e-3 floor ball of the
+        # standardized mu = 0.6 model, a region 1e-8 from the pole
+        # condition, g = 1e4 at its work limit, and a region past the pole
+        edge = 0.5 * math.pi / math.sqrt(0.5)  # g = 1, ||H(0)^{-1/2} mu|| = sqrt(1/2)
+        wide = 1e4
+        regions = [(1.0, a_max, 2.5 * math.sqrt(d / n))
+                   for a_max, d_grid, n_grid in ((0.6, (1, 8, 64), (200, 6400, 100000)),
+                                                 (1.2, (1, 2), (200, 800, 3200)))
+                   for d in d_grid for n in n_grid]
+        regions += [(0.5625, 0.6e-3, 2.5 * math.sqrt(1 / 50)),
+                    (1.0, 0.6, edge * (1.0 - 1e-8)),
+                    (wide, 60.0, 0.3 * 0.5 * math.pi / math.sqrt(wide / (1.0 + wide))),
+                    (1.0, 0.6, 1.05 * edge)]
+        got = [tuple(x.hex() for bracket in brackets for x in bracket)
+               for brackets in model_module._certified_sup(regions)]
+        assert got == PINNED_BRACKETS
 
     def test_bracket_accessor(self):
         m = mixture_1d()
