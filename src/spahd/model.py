@@ -491,9 +491,11 @@ _SUP_SLACK = 1e-9
 _SUP_GRID = 8
 _SUP_WIDTH = 0.075
 _SUP_SEGMENTS = 2
-# the u breaks of the boxes and of the segments along u
-_SUP_EU = np.arange(_SUP_GRID + 1) / _SUP_GRID
-_SUP_SU = np.arange(_SUP_GRID * _SUP_SEGMENTS + 1) / (_SUP_GRID * _SUP_SEGMENTS)
+# the u ends of the rows of boxes and of the segments along u: lower ends in
+# the first row, upper ends in the second
+_SUP_EU = np.array((np.arange(_SUP_GRID), np.arange(1, _SUP_GRID + 1))) / _SUP_GRID
+_SUP_SU = (np.array((np.arange(_SUP_GRID * _SUP_SEGMENTS), np.arange(1, _SUP_GRID * _SUP_SEGMENTS + 1)))
+           / (_SUP_GRID * _SUP_SEGMENTS))
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
 _SUP_ASPECT = 0.25
@@ -507,18 +509,18 @@ _SUP_CHUNK = 512
 _SUP_WORK = 1 << 15
 _SUP_NEWTON = 40
 # K3 = t B0(s), K4 = A1(s), K4' = t B2(s), K4'' = A3(s), K4''' = t B4(s);
-# _SUP_TAYLOR[l][j] holds the l-th Taylor coefficient of the j-th of these
+# _SUP_TAYLOR[5 l + j] holds the l-th Taylor coefficient of the j-th of these
 # polynomials in the powers 1, s, s^2, s^3 (K3^(j) = -K4^(j-1)); the third
 # coefficients are constants, |_SUP_TAYLOR3|
 _SUP_TAYLOR = np.array([
-    [[0, 2, 0, 0], [0, 4, -6, 0], [0, -8, 24, 0], [0, 16, -120, 120], [0, -32, 480, -720]],
-    [[2, 0, 0, 0], [4, -12, 0, 0], [-8, 48, 0, 0], [16, -240, 360, 0], [-32, 960, -2160, 0]],
-    [[0, 0, 0, 0], [-6, 0, 0, 0], [24, 0, 0, 0], [-120, 360, 0, 0], [480, -2160, 0, 0]],
+    [0, 2, 0, 0], [0, 4, -6, 0], [0, -8, 24, 0], [0, 16, -120, 120], [0, -32, 480, -720],
+    [2, 0, 0, 0], [4, -12, 0, 0], [-8, 48, 0, 0], [16, -240, 360, 0], [-32, 960, -2160, 0],
+    [0, 0, 0, 0], [-6, 0, 0, 0], [24, 0, 0, 0], [-120, 360, 0, 0], [480, -2160, 0, 0],
 ], dtype=float)
 _SUP_TAYLOR3 = np.array([[0.0], [0.0], [0.0], [120.0], [720.0]])
-# rows of K^(j) and sup |K^(j)|, j = 0..3, for c3; c4 reads the next row
-_SUP_ROWS3 = np.arange(3)[:, None]
-_SUP_ROWS4 = np.arange(4)[:, None]
+# the weight exponents of c3 and c4, and the rows of sup |K^(j)| that c4 reads
+_SUP_K = np.array([3.0, 4.0])
+_SUP_NEXT = np.array([1, 2, 3, 4, 4])
 
 
 def _jet(t_radius, u, q, th, r, k, k0, k1, k2):
@@ -538,9 +540,9 @@ def _jet(t_radius, u, q, th, r, k, k0, k1, k2):
     b_u = r * t_radius
     b_a = rp * t_radius * u
     b_aa = rpp * t_radius * u
-    uv, ua, ub, uaa, uab = k0.real, k1.real, -k1.imag, k2.real, -k2.imag
+    uv, ua, ub, uaa, uab = k0.real, k1.real, -k1.imag, k2.real, k2.imag
     d1 = ua + ub * b_a
-    d2 = uaa * (1.0 - b_a * b_a) + 2.0 * uab * b_a + ub * b_aa
+    d2 = uaa * (1.0 - b_a * b_a) - 2.0 * uab * b_a + ub * b_aa
     return (uv * w, d1 * w + uv * w1, ub * b_u * w,
             d2 * w + 2.0 * d1 * w1 + uv * w2, -uaa * b_u * b_u * w)
 
@@ -556,27 +558,31 @@ def _first_cover(a_max):
     far = [near]
     while far[-1] < a_max:
         far.append(min(4.0 * far[-1], a_max))
-    a_boxes, a_segments = (np.concatenate((np.linspace(0.0, near, count + 1), far[1:]))
-                           for count in (cells, cells * _SUP_SEGMENTS))
+    # every _SUP_SEGMENTS-th alpha break of the segments is a box's:
+    # linspace's i-th break is i times its step, and dividing the step by
+    # _SUP_SEGMENTS, a power of 2, is exact unless the quotient is subnormal
+    a_segments = np.linspace(0.0, near, cells * _SUP_SEGMENTS + 1)
+    a_boxes = (a_segments[::_SUP_SEGMENTS] if near / (cells * _SUP_SEGMENTS) >= 2.0**-1022
+               else np.linspace(0.0, near, cells + 1))
+    if len(far) > 1:
+        a_boxes, a_segments = (np.concatenate((x, far[1:])) for x in (a_boxes, a_segments))
     boxes = (a_boxes.size - 1) * _SUP_GRID
-    ma, mu = a_segments.size - 1, _SUP_SU.size - 1
+    ma, mu = a_segments.size - 1, _SUP_SU.shape[1]
     cover = np.zeros((4, boxes + 2 * ma + 2 * mu + 4))
-    a0, a1, u0, u1 = cover
-    a0[:boxes] = np.repeat(a_boxes[:-1], _SUP_GRID)
-    a1[:boxes] = np.repeat(a_boxes[1:], _SUP_GRID)
-    u0[:boxes].reshape(-1, _SUP_GRID)[:] = _SUP_EU[:-1]
-    u1[:boxes].reshape(-1, _SUP_GRID)[:] = _SUP_EU[1:]
-    low, high = slice(boxes, boxes + ma), slice(boxes + ma, boxes + 2 * ma)
-    a0[low] = a0[high] = a_segments[:-1]
-    a1[low] = a1[high] = a_segments[1:]
-    u0[high] = u1[high] = 1.0
-    left = slice(boxes + 2 * ma, boxes + 2 * ma + mu)
-    right = slice(boxes + 2 * ma + mu, boxes + 2 * ma + 2 * mu)
-    u0[left] = u0[right] = _SUP_SU[:-1]
-    u1[left] = u1[right] = _SUP_SU[1:]
-    # the right segments, then the corners (0, 0), (a_max, 0), (0, 1), (a_max, 1)
-    a0[right] = a1[right] = a0[-3::2] = a1[-3::2] = a_segments[-1]
-    u0[-2:] = u1[-2:] = 1.0
+    # each pair of rows, (a0, a1) or (u0, u1), is filled at once
+    ends = a_boxes.repeat(_SUP_GRID)
+    cover[0, :boxes] = ends[:-_SUP_GRID]
+    cover[1, :boxes] = ends[_SUP_GRID:]
+    cover[2:, :boxes].reshape(2, -1, _SUP_GRID)[:] = _SUP_EU[:, None]
+    # the segments on u = 0, then on u = 1
+    cover[:2, boxes:boxes + 2 * ma].reshape(2, 2, ma)[:] = np.array(
+        (a_segments[:-1], a_segments[1:]))[:, None]
+    cover[2:, boxes + ma:boxes + 2 * ma] = 1.0
+    # on alpha = 0, then on alpha = a_max; then the corners (0, 0), (a_max, 0),
+    # (0, 1), (a_max, 1)
+    cover[2:, boxes + 2 * ma:-4].reshape(2, 2, mu)[:] = _SUP_SU[:, None]
+    cover[:2, boxes + 2 * ma + mu:-4] = cover[:2, -3::2] = a_segments[-1]
+    cover[2:, -2:] = 1.0
     return cover
 
 
@@ -592,39 +598,38 @@ def _certified_sup(regions):
     its bracket is, bit for bit, the one that search gives."""
     out = [None] * len(regions)
     covers = [_first_cover(a_max) for _, a_max, _ in regions]
-    a0, a1, u0, u1 = np.concatenate(covers, axis=1)
-    reg = np.repeat(np.arange(len(regions)), [c.shape[1] for c in covers])
-    g_of, _, t_of = np.array(regions, dtype=float).T
+    a0, a1, u0, u1 = covers[0] if len(covers) == 1 else np.concatenate(covers, axis=1)
+    # the regions still searched, and their element counts
+    open_, counts = list(range(len(regions))), [c.shape[1] for c in covers]
+    per_region = np.array(regions, dtype=float)
     lo = np.zeros((len(regions), 2))
     hi = np.zeros((len(regions), 2))
     work = [0] * len(regions)
     for rounds_left in range(_SUP_ROUNDS - 1, -1, -1):
+        g, _, t_radius = per_region[open_].repeat(counts, axis=0).T
         # in chunks, so that no temporary grows large
-        parts = [_element_bounds(*(x[i:i + _SUP_CHUNK] for x in (g_of[reg], t_of[reg],
-                                                                 a0, a1, u0, u1)))
+        parts = [_element_bounds(*(x[i:i + _SUP_CHUNK] for x in (g, t_radius, a0, a1, u0, u1)))
                  for i in range(0, a0.size, _SUP_CHUNK)]
         bounds = (parts[0] if len(parts) == 1
                   else [np.concatenate(x, axis=1) for x in zip(*parts)])
-        kept, open_ = [], []
+        kept, still = [], []
         end = 0
-        for k, count in enumerate(np.bincount(reg, minlength=len(regions)).tolist()):
-            if count:
-                run = slice(end, end + count)
-                end += count
-                work[k] += count
-                more = _sup_round(regions[k], lo[k], hi[k], work[k], rounds_left == 0,
-                                  [x[run] for x in (a0, a1, u0, u1)],
-                                  [x[:, run] for x in bounds])
-                if more is None:
-                    (lo3, lo4), (hi3, hi4) = lo[k], hi[k]
-                    out[k] = (float(lo3), float(hi3)), (float(lo4), float(hi4))
-                else:
-                    kept.append(more)
-                    open_.append(k)
+        for k, count in zip(open_, counts):
+            run = slice(end, end + count)
+            end += count
+            work[k] += count
+            more = _sup_round(regions[k], lo[k], hi[k], work[k], rounds_left == 0,
+                              [x[run] for x in (a0, a1, u0, u1)],
+                              [x[:, run] for x in bounds])
+            if more is None:
+                out[k] = tuple(zip(lo[k].tolist(), hi[k].tolist()))
+            else:
+                kept.append(more)
+                still.append(k)
         if not kept:
             break
         a0, a1, u0, u1 = kept[0] if len(kept) == 1 else (np.concatenate(x) for x in zip(*kept))
-        reg = np.repeat(open_, [x[0].size for x in kept])
+        open_, counts = still, [x[0].size for x in kept]
     return out
 
 
@@ -637,24 +642,26 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
     g, _, t_radius = region
     a0, a1, u0, u1 = elements
     value, ub, allow, drop, concave, e_a, e_u = bounds
-    lo[:] = np.fmax(lo, np.max(value, axis=1))
+    lo[:] = np.fmax(lo, value.max(axis=1))
+    # each kernel's Newton runs leave the other kernel's lo and ub as they were
+    open_ = concave & (ub > lo[:, None] * (1.0 + _SUP_RTOL))
     for which in (0, 1):
         _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub[which], allow[which], lo,
-                        concave[which] & (ub[which] > lo[which] * (1.0 + _SUP_RTOL)))
+                        open_[which])
     # a corner cannot be halved, so its bound is final, and neither is an
     # element within tolerance but for its rounding allowance (near the
     # pole condition the allowance alone can pass it); both count
     # towards hi; a bound whose weight r^k overflowed is inf - inf here,
     # and stays open
     with np.errstate(invalid="ignore"):
-        over = (~drop & ~(ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL))
+        over = (~(drop | (ub - allow <= lo[:, None] * (1.0 + _SUP_RTOL)))
                 & ((a1 > a0) | (u1 > u0)))
     live = over[0] | over[1]
     if last or not live.any() or work + 4 * live.sum() > _SUP_WORK:
         # every element not dropped is bounded by ub; the open ones only
         # when the work or round limit stopped the search, and then
         # hi > lo (1 + _SUP_RTOL)
-        hi[:] = np.maximum(hi, np.max(np.where(drop, 0.0, ub), axis=1))
+        hi[:] = np.maximum(hi, np.where(drop, 0.0, ub).max(axis=1))
         hi[:] = np.maximum(hi, lo)
         return None
     # an element at the corner alpha = 0, u = 1, the point nearest a zero
@@ -728,26 +735,28 @@ def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
     `which` is concave, best first: the run's value raises lo[which], and its
     tangent bound, plus the largest rounding allowance of the run, replaces
     the bound of each of its segments."""
+    # (line, start, end, index) of each open segment: those along alpha on
+    # u = 0, 1, then those along u on alpha = 0, a_max; in order along each
+    # line, as Python floats, which the scalar Newton works on
+    segments = []
+    for i in open_.nonzero()[0].tolist():
+        e0, e1, v0, v1 = float(a0[i]), float(a1[i]), float(u0[i]), float(u1[i])
+        segments.append((v0, e0, e1, i) if e1 > e0 else (2.0 + e0, v0, v1, i))
     runs = []
-    idx = np.nonzero(open_)[0]
-    # segments along alpha on u = 0, 1, then along u on alpha = 0, a_max
-    along_a = a1[idx] > a0[idx]
-    line = np.where(along_a, u0[idx], 2.0 + a0[idx])
-    start = np.where(along_a, a0[idx], u0[idx])
-    end = np.where(along_a, a1[idx], u1[idx])
-    for j in np.lexsort((start, line)):
-        if runs and line[j] == runs[-1][0] and start[j] == runs[-1][2]:
-            runs[-1][2] = end[j]
-            runs[-1][3].append(idx[j])
+    for line, start, end, i in sorted(segments, key=lambda x: x[:2]):
+        if runs and line == runs[-1][0] and start == runs[-1][2]:
+            runs[-1][2] = end
+            runs[-1][3].append(i)
         else:
-            runs.append([line[j], start[j], end[j], [idx[j]]])
-    for _, x0, x1, members in sorted(runs, key=lambda run: -ub[run[3]].max()):
-        if ub[members].max() > lo[which] * (1.0 + _SUP_RTOL):
+            runs.append([line, start, end, [i]])
+    for top, x0, x1, members in sorted(
+            ((max(ub[j] for j in run[3]), *run[1:]) for run in runs), key=lambda x: -x[0]):
+        if top > lo[which] * (1.0 + _SUP_RTOL):
             i = members[0]
             if a1[i] > a0[i]:
-                found, bound = _segment_newton(g, t_radius, which, x0, x1, u0[i], u0[i])
+                found, bound = _segment_newton(g, t_radius, which, x0, x1, float(u0[i]), float(u0[i]))
             else:
-                found, bound = _segment_newton(g, t_radius, which, a0[i], a0[i], x0, x1)
+                found, bound = _segment_newton(g, t_radius, which, float(a0[i]), float(a0[i]), x0, x1)
             lo[which] = max(lo[which], found)
             ub[members] = bound + allow[members].max()
 
@@ -777,18 +786,20 @@ def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
         return (v, d_a, d_aa) if along_a else (v, d_u, d_uu)
 
     x = 0.5 * (lo + hi)
+    value, d1, d2 = jet(x)
     for _ in range(_SUP_NEWTON):
-        _, d1, d2 = jet(x)
         if not abs(d2) > 0.0:
             # flat in rounding (c3 vanishes on alpha = 0); the tangent bound
             # holds at any x of a concave run
             break
         step = min(max(x - d1 / d2, lo), hi)
         done = abs(step - x) <= 4.0 * _EPS * max(1.0, abs(x))
-        x = step
+        # a step that leaves x as it was, to the sign of a zero, leaves the jet
+        if step != x or math.copysign(1.0, step) != math.copysign(1.0, x):
+            x = step
+            value, d1, d2 = jet(x)
         if done:
             break
-    value, d1, _ = jet(x)
     slope = d1 if value >= 0.0 else -d1
     return abs(value), abs(value) + max(slope * (lo - x), slope * (hi - x))
 
@@ -802,16 +813,16 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
     bound), whether the element holds no local maximum off the edges,
     whether it is a segment with |G| concave along it, and the second-order
     terms along alpha and u."""
-    # one entry per element and kernel: the c3 half, then the c4 half
+    # one entry per element and kernel: the c3 half, then the c4 half; the
+    # rows u0, a0 and u1, a1 hold each side's lower and upper end
     m = a0.size
-    g, tr, a0, a1, u0, u1 = (np.concatenate((x, x)) for x in (g, t_radius, a0, a1, u0, u1))
     n = 2 * m
-    c4 = np.repeat([0, 1], m)
-    k = 3.0 + c4
-    ha = 0.5 * (a1 - a0)
-    hu = 0.5 * (u1 - u0)
-    ac = a0 + ha
-    uc = u0 + hu
+    ends = np.concatenate((u0, u0, a0, a0, u1, u1, a1, a1, g, g, g, g, g, g,
+                           t_radius, t_radius)).reshape(8, n)
+    u0, a0, u1, a1, g, _, _, tr = ends
+    k = _SUP_K.repeat(m)
+    hu, ha = h = 0.5 * (ends[2:4] - ends[:2])
+    uc, ac = ends[:2] + h
     # -2 alpha overflows past half the double range, where exp(-2 alpha) is 0
     # all the same
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -819,50 +830,59 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         den = 1.0 + e2
         q = 4.0 * e2 / (den * den)
         th = (1.0 - e2) / den
-        g3 = np.concatenate((g, g, g))
+        g3 = ends[4:7].reshape(-1)
         r = np.sqrt(g3 / (1.0 + g3 * q))
         q0, qc = q[:n], q[2 * n:]
         r0, r1, rc = r[:n], r[n:2 * n], r[2 * n:]
-        b0, b1, bc = r0 * tr * u0, r1 * tr * u1, rc * tr * uc
-        # min cos^2 beta over [b0, b1]: 0 where some pi/2 + k pi lies in it, that
-        # is where cos changes sign or the interval spans pi
-        cos = np.cos(np.concatenate((b0, b1)))
-        pole = (cos[:n] * cos[n:] <= 0.0) | (b1 - b0 >= math.pi)
-        cos *= cos
-        cos2 = np.where(pole, 0.0, np.minimum(cos[:n], cos[n:]))
-        s, t = _sech2_tanh(ac, bc)
-        sup_s = q0 / (1.0 - q0 + q0 * cos2)
+        bu = r1 * tr
+        b0, b1, bc = r0 * tr * u0, bu * u1, rc * tr * uc
         rho = np.hypot(ha, np.maximum(bc - b0, b1 - bc))
-        tb = np.abs(t) + sup_s * rho
-        dl = 2.0 * sup_s * tb * rho
-        powers = np.empty((4, n), dtype=complex)
+        # the sups of K^(j) depend on the element alone, so they are taken
+        # over the c3 half.  min cos^2 beta over [b0, b1]: 0 where some
+        # pi/2 + k pi lies in it, that is where cos changes sign or the
+        # interval spans pi
+        qh, rh = q0[:m], rho[:m]
+        cos = np.cos(np.concatenate((b0[:m], b1[:m])))
+        pole = (cos[:m] * cos[m:] <= 0.0) | (b1[:m] - b0[:m] >= math.pi)
+        cos *= cos
+        cos2 = np.where(pole, 0.0, np.minimum(cos[:m], cos[m:]))
+        s, t = _sech2_tanh(ac[:m], bc[:m])
+        sup_s = qh / (1.0 - qh + qh * cos2)
+        tb = np.abs(t) + sup_s * rh
+        dl = 2.0 * sup_s * tb * rh
+        # two columns at least: a product with one column would take the
+        # matrix-vector route, which rounds differently
+        powers = np.empty((4, max(m, 2)), dtype=complex)
         powers[0] = 1.0
         powers[1] = s
-        powers[2] = s * s
-        powers[3] = powers[2] * s
+        np.multiply(s, s, out=powers[2])
+        np.multiply(powers[2], s, out=powers[3])
         # sup |K4^(j-1)| over the element, j = 0..4, with K4^(-1) = -K3, one
-        # Taylor order at a time, which keeps each temporary small
-        kc = _SUP_TAYLOR[0] @ powers
-        sup_k = np.abs(_SUP_TAYLOR[2] @ powers) + dl * _SUP_TAYLOR3
-        sup_k = np.abs(_SUP_TAYLOR[1] @ powers) + dl * sup_k
-        sup_k = np.abs(kc) + dl * sup_k
+        # Taylor order at a time
+        taylor = (_SUP_TAYLOR @ powers)[:, :m]
+        mod = np.abs(taylor)
+        sup_k = mod[10:] + dl * _SUP_TAYLOR3
+        sup_k = mod[5:10] + dl * sup_k
+        sup_k = mod[:5] + dl * sup_k
         sup_k[0::2] *= tb
+        kc = taylor[:5]
         kc[0::2] *= t
-        # per kernel, K^(j) and sup |K^(j)|: K3^(j) = -K4^(j-1)
-        cols = np.arange(n)
-        m0, m1, m2, m3 = sup_k[_SUP_ROWS4 + c4, cols]
-        k0, k1, k2 = kc[_SUP_ROWS3 + c4, cols]
-        sign_c3 = 2.0 * c4 - 1.0
-        k1 *= sign_c3
-        k2 *= sign_c3
+        # per kernel, K^(j) and sup |K^(j)|: c4 reads the row after c3's,
+        # and K3^(j) = -K4^(j-1); m4 is sup |K4'''| for both
+        m0, m1, m2, m3, m4 = np.concatenate((sup_k, sup_k[_SUP_NEXT]), axis=1)
+        k0, k1, k2 = kk = np.concatenate((kc[:3], kc[1:4]), axis=1)
+        kk[1:, :m] *= -1.0
+        kk[1:, m:] *= 1.0
         val, g_a, g_u, g_aa, g_uu = _jet(tr, uc, qc, th[2 * n:], rc, k, k0, k1, k2)
         # over the element, with p = sech^2 tanh <= q0 tanh(a1),
         # |p'| = q |3q - 2| and |p''| = 4 q tanh |3q - 1|: xs, ys and zs bound
         # r' / r, r'' / r and r''' / r, since r' = r^3 p
         p = q0 * th[n:2 * n]
         d3q = 3.0 * q[:2 * n]
-        dp = q0 * np.maximum(np.abs(d3q[:n] - 2.0), np.abs(d3q[n:] - 2.0))
-        ddp = 4.0 * p * np.maximum(np.abs(d3q[:n] - 1.0), np.abs(d3q[n:] - 1.0))
+        dev = np.abs(d3q - 2.0)
+        dp = q0 * np.maximum(dev[:n], dev[n:])
+        dev = np.abs(d3q - 1.0)
+        ddp = 4.0 * p * np.maximum(dev[:n], dev[n:])
         r12 = r1 * r1
         xs = r12 * p
         ys = r12 * (3.0 * r12 * p * p + dp)
@@ -872,13 +892,15 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         # rounding, and so every test strict
         w = r1 ** k * (1.0 + _SUP_SLACK)
         w1 = k * xs
-        w2 = (k - 1.0) * w1 * xs + k * ys
-        w3 = (k - 2.0) * (k - 1.0) * w1 * xs * xs + 3.0 * (k - 1.0) * w1 * ys + k * zs
-        bu = r1 * tr
+        km1 = k - 1.0
+        w2 = km1 * w1 * xs + k * ys
+        w3 = (k - 2.0) * km1 * w1 * xs * xs + 3.0 * km1 * w1 * ys + k * zs
         bau = xs * bu
         ba = 1.0 + bau * u1
         baa = ys * bu * u1
         bb = ba * bu
+        bw = bu * w1
+        m2b = m2 * bb
         # sups of |d^j/dalpha^j U(alpha, beta(alpha, u))| at fixed u, j = 1, 2
         da1 = m1 * ba
         da2 = m2 * ba * ba + m1 * baa
@@ -887,31 +909,34 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         # over [0, alpha] at the same beta, which keeps the bounds along u in
         # scale with c3 near alpha = 0.  The element's sups cover that segment
         # only where it starts at alpha = 0
-        odd = np.where((c4 == 0) & (a0 == 0.0), a1, np.inf)
+        odd = np.where(a0 == 0.0, a1, np.inf)
+        odd[m:] = np.inf
         m2u = np.fmin(m2, odd * m3)
-        m3u = np.fmin(m3, odd * sup_k[4])
-        # sups of |G_uu|, |G_au|, |G_aa| and of the third derivatives, over W
-        h_uu = m2u * bu * bu
-        h_au = m2 * bb + m1 * (bau + bu * w1)
-        h_aa = da2 + 2.0 * da1 * w1 + m0 * w2
+        m3u = np.fmin(m3, odd * m4)
+        # sups of |G_uu| and |G_aa| (one row per side, u then alpha, as in
+        # h), of |G_au| and of the third derivatives, over W
+        hh = np.empty((2, n))
+        np.multiply(m2u * bu, bu, out=hh[0])
+        np.add(da2 + 2.0 * da1 * w1, m0 * w2, out=hh[1])
+        h_au = m2b + m1 * (bau + bw)
         g_aaa = (m3 * ba * ba * ba + 3.0 * m2 * ba * baa + m1 * zs * bu * u1
                  + 3.0 * (da2 * w1 + da1 * w2) + m0 * w3)
         g_aau = (m3 * ba * bb + m2 * (baa * bu + 2.0 * ba * bau) + m1 * ys * bu
-                 + 2.0 * (m2 * bb + m1 * bau) * w1 + m1 * bu * w2)
-        g_uua = (m3 * bb + m2 * (2.0 * bau + bu * w1)) * bu
-        # G_aa and G_uu stay within var_aa and var_uu of their centre values,
-        # G_a and G_u within grad_a and grad_u
-        var_aa = (g_aaa * ha + g_aau * hu) * w
-        var_uu = (m3u * bu * bu * bu * hu + g_uua * ha) * w
-        h_uu *= w
+                 + 2.0 * (m2b + m1 * bau) * w1 + m1 * bu * w2)
+        g_uua = (m3 * bb + m2 * (2.0 * bau + bw)) * bu
+        # G_uu and G_aa stay within var of their centre values, G_u and G_a
+        # within grad
+        var = np.empty((2, n))
+        np.add(m3u * bu * bu * bu * hu, g_uua * ha, out=var[0])
+        np.add(g_aaa * ha, g_aau * hu, out=var[1])
+        var *= w
+        hh *= w
         h_au *= w
-        h_aa *= w
-        grad_a = h_aa * ha + h_au * hu
-        grad_u = h_au * ha + h_uu * hu
-        e_a = h_aa * ha * ha
-        e_u = h_uu * hu * hu
-        spread = np.abs(g_a) * ha + np.abs(g_u) * hu + 0.5 * (e_a + e_u) + h_au * ha * hu
+        grad = hh * h + h_au * h[::-1]
+        e = hh * h * h
+        slope = np.abs(np.concatenate((g_u, g_a))).reshape(2, n)
         value = np.abs(val)
+        spread = slope[1] * ha + slope[0] * hu + 0.5 * (e[1] + e[0]) + h_au * ha * hu
         allow = _SUP_ULPS * _EPS * (m0 + m1 * (1.0 + a1 + b1)) * w
         ub = np.fmin(m0 * w, value + spread) + allow
         # no point off an edge is a local maximum of |G| where G is strictly
@@ -919,21 +944,19 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         # (G keeps its sign) is strictly convex along one
         sign = np.sign(val)
         kept = value > spread
-        curv_a = sign * g_aa
-        curv_u = sign * g_uu
-        along_a = ha > 0.0
-        along_u = hu > 0.0
-        mono = (along_a & (np.abs(g_a) > grad_a)) | (along_u & (np.abs(g_u) > grad_u))
-        convex = (along_a & (curv_a > var_aa)) | (along_u & (curv_u > var_uu))
+        curv = sign * np.concatenate((g_uu, g_aa)).reshape(2, n)
+        along = h > 0.0
+        mono = along & (slope > grad)
+        convex = along & (curv > var)
         # G_uu = U_bb beta_u^2 W with U_bb = -Re K'': concave in u from u = 0,
         # where G_u = 0, puts the maximum on the edge u = 0
-        flat_u = along_u & (u0 == 0.0) & (sign * k2.real >= m3 * rho)
-        drop = mono | (kept & (convex | flat_u))
-        concave = kept & np.where(along_u, ~along_a & (curv_u + var_uu < 0.0),
-                                  along_a & (curv_a + var_aa < 0.0))
+        flat_u = along[0] & (u0 == 0.0) & (sign * k2.real >= m3 * rho)
+        drop = mono[0] | mono[1] | (kept & (convex[0] | convex[1] | flat_u))
+        bend = curv + var < 0.0
+        concave = kept & np.where(along[0], ~along[1] & bend[0], along[1] & bend[1])
     # a bound that overflowed or is undefined keeps its element open
     ub[~(ub >= 0.0)] = np.inf
-    return tuple(x.reshape(2, m) for x in (value, ub, allow, drop, concave, e_a, e_u))
+    return tuple(x.reshape(2, m) for x in (value, ub, allow, drop, concave, e[1], e[0]))
 
 
 # --- model file parsing ---------------------------------------------------
