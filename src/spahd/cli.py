@@ -19,7 +19,7 @@ from .model import GaussianMixture, load_model_file, to_numbers
 from .oracle import ExactMeanDensity, clt_ratio
 from .saddle import legendre_gap_report, solve_saddle
 from .spa import exp_or_inf, expm1_or_inf, spa_density
-from .experiments import load_experiment_spec, run_experiment, emit_plot_data, format_csv
+from .experiments import _run_experiment, emit_plot_data, format_csv, load_experiment_spec
 
 
 def _floats(text):
@@ -148,12 +148,10 @@ def _cmd_clt(args):
 
 def _cmd_experiment(args):
     spec = load_experiment_spec(args.spec)
-    records, csv_path = run_experiment(spec, out=args.out)
+    # the digest of the CSV the sweep wrote, as its manifest records it
+    records, csv_path, digest = _run_experiment(spec, args.out)
     pairs = [("mode", spec.mode), ("rows", len(records))]
     if csv_path is not None:
-        import hashlib  # loads OpenSSL, a few MB of RSS: only a written CSV is hashed
-
-        digest = hashlib.sha256(format_csv(records).encode()).hexdigest()
         pairs += [("csv", str(csv_path)), ("sha256", digest)]
     else:
         sys.stdout.write(format_csv(records))

@@ -413,10 +413,17 @@ def run_experiment(spec: ExperimentSpec, out=None):
 
     Returns (records, csv_path or None).
     """
+    records, csv_path, _ = _run_experiment(spec, out)
+    return records, csv_path
+
+
+def _run_experiment(spec, out):
+    """run_experiment's (records, csv_path) and the sha256 of the CSV it
+    wrote, or None where it wrote none."""
     records = _RUNNERS[spec.mode](spec)
     target = out or spec.out
     if target is None:
-        return records, None
+        return records, None, None
     csv_path = Path(target)
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     payload = format_csv(records)
@@ -437,7 +444,7 @@ def run_experiment(spec: ExperimentSpec, out=None):
     }
     manifest_path = csv_path.with_name(csv_path.name + ".manifest.json")
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return records, csv_path
+    return records, csv_path, digest
 
 
 def emit_plot_data(records, path):

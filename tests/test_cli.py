@@ -196,6 +196,29 @@ class TestExperiment:
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
         assert manifest["csv_sha256"] == kv["sha256"]
 
+    def test_printed_digest_is_the_written_files(self, capsys, tmp_path, model_file, monkeypatch):
+        # the sha256 line is the digest of the bytes on disk and the one the
+        # manifest records, and the CSV is formatted once, not again to be hashed
+        from spahd import experiments
+
+        formatted = []
+        format_csv = experiments.format_csv
+
+        def counting(records):
+            formatted.append(len(records))
+            return format_csv(records)
+
+        monkeypatch.setattr(experiments, "format_csv", counting)
+        monkeypatch.setattr(cli, "format_csv", counting)
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"mode = error_scaling\nmodel = {model_file}\n"
+                        "n_grid = 50 100\na_points = 0.1\n")
+        out = tmp_path / "out.csv"
+        rc, kv, _ = run_cli(capsys, ["experiment", "--spec", str(spec), "--out", str(out)])
+        assert rc == 0 and formatted == [2]
+        manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
+        assert kv["sha256"] == manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+
     def test_stdout_csv_without_out(self, capsys, tmp_path, model_file):
         spec = tmp_path / "run.spec"
         spec.write_text(

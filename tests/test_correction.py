@@ -191,6 +191,25 @@ class TestCorrectionIntegral:
         assert correction_integral(m, sp, 400).i_value.real > 0
         assert check_assumptions(m, [sp.tau], 400).samples == 2000
 
+    def test_passes_that_disagree_beyond_1e_6_raise(self, monkeypatch):
+        # a ripple of 40 periods per panel in the phase, 0.2 rad after the
+        # factor n, which the 24- and 32-node passes integrate about 2e-5
+        # apart: well past the 1e-6 agreement tolerance, well inside 1e-2
+        import spahd.correction
+
+        exponent = spahd.correction._exponent
+        n = 200
+
+        def rippled(alpha, r, beta):
+            log_mag, phase, x2 = exponent(alpha, r, beta)
+            return log_mag, phase + 1e-3 * np.sin(40.0 * math.sqrt(n) * np.asarray(r)), x2
+
+        monkeypatch.setattr(spahd.correction, "_exponent", rippled)
+        with pytest.raises(QuadratureError, match="relative gap") as caught:
+            quad_i(mixture([1.0], [[1.0]]), [0.1], n)
+        gap = float(str(caught.value).split("relative gap ")[1].split()[0])
+        assert 1e-5 < gap < 1e-4
+
 
 def unit(d, axis, scale):
     v = np.zeros(d)

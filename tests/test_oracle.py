@@ -270,6 +270,30 @@ class TestWindowedOracle:
             assert k_hi - k_lo + 1 <= 12 * math.sqrt(n)
             assert 0.0 <= tail_rel <= 1e-16
 
+    @pytest.mark.parametrize("nats", [40.0, 3.0])
+    def test_cut_tails_are_bounded_and_summed(self, nats, monkeypatch):
+        # n = 400, mu = sigma = 1, every k = 0..n summed in mpmath.  The
+        # 40-nat first window cuts tails of 4.9e-20 of its sum, which the
+        # geometric bound covers (4.9e-20) and its first term alone does not
+        # (3.6e-20); from a 3-nat first window the window widens to 48 nats,
+        # past the 24-nat window whose cut tails still hold 7.8e-13
+        monkeypatch.setattr(spahd.oracle, "_WINDOW_NATS", nats)
+        n, a = 400, 0.05
+        oracle = ExactMeanDensity(params_1d(), n)
+        got = oracle.log_density(np.array([a]))
+        k_lo, k_hi, tail_rel = oracle.last_window
+        with mpmath.workdps(40):
+            terms = [mpmath.binomial(n, k) / mpmath.mpf(2) ** n
+                     * mpmath.exp(-n * (a - mpmath.mpf(2 * k - n) / n) ** 2 / 2)
+                     for k in range(n + 1)]
+            total = mpmath.fsum(terms)
+            inside = mpmath.fsum(terms[k_lo:k_hi + 1])
+            ref = mpmath.log(total) + mpmath.log(n / (2 * mpmath.pi)) / 2
+            cut = float((total - inside) / inside)
+        assert 0 < k_lo and k_hi < n
+        assert got == pytest.approx(float(ref), abs=1e-13)
+        assert 0.0 < cut <= tail_rel <= 1e-16
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_n_sum_every_term(self, n):
         mu, sigma, a = 0.7, 0.9, 0.2
