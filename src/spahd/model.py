@@ -473,6 +473,13 @@ def require_standardized(params, what):
 # hi <= lo (1 + _SUP_RTOL) up to the allowances.  Several regions can be
 # searched at once: they share each round's element evaluations, and each
 # keeps its own lo, hi, work limit and cuts.
+#
+# A round is one _element_bounds call over the open elements of all regions,
+# then one _sup_round per region.  The sups of K^(j) are taken once per
+# element and sliced per kernel, both sides of an element are tested at once,
+# and concave edge runs are settled by scalar Newton on Python floats.  A
+# search of one region mostly closes in its first round, so a round's fixed
+# cost, not its element count, sets its time.
 
 _SUP_RTOL = 1e-6
 # a computed kernel value is off by a few ulps of |K| plus the change of K
@@ -493,9 +500,8 @@ _SUP_WIDTH = 0.075
 _SUP_SEGMENTS = 2
 # the u ends of the rows of boxes and of the segments along u: lower ends in
 # the first row, upper ends in the second
-_SUP_EU = np.array((np.arange(_SUP_GRID), np.arange(1, _SUP_GRID + 1))) / _SUP_GRID
-_SUP_SU = (np.array((np.arange(_SUP_GRID * _SUP_SEGMENTS), np.arange(1, _SUP_GRID * _SUP_SEGMENTS + 1)))
-           / (_SUP_GRID * _SUP_SEGMENTS))
+_SUP_EU, _SUP_SU = (np.array((np.arange(cuts), np.arange(1, cuts + 1))) / cuts
+                    for cuts in (_SUP_GRID, _SUP_GRID * _SUP_SEGMENTS))
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
 _SUP_ASPECT = 0.25
@@ -540,9 +546,10 @@ def _jet(t_radius, u, q, th, r, k, k0, k1, k2):
     b_u = r * t_radius
     b_a = rp * t_radius * u
     b_aa = rpp * t_radius * u
-    uv, ua, ub, uaa, uab = k0.real, k1.real, -k1.imag, k2.real, k2.imag
+    # U_a, U_b = Re K', -Im K' and U_aa, U_ab = Re K'', -Im K''
+    uv, ua, ub, uaa = k0.real, k1.real, -k1.imag, k2.real
     d1 = ua + ub * b_a
-    d2 = uaa * (1.0 - b_a * b_a) - 2.0 * uab * b_a + ub * b_aa
+    d2 = uaa * (1.0 - b_a * b_a) - 2.0 * k2.imag * b_a + ub * b_aa
     return (uv * w, d1 * w + uv * w1, ub * b_u * w,
             d2 * w + 2.0 * d1 * w1 + uv * w2, -uaa * b_u * b_u * w)
 
@@ -735,9 +742,8 @@ def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
     `which` is concave, best first: the run's value raises lo[which], and its
     tangent bound, plus the largest rounding allowance of the run, replaces
     the bound of each of its segments."""
-    # (line, start, end, index) of each open segment: those along alpha on
-    # u = 0, 1, then those along u on alpha = 0, a_max; in order along each
-    # line, as Python floats, which the scalar Newton works on
+    # (line, start, end, index) of each open segment, in Python floats for the
+    # scalar Newton: along alpha on u = 0, 1, then along u on alpha = 0, a_max
     segments = []
     for i in open_.nonzero()[0].tolist():
         e0, e1, v0, v1 = float(a0[i]), float(a1[i]), float(u0[i]), float(u1[i])
@@ -753,10 +759,11 @@ def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
             ((max(ub[j] for j in run[3]), *run[1:]) for run in runs), key=lambda x: -x[0]):
         if top > lo[which] * (1.0 + _SUP_RTOL):
             i = members[0]
+            e0, v0 = float(a0[i]), float(u0[i])
             if a1[i] > a0[i]:
-                found, bound = _segment_newton(g, t_radius, which, x0, x1, float(u0[i]), float(u0[i]))
+                found, bound = _segment_newton(g, t_radius, which, x0, x1, v0, v0)
             else:
-                found, bound = _segment_newton(g, t_radius, which, float(a0[i]), float(a0[i]), x0, x1)
+                found, bound = _segment_newton(g, t_radius, which, e0, e0, x0, x1)
             lo[which] = max(lo[which], found)
             ub[members] = bound + allow[members].max()
 

@@ -217,7 +217,8 @@ class TestExperiment:
         rc, kv, _ = run_cli(capsys, ["experiment", "--spec", str(spec), "--out", str(out)])
         assert rc == 0 and formatted == [2]
         manifest = json.loads((tmp_path / "out.csv.manifest.json").read_text())
-        assert kv["sha256"] == manifest["csv_sha256"] == hashlib.sha256(out.read_bytes()).hexdigest()
+        written = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert kv["sha256"] == manifest["csv_sha256"] == written
 
     def test_stdout_csv_without_out(self, capsys, tmp_path, model_file):
         spec = tmp_path / "run.spec"

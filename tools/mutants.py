@@ -116,7 +116,8 @@ def main(argv: list[str]) -> int:
             _mutate(src, name)
             caught = _failures(src)
             survivors += not caught
-            print(f"{name}: " + ("survived" if not caught else f"caught by {len(caught)}"), flush=True)
+            verdict = f"caught by {len(caught)}" if caught else "survived"
+            print(f"{name}: {verdict}", flush=True)
             for test in caught:
                 print(f"    {test}", flush=True)
     print(f"{len(names) - survivors} of {len(names)} mutants caught")
