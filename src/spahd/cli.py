@@ -136,7 +136,7 @@ def _cmd_verify(args):
 
 
 def _cmd_clt(args):
-    params, _ = _load(args)
+    params = load_model_file(args.model, d_override=args.dim)
     comparison = clt_ratio(params, args.n, np.asarray(args.point), kappa=args.kappa)
     _emit([
         ("ratio", comparison.ratio),

@@ -330,9 +330,11 @@ class GaussianMixture:
         kernels oscillate over many periods of beta (g = <mu, sigma^{-1} mu>
         of 1e3 and more), or within about 1e-8 (relative) of the pole
         condition below, where the allowance for rounding alone passes
-        1e-6: hi is then still an upper bound, with a wider gap.  hi is inf,
-        and so still an upper bound, where the weight overflows, which takes g
-        past about 1e154 and alpha past about log(g) / 2.  The region
+        1e-6: hi is then still an upper bound, with a wider gap.  Near that
+        condition the search halves its elements for many rounds (30 at 1e-8
+        and 35 at 1e-10 of it for g = 1).  hi is inf, and so still an upper
+        bound, where the weight overflows, which takes g past about 1e154 and
+        alpha past about log(g) / 2.  The region
         contains a zero of cosh, where both kernels are unbounded, exactly when
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
         Gaussian gives zeros.  Raises DimensionError unless both radii are
@@ -462,17 +464,17 @@ def require_standardized(params, what):
 # allowance is settled too: halving would not shrink the allowance.
 # Everything else is halved along the sides whose second-order term is still
 # large and not below _SUP_ASPECT times the other side's (along both, when
-# only its first-order terms keep it open), and evaluated again; an element
-# whose bound is still _SUP_FAR times lo or more, next to a zero of cosh, is
-# cut along those sides at _SUP_GRADED instead, into pieces that shrink
-# towards its ends by 2^-_SUP_FAR_CUTS, as long as the work limit has room
-# for the pieces (halving alone takes about 30 rounds there).  The search stops when every element
-# is settled or dropped, or before it would pass _SUP_WORK element
-# evaluations (about 0.1 s).  hi, the largest bound of an element not
-# dropped, is an upper bound of the supremum, and when the search closes
-# hi <= lo (1 + _SUP_RTOL) up to the allowances.  Several regions can be
-# searched at once: they share each round's element evaluations, and each
-# keeps its own lo, hi, work limit and cuts.
+# only its first-order terms keep it open), and evaluated again.  Halving is
+# the one cut.  Next to a zero of cosh it needs many rounds (about 30 at 1e-8
+# of the pole condition r(0) T = pi/2), but a budget region comes within 10 %
+# of that condition only at eps = d^2 / n past 0.3, where the budget is
+# vacuous.  The search stops when every element is settled or dropped, or
+# before it would pass _SUP_WORK element evaluations (about 0.1 s).  hi, the
+# largest bound of an element not dropped, is an upper bound of the
+# supremum, and when the search closes hi <= lo (1 + _SUP_RTOL) up to the
+# allowances.  Several regions can be searched at once: they share each
+# round's element evaluations, and each keeps its own lo, hi, work limit and
+# cuts.
 #
 # A round is one _element_bounds call over the open elements of all regions,
 # then one _sup_round per region.  The sups of K^(j) are taken once per
@@ -505,11 +507,6 @@ _SUP_EU, _SUP_SU = (np.array((np.arange(cuts), np.arange(1, cuts + 1))) / cuts
 _SUP_NEAR = 4.0
 _SUP_ROUNDS = 60
 _SUP_ASPECT = 0.25
-_SUP_FAR = 10.0
-_SUP_FAR_CUTS = 8
-# 2^-8, ..., 1/4, 1/2, 3/4, ..., 1 - 2^-8: the inner breaks of a graded cut
-_SUP_GRADED = np.concatenate((0.5 ** np.arange(_SUP_FAR_CUTS, 1, -1), [0.5],
-                              1.0 - 0.5 ** np.arange(2, _SUP_FAR_CUTS + 1)))
 # elements per evaluation, and a limit on the elements evaluated in all
 _SUP_CHUNK = 512
 _SUP_WORK = 1 << 15
@@ -644,8 +641,8 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
     """One round of the search of region (g, a_max, t_radius), given its
     elements (a0, a1, u0, u1) and their _element_bounds: raises lo and hi in
     place, and returns None when the search is done (at the latest in the
-    last round), or else the elements of its next round.  work counts the
-    elements the search has evaluated."""
+    last round), or else its open elements halved (_halve), the elements of
+    its next round.  work counts the elements the search has evaluated."""
     g, _, t_radius = region
     a0, a1, u0, u1 = elements
     value, ub, allow, drop, concave, e_a, e_u = bounds
@@ -671,11 +668,6 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
         hi[:] = np.maximum(hi, np.where(drop, 0.0, ub).max(axis=1))
         hi[:] = np.maximum(hi, lo)
         return None
-    # an element at the corner alpha = 0, u = 1, the point nearest a zero
-    # of cosh, whose bound is _SUP_FAR times lo or more has many halvings
-    # ahead
-    far = (np.any(over & ~(ub < _SUP_FAR * lo[:, None]), axis=0)
-           & (a0 == 0.0) & (u1 == 1.0))
     hi[:] = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
     # halve each open element along the sides whose second-order term,
     # for a kernel it is open for, exceeds a quarter of that kernel's
@@ -683,7 +675,7 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
     # undefined term, 0 * inf where a bound overflowed, counts as over)
     tol = 0.25 * _SUP_RTOL * lo[:, None]
     over = over[:, live]
-    a0, a1, u0, u1, far = a0[live], a1[live], u0[live], u1[live], far[live]
+    a0, a1, u0, u1 = a0[live], a1[live], u0[live], u1[live]
     e_a, e_u = (np.where(over, e[:, live], 0.0) for e in (e_a, e_u))
     cut_a, cut_u = ((h > 0.0) & np.any(~(e <= tol) & ~(e < _SUP_ASPECT * f), axis=0)
                     for h, e, f in ((a1 - a0, e_a, e_u), (u1 - u0, e_u, e_a)))
@@ -691,15 +683,6 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
     both = ~(cut_a | cut_u)
     cut_a |= both & (a1 > a0)
     cut_u |= both & (u1 > u0)
-    # graded cuts, in order, while the pieces they add beyond the 4 the
-    # work check counted for each element keep within _SUP_WORK
-    pieces = (np.where(cut_a, _SUP_GRADED.size + 1, 1)
-              * np.where(cut_u, _SUP_GRADED.size + 1, 1) - 4)
-    far &= np.cumsum(np.where(far, pieces, 0)) <= _SUP_WORK - work - 4 * over.shape[1]
-    if far.any():
-        return tuple(np.concatenate(x) for x in zip(
-            _halve(*(x[~far] for x in (a0, a1, u0, u1, cut_a, cut_u))),
-            _graded(*(x[far] for x in (a0, a1, u0, u1, cut_a, cut_u)))))
     return _halve(a0, a1, u0, u1, cut_a, cut_u)
 
 
@@ -714,27 +697,6 @@ def _halve(a0, a1, u0, u1, cut_a, cut_u):
               (a0[cut_u], am[cut_u], um[cut_u], u1[cut_u]),
               (am[both], a1[both], um[both], u1[both]))
     return tuple(np.concatenate(x) for x in zip(*halves))
-
-
-def _graded(a0, a1, u0, u1, cut_a, cut_u):
-    """The elements, cut along alpha where cut_a and along u where cut_u at
-    the fractions _SUP_GRADED, which halve the pieces at either end
-    _SUP_FAR_CUTS times."""
-    parts = []
-    for along_a, along_u in ((True, True), (True, False), (False, True)):
-        pick = (cut_a == along_a) & (cut_u == along_u)
-        if not pick.any():
-            continue
-        breaks = []
-        for lo, hi, along in ((a0[pick], a1[pick], along_a), (u0[pick], u1[pick], along_u)):
-            lo, hi = lo[:, None], hi[:, None]
-            inner = lo + (hi - lo) * _SUP_GRADED if along else lo[:, :0]
-            breaks.append(np.concatenate((lo, inner, hi), axis=1))
-        (ba, bu), m = breaks, pick.sum()
-        shape = (m, ba.shape[1] - 1, bu.shape[1] - 1)
-        parts.append([np.broadcast_to(x, shape).ravel() for x in (
-            ba[:, :-1, None], ba[:, 1:, None], bu[:, None, :-1], bu[:, None, 1:])])
-    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
@@ -879,7 +841,6 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         m0, m1, m2, m3, m4 = np.concatenate((sup_k, sup_k[_SUP_NEXT]), axis=1)
         k0, k1, k2 = kk = np.concatenate((kc[:3], kc[1:4]), axis=1)
         kk[1:, :m] *= -1.0
-        kk[1:, m:] *= 1.0
         val, g_a, g_u, g_aa, g_uu = _jet(tr, uc, qc, th[2 * n:], rc, k, k0, k1, k2)
         # over the element, with p = sech^2 tanh <= q0 tanh(a1),
         # |p'| = q |3q - 2| and |p''| = 4 q tanh |3q - 1|: xs, ys and zs bound

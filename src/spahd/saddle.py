@@ -6,8 +6,8 @@ tanh(alpha) mu = a, alpha = <mu, tau>, reduces to one scalar equation
     alpha + g tanh(alpha) = <w, a>,   w = sigma^{-1} mu,  g = <mu, w>,
 
 whose left side is strictly increasing with slope >= 1, so its root is
-unique and lies within g of <w, a>.  A safeguarded scalar Newton finds it,
-tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
+unique and lies within g of <w, a>.  Newton from <w, a> / (1 + g) moves
+monotonically towards it and finds it, tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
 from the matrix determinant lemma.  The gradient residual certifies the
 result; where rounding keeps it above tol (sigma far from well conditioned),
 a damped Newton seeded at tau = a takes over.  A sweep solves the points of
@@ -150,27 +150,26 @@ def _scalar_newton(model, a, b, c, tol, max_iter):
     """The 'newton' route at a, given b = sigma^-1 a and c = <w, a>, both
     finite: (tau, residual, iterations)."""
     w, g = model._w, model._g
-    lo, hi = c - g, c + g
+    # f(alpha) = alpha + g tanh(alpha) - c is concave on the root's side of
+    # 0 and convex on the other, and f(c / (1 + g)) has the sign of -c, so
+    # Newton from there moves monotonically towards the root, without a
+    # bracket
     alpha = c / (1.0 + g)
     it = 0
     while True:
         t = math.tanh(alpha)
         f = alpha + g * t - c
-        # f is known to a few roundings of its terms; past that, stop
-        if abs(f) <= 4.0 * _EPS * (abs(alpha) + g * abs(t) + abs(c)):
+        # f is known to a few roundings of its terms, and to a few ulps of 0
+        # where they are subnormal; past that, stop
+        if abs(f) <= 4.0 * (_EPS * (abs(alpha) + g * abs(t) + abs(c)) + 2.0**-1074):
             break
         if it >= max_iter:
             res = float(np.linalg.norm(model._grad(b - t * w) - a))
             raise NonconvergenceError(
                 f"scalar Newton did not reach its root in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
-        if f > 0.0:
-            hi = alpha
-        else:
-            lo = alpha
         s = _sech_float(alpha)
         step = alpha - f / (1.0 + g * s * s)
-        step = step if lo < step < hi else 0.5 * (lo + hi)
         if step == alpha:
             break
         alpha = step

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spahd import cli
+from spahd import GaussianMixture, cli
 from spahd.cli import main
 
 STD_MODEL = "d = 1\nmu = 0.6\nsigma = diag 0.64\n"
@@ -157,6 +157,21 @@ class TestClt:
         assert rc == 0
         assert float(kv["ratio"]) == pytest.approx(1.0, abs=0.01)
         assert float(kv["bound"]) > 0
+
+    def test_builds_one_model_per_call(self, capsys, monkeypatch, std_model_file):
+        # clt_ratio builds the model it reads; the command reads only the params
+        built = []
+        init = GaussianMixture.__init__
+
+        def counting(self, params):
+            built.append(params)
+            init(self, params)
+
+        monkeypatch.setattr(GaussianMixture, "__init__", counting)
+        for _ in range(2):
+            built.clear()
+            rc, _, _ = run_cli(capsys, ["clt", "--model", std_model_file, "-x", "0.5", "-n", "100"])
+            assert rc == 0 and len(built) == 1
 
 
 class TestNumericOutput:

@@ -7,6 +7,7 @@ paths (binomial mixture summation vs. saddle + determinant).
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,35 @@ class TestCorrectionIntegral:
             i_quad = correction_integral(m, sp, n).i_value.real
             i_true = exact_mean_density(m.params, n, a) / spa_density(sp, n).density
             assert i_quad == pytest.approx(i_true, rel=1e-10)
+
+    def test_matches_mpmath_where_the_tails_reach_far(self):
+        # n = 400 at sech^2(alpha) = 1/n and lam = 0.02 (the part of the
+        # decay along v2 outside the cosh factor): the cosh factor returns to
+        # 1 every period of beta, so the integrand decays only like
+        # exp(-n lam x^2 / 2) and the panels must reach about 8.6 / sqrt(lam)
+        # widths out.  The reference integrates the same 1-d integrand in
+        # mpmath, on x >= 0 since it is conjugate-symmetric
+        n, lam = 400, 0.02
+        alpha = math.acosh(math.sqrt(n))
+        mu = math.sqrt((1.0 / lam - 1.0) * n)
+        m = mixture([mu], [[1.0]])
+        sp = solve_saddle(m, [alpha / mu + math.tanh(alpha) * mu])
+        got = correction_integral(m, sp, n).i_value
+        alpha = float(m.params.mu @ sp.tau)
+        v2 = float(m.whitened_mu_norm(alpha))
+        with mpmath.workdps(20):
+            a, c = mpmath.mpf(alpha), mpmath.cosh(alpha)
+            s, th = 1 / c**2, mpmath.tanh(a)
+
+            def integrand(x):
+                b = v2 * x
+                return ((mpmath.cosh(mpmath.mpc(a, b)) / c) ** n
+                        * mpmath.exp(n * (-x * x / 2 + s * b * b / 2 - 1j * th * b)))
+
+            reach = 10.0 / math.sqrt(n * lam)
+            half = mpmath.quad(integrand, np.linspace(0.0, reach, 21).tolist())
+            ref = complex(2 * mpmath.sqrt(n / (2 * mpmath.pi)) * half.real)
+        assert abs(got - ref) <= 1e-12
 
     def test_rejects_generic_model(self):
         # every function that takes a model uses the mixture's structure, and

@@ -19,6 +19,7 @@ from spahd import (
     legendre_gap_report,
     solve_saddle,
 )
+from spahd import saddle as saddle_module
 from spahd.saddle import _solve_batch, c3_ball, fixed_point_matrix, legendre
 
 # mpmath 40-digit references, mu = 1, sigma = 1, a = 0.5
@@ -182,6 +183,17 @@ class TestSolver:
         with pytest.raises(NonconvergenceError):
             solve_saddle(m, np.array([0.5]), method=method, max_iter=5)
 
+    @pytest.mark.parametrize("mu, a", [(-2.0, 1e-310), (3.0, 2e-309), (-2.0, 1.5e-323),
+                                       (0.5, 3e-323)])
+    def test_subnormal_point_is_solved_where_newton_starts(self, mu, a):
+        # the start c / (1 + g) is already the root, but f there is a few
+        # subnormal ulps off 0, and its rounding allowance underflows to 0;
+        # the scalar Newton stops at once (at mu = 0.5 a step would move alpha
+        # by an ulp and back), with tau = a / (1 + mu^2) to a few ulps
+        sp = solve_saddle(mixture(mu, 1.0), [a])
+        assert sp.iterations == 0 and sp.residual <= 1e-12
+        assert abs(sp.tau[0] - a / (1.0 + mu * mu)) <= 4 * 2.0**-1074
+
     def test_solution_fields(self):
         m = mixture([1.0], [[1.0]])
         sp = solve_saddle(m, np.array([0.5]))
@@ -336,6 +348,47 @@ class TestScalarRoute:
                 except SpahdError:
                     pass
             assert set(indices) <= solved, kappa
+
+    def test_damped_newton_takes_over_above_tol(self, monkeypatch):
+        # sigma with eigenvalues 1 and 1e-8: rounding leaves the scalar
+        # route's residual at about 5e-9, above tol = 1e-12, and the damped
+        # Newton seeded at tau = a brings it below tol
+        calls = []
+        damped = saddle_module._damped_newton
+
+        def counting(*args):
+            calls.append(args)
+            return damped(*args)
+
+        monkeypatch.setattr(saddle_module, "_damped_newton", counting)
+        c, s = math.cos(0.3), math.sin(0.3)
+        q = np.array([[c, -s], [s, c]])
+        sigma = q @ np.diag([1.0, 1e-8]) @ q.T
+        sp = solve_saddle(mixture([0.6, -0.8], 0.5 * (sigma + sigma.T)), [0.3, -0.2])
+        assert len(calls) == 1 and sp.residual <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+    log_kappa=st.floats(0.0, 15.0),
+    mu_norm=st.floats(0.0, 2.0),
+    a_scale=st.floats(0.0, 1.0),
+)
+def test_residual_meets_tol_at_any_condition_number(d, seed, log_kappa, mu_norm, a_scale):
+    # sigma eigenvalue ratios up to 1e15: a solve that returns has met tol,
+    # by the scalar route or by the damped Newton after it
+    rng = np.random.default_rng(seed)
+    q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+    sigma = q @ np.diag(np.geomspace(1.0, 10.0**-log_kappa, d)) @ q.T
+    mu = rng.normal(size=d)
+    m = mixture(mu * (mu_norm / np.linalg.norm(mu)), 0.5 * (sigma + sigma.T))
+    try:
+        sp = solve_saddle(m, rng.normal(size=d) * a_scale, tol=1e-12)
+    except SpahdError:
+        return
+    assert sp.residual <= 1e-12
 
 
 @settings(max_examples=25, deadline=None)

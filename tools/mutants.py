@@ -59,6 +59,10 @@ MUTANTS = {
     "agreement-rtol-1e-2": ("correction.py", "_AGREEMENT_RTOL = 1e-6", "_AGREEMENT_RTOL = 1e-2"),
     "surface-floor-1e-8": ("correction.py", "_SURFACE_FLOOR = 1e-16", "_SURFACE_FLOOR = 1e-8"),
     "scalar-newton-accept-1e6": ("saddle.py", "    if res <= tol:", "    if res <= 1e6 * tol:"),
+    "scalar-newton-no-subnormal-floor": (
+        "saddle.py",
+        "        if abs(f) <= 4.0 * (_EPS * (abs(alpha) + g * abs(t) + abs(c)) + 2.0**-1074):",
+        "        if abs(f) <= 4.0 * _EPS * (abs(alpha) + g * abs(t) + abs(c)):"),
 }
 
 FAILED = re.compile(r"^FAILED (\S+)", re.MULTILINE)
