@@ -334,8 +334,8 @@ class GaussianMixture:
         condition the search halves its elements for many rounds (30 at 1e-8
         and 35 at 1e-10 of it for g = 1).  hi is inf, and so still an upper
         bound, where the weight overflows, which takes g past about 1e154 and
-        alpha past about log(g) / 2.  The region
-        contains a zero of cosh, where both kernels are unbounded, exactly when
+        alpha past about log(g) / 2.  The region contains a zero of cosh,
+        where both kernels are unbounded, exactly when
         ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
         Gaussian gives zeros.  Raises DimensionError unless both radii are
         finite and > 0 and ||mu|| * tau_radius is finite.  A batch of one

@@ -7,8 +7,8 @@ tanh(alpha) mu = a, alpha = <mu, tau>, reduces to one scalar equation
 
 whose left side is strictly increasing with slope >= 1, so its root is
 unique and lies within g of <w, a>.  Newton from <w, a> / (1 + g) moves
-monotonically towards it and finds it, tau = sigma^{-1} a - tanh(alpha) w follows from one solve, and log det H
-from the matrix determinant lemma.  The gradient residual certifies the
+monotonically towards it and finds it, tau = sigma^{-1} a - tanh(alpha) w
+follows from one solve, and log det H from the matrix determinant lemma.  The gradient residual certifies the
 result; where rounding keeps it above tol (sigma far from well conditioned),
 a damped Newton seeded at tau = a takes over.  A sweep solves the points of
 a d as one batch, with one stacked solve; solve_saddle is a batch of one.  Every routine here takes a
@@ -150,10 +150,10 @@ def _scalar_newton(model, a, b, c, tol, max_iter):
     """The 'newton' route at a, given b = sigma^-1 a and c = <w, a>, both
     finite: (tau, residual, iterations)."""
     w, g = model._w, model._g
-    # f(alpha) = alpha + g tanh(alpha) - c is concave on the root's side of
-    # 0 and convex on the other, and f(c / (1 + g)) has the sign of -c, so
-    # Newton from there moves monotonically towards the root, without a
-    # bracket
+    # f(alpha) = alpha + g tanh(alpha) - c is increasing, and concave
+    # between 0 and the root when c > 0 (convex when c < 0); the start
+    # c / (1 + g) lies there, since |tanh x| <= |x|, so Newton from it moves
+    # monotonically towards the root and needs no bracket
     alpha = c / (1.0 + g)
     it = 0
     while True:
