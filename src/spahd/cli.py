@@ -15,9 +15,9 @@ import numpy as np
 
 from .correction import check_assumptions, correction_integral
 from .errors import ConfigError, SpahdError
-from .model import GaussianMixture, load_model_file, to_numbers
+from .model import GaussianMixture, load_model_file, require_standardized, to_numbers
 from .oracle import ExactMeanDensity, clt_ratio
-from .saddle import legendre_gap_report, solve_saddle
+from .saddle import _gap_report, solve_saddle
 from .spa import exp_or_inf, expm1_or_inf, spa_density
 from .experiments import _run_experiment, emit_plot_data, format_csv, load_experiment_spec
 
@@ -66,7 +66,9 @@ def _cmd_solve(args):
         ("method", saddle.method),
     ]
     try:
-        report = legendre_gap_report(model, np.asarray(args.point), tol=args.tol)
+        # legendre_gap_report at the saddle solved above
+        require_standardized(model.params, "legendre_gap_report")
+        report = _gap_report(model, saddle)
         pairs += [
             ("gap", report.gap),
             ("gap_bound", report.bound),

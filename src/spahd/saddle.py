@@ -103,7 +103,7 @@ def _solve_batch(model, points, tol, max_iter=100):
         _check_budget(tol, max_iter)
     except DimensionError as exc:
         return [exc] * len(points)
-    w = model._w
+    mu = model.params.mu
     # overflow is told by the values it leaves, without a NumPy warning
     with np.errstate(over="ignore", invalid="ignore"):
         if model._sigma_diag is not None:
@@ -117,7 +117,9 @@ def _solve_batch(model, points, tol, max_iter=100):
             try:
                 if not real:
                     check_point(a, model.dim, "a")
-                c = float(w @ a)
+                # <mu, b> = <w, a>, formed from b so that alpha = <mu, tau> at
+                # tau = b - tanh(alpha) w, whatever the rounding of b and w
+                c = float(mu @ b)
                 if not (ok and math.isfinite(c)):
                     raise DimensionError(_past_range(a))
                 out.append(_saddle_point(model, a, *_scalar_newton(model, a, b, c, tol,
@@ -147,7 +149,7 @@ def _saddle_point(model, a, tau, res, it, method):
 
 
 def _scalar_newton(model, a, b, c, tol, max_iter):
-    """The 'newton' route at a, given b = sigma^-1 a and c = <w, a>, both
+    """The 'newton' route at a, given b = sigma^-1 a and c = <mu, b>, both
     finite: (tau, residual, iterations)."""
     w, g = model._w, model._g
     # f(alpha) = alpha + g tanh(alpha) - c is increasing, and concave
@@ -199,7 +201,12 @@ def _damped_newton(model, a, tol, max_iter, it):
             raise NonconvergenceError(
                 f"Newton did not reach tol={tol:g} in {max_iter} iterations "
                 f"(residual {res:.3e})", residual=res, iterations=it)
-        delta = -np.linalg.solve(model.hessian(tau), r)
+        try:
+            delta = -np.linalg.solve(model.hessian(tau), r)
+        except np.linalg.LinAlgError:
+            # sigma + sech^2(alpha) mu mu' is singular in doubles
+            raise NonconvergenceError(f"Newton met a singular Hessian at residual {res:.3e}",
+                                      residual=res, iterations=it) from None
         # the Newton direction gives directional derivative -||r||^2 exactly
         f0 = 0.5 * res * res
         step = 1.0
@@ -299,9 +306,13 @@ def legendre_gap_report(model: GaussianMixture, a, tol: float = 1e-12) -> Legend
     """
     require_mixture(model, "legendre_gap_report")
     require_standardized(model.params, "legendre_gap_report")
-    a = np.asarray(a, dtype=float).reshape(-1)
-    phi_star = solve_saddle(model, a, tol=tol).phi_star
-    gap = abs(phi_star - 0.5 * float(a @ a))
+    return _gap_report(model, solve_saddle(model, a, tol=tol))
+
+
+def _gap_report(model, saddle):
+    """legendre_gap_report at a saddle already solved, of a standardized model."""
+    a = saddle.a
+    gap = abs(saddle.phi_star - 0.5 * float(a @ a))
     c3b = c3_ball(model, a)
     norm_a = float(np.linalg.norm(a))
     return LegendreGapReport(

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from spahd import GaussianMixture, cli
+from spahd import saddle as saddle_module
 from spahd.cli import main
 
 STD_MODEL = "d = 1\nmu = 0.6\nsigma = diag 0.64\n"
@@ -56,6 +57,21 @@ class TestSolve:
         assert rc == 0
         assert "gap" in kv and "admissible" in kv
         assert float(kv["gap"]) <= float(kv["gap_bound"])
+
+    def test_solves_once(self, capsys, monkeypatch, std_model_file):
+        # the gap report reads the saddle the command printed: one solve per call
+        calls = []
+        solve = saddle_module._solve_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(saddle_module, "_solve_batch", counting)
+        for _ in range(2):
+            calls.clear()
+            rc, kv, _ = run_cli(capsys, ["solve", "--model", std_model_file, "-a", "0.2"])
+            assert rc == 0 and "gap" in kv and len(calls) == 1
 
     def test_dim_override(self, capsys, tmp_path):
         path = tmp_path / "scalable.txt"

@@ -28,11 +28,11 @@ from spahd import (
     load_model_file,
 )
 from spahd import model as model_module
+from spahd import suprema
 from spahd.spa import budget_total, budget_totals
+from spahd.suprema import _c34_kernels
 from spahd.model import (
     _exponent,
-    c3_kernel,
-    c4_kernel,
     cosh_factor,
     logcosh,
     params_from_mapping,
@@ -103,22 +103,21 @@ class TestScalarKernels:
         # 2|alpha| passes the double range; the values are those of the limit
         assert logcosh(1e308) == 1e308
         assert logcosh(-1.7e308) == 1.7e308
-        assert c3_kernel(1e308, 0.1) == 0.0
-        assert c4_kernel(1e308, 0.1) == 0.0
+        assert _c34_kernels(1e308, 0.1) == (0.0, 0.0)
 
     def test_sech(self):
         assert sech(0.0) == 1.0
         assert sech(5.0) == pytest.approx(1.0 / math.cosh(5.0), rel=1e-15)
 
     def test_c3_kernel_max(self):
-        assert c3_kernel(K3_ARGMAX, 0.0) == pytest.approx(K3_MAX, rel=1e-12)
+        assert _c34_kernels(K3_ARGMAX, 0.0)[0] == pytest.approx(K3_MAX, rel=1e-12)
         # interior maximum: nearby values are smaller
-        assert c3_kernel(K3_ARGMAX + 1e-3, 0.0) < K3_MAX
-        assert c3_kernel(K3_ARGMAX - 1e-3, 0.0) < K3_MAX
+        assert _c34_kernels(K3_ARGMAX + 1e-3, 0.0)[0] < K3_MAX
+        assert _c34_kernels(K3_ARGMAX - 1e-3, 0.0)[0] < K3_MAX
 
     def test_c4_kernel_origin(self):
         # the fourth derivative of log cosh at 0: 4 sech^2 - 6 sech^4 = -2
-        assert c4_kernel(0.0, 0.0) == pytest.approx(2.0, rel=1e-14)
+        assert _c34_kernels(0.0, 0.0)[1] == pytest.approx(2.0, rel=1e-14)
 
     @pytest.mark.parametrize("alpha, beta", [
         (0.0, 0.3), (0.2, 0.9), (-0.7, 0.4), (0.658, 0.0), (1.5, -1.1), (3.0, 1.3), (0.05, 1.45),
@@ -131,13 +130,15 @@ class TestScalarKernels:
             d3 = mpmath.diff(lambda z: mpmath.log(mpmath.cosh(z)), w, 3)
             d4 = mpmath.diff(lambda z: mpmath.log(mpmath.cosh(z)), w, 4)
             ref3, ref4 = float(abs(d3.real)), float(abs(d4.real))
-        assert c3_kernel(alpha, beta) == pytest.approx(ref3, rel=1e-12, abs=1e-14)
-        assert c4_kernel(alpha, beta) == pytest.approx(ref4, rel=1e-12, abs=1e-14)
+        k3, k4 = _c34_kernels(alpha, beta)
+        assert k3 == pytest.approx(ref3, rel=1e-12, abs=1e-14)
+        assert k4 == pytest.approx(ref4, rel=1e-12, abs=1e-14)
 
     @given(st.floats(-3, 3), st.floats(-1.4, 1.4))
     def test_c3_c4_even(self, a, b):
-        assert c3_kernel(a, b) == pytest.approx(c3_kernel(-a, -b), rel=1e-9, abs=1e-12)
-        assert c4_kernel(a, b) == pytest.approx(c4_kernel(-a, -b), rel=1e-9, abs=1e-12)
+        (k3, k4), (m3, m4) = _c34_kernels(a, b), _c34_kernels(-a, -b)
+        assert k3 == pytest.approx(m3, rel=1e-9, abs=1e-12)
+        assert k4 == pytest.approx(m4, rel=1e-9, abs=1e-12)
 
 
 class TestMixtureParams:
@@ -418,8 +419,9 @@ class TestDerivedQuantities:
         rw = model.whitened_mu_norm(alpha)
         beta = np.linspace(-1.0, 1.0, 81)[None, :] * t_r * rw
         alpha, beta = np.broadcast_arrays(alpha, beta)
-        best3 = float(np.max(c3_kernel(alpha, beta).reshape(alpha.shape) * rw**3))
-        best4 = float(np.max(c4_kernel(alpha, beta).reshape(alpha.shape) * rw**4))
+        k3, k4 = _c34_kernels(alpha, beta)
+        best3 = float(np.max(k3 * rw**3))
+        best4 = float(np.max(k4 * rw**4))
         assert model.c3_sup(tau_r, t_r) == pytest.approx(best3, rel=2e-4)
         assert model.c4_sup(tau_r, t_r) == pytest.approx(best4, rel=2e-4)
         assert model.c3_sup(tau_r, t_r) >= best3 - 1e-10
@@ -500,8 +502,8 @@ def _scan_reference(model, tau_r, t_r, n_alpha=241, n_u=121):
     rw = model.whitened_mu_norm(alpha)
     a_grid, b_grid = np.broadcast_arrays(alpha, rw * t_r * u)
     out = []
-    for k, kernel in ((3, c3_kernel), (4, c4_kernel)):
-        values = kernel(a_grid, b_grid).reshape(a_grid.shape) * rw**k
+    for k, kernel in zip((3, 4), _c34_kernels(a_grid, b_grid)):
+        values = kernel * rw**k
         i, j = np.unravel_index(np.argmax(values), values.shape)
         out.append(_weighted_kernels_mp(model._g, alpha[i, 0], mpmath.mpf(u[0, j]), t_r)[k - 3])
     return out
@@ -554,17 +556,17 @@ class TestCertifiedSuprema:
         # to the pole may pass 1e-6).  The search takes 30 and 35 rounds
         # there, and still closes before its round limit
         calls = []
-        element_bounds = model_module._element_bounds
+        element_bounds = suprema._element_bounds
 
         def counting(*args):
             calls.append(args[2].size)
             return element_bounds(*args)
 
-        monkeypatch.setattr(model_module, "_element_bounds", counting)
+        monkeypatch.setattr(suprema, "_element_bounds", counting)
         model = GaussianMixture(MixtureParams(1, np.array([1.0]), np.eye(1)))
         t_r = 0.5 * math.pi / float(model.whitened_mu_norm(0.0)) * (1.0 - gap)
         brackets = model.c34_bracket(0.6, t_r)
-        assert len(calls) < model_module._SUP_ROUNDS
+        assert len(calls) < suprema._SUP_ROUNDS
         for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.6, t_r, 81, 401)):
             assert mpmath.mpf(hi) >= ref
             assert 0.0 < lo <= hi <= lo * (1.0 + 1e-3)
@@ -580,7 +582,7 @@ class TestCertifiedSuprema:
         # value bound covers the kernel, and the curvature term along u covers
         # a 60-digit second difference, at every point of a 5 x 5 scan
         t_r = 0.5 * math.pi / math.sqrt(g / (1.0 + g)) * frac
-        out = model_module._element_bounds(*(np.array([x]) for x in (g, t_r, a0, a1, u0, 1.0)))
+        out = suprema._element_bounds(*(np.array([x]) for x in (g, t_r, a0, a1, u0, 1.0)))
         ub, e_u = out[1][:, 0], out[-1][:, 0]
         hu = 0.5 * (1.0 - u0)
         with mpmath.workdps(60):
@@ -594,6 +596,18 @@ class TestCertifiedSuprema:
                         assert mpmath.mpf(ub[k]) >= abs(mid[k])
                         assert mpmath.mpf(e_u[k]) >= abs(up[k] - 2 * mid[k] + down[k]) / h**2 * hu**2
 
+    def test_convex_drop_needs_a_kept_sign(self):
+        # a box of a random region where c4's G = Re K4 r^4 changes sign
+        # (40-digit corner values of both signs) and sign G(c) G is convex
+        # along a side: |G| may then peak off the edges, on the side where G
+        # has the other sign, so the box must stay open for c4
+        g, t_r, a0, a1, u0, u1 = 12.945484129597267, 0.4707331600330676, 0.625, 0.75, 0.0, 0.125
+        drop = suprema._element_bounds(*(np.array([x]) for x in (g, t_r, a0, a1, u0, u1)))[3]
+        corners = [_weighted_kernels_mp(g, a, u, t_r, signed=True)[1]
+                   for a in (a0, a1) for u in (u0, u1)]
+        assert min(corners) < 0.0 < max(corners)
+        assert not drop[1, 0]
+
     @pytest.mark.parametrize("mu, scale", [((30.0, 10.0), 1.0), ((100.0, 0.0), 1.0), ((40.0, 0.0), 0.16)])
     def test_large_g_stays_an_upper_bound_within_the_work_limit(self, mu, scale, monkeypatch):
         # g = <mu, sigma^-1 mu> in [1e3, 1e4]: beta spans many periods of the
@@ -602,18 +616,18 @@ class TestCertifiedSuprema:
         model = GaussianMixture(MixtureParams(2, np.array(mu), scale * np.eye(2)))
         assert 1e3 <= model._g <= 1e4
         evaluated = []
-        bounds = model_module._element_bounds
+        bounds = suprema._element_bounds
 
         def counting(g, t_radius, a0, a1, u0, u1):
             evaluated.append(a0.size)
             return bounds(g, t_radius, a0, a1, u0, u1)
 
-        monkeypatch.setattr(model_module, "_element_bounds", counting)
+        monkeypatch.setattr(suprema, "_element_bounds", counting)
         t_r = 0.3 * 0.5 * math.pi / float(model.whitened_mu_norm(0.0))
         start = time.perf_counter()
         brackets = model.c34_bracket(0.6, t_r)
         assert time.perf_counter() - start < 2.0
-        assert sum(evaluated) <= model_module._SUP_WORK
+        assert sum(evaluated) <= suprema._SUP_WORK
         for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.6, t_r, 241, 1201)):
             assert mpmath.mpf(hi) >= ref
             assert 0.0 < lo <= hi
@@ -632,9 +646,9 @@ class TestCertifiedSuprema:
                    (1.0, 0.6, 1.05 * edge)]
         regions += [(g, a_max, 2.5 * math.sqrt(d / n)) for g, a_max in ((1.0, 0.2), (0.5625, 0.27))
                     for d in (1, 8, 64) for n in (200, 6400, 100000)]
-        alone = [model_module._certified_sup([region])[0] for region in regions]
-        assert model_module._certified_sup(regions) == alone
-        assert model_module._certified_sup(regions[::-1]) == alone[::-1]
+        alone = [suprema._certified_sup([region])[0] for region in regions]
+        assert suprema._certified_sup(regions) == alone
+        assert suprema._certified_sup(regions[::-1]) == alone[::-1]
         floor, near, gap, pole = alone[:4]
         assert all(hi <= lo * (1.0 + 1e-6) for lo, hi in floor)
         assert all(0.0 < lo <= hi < math.inf for lo, hi in near)
@@ -659,7 +673,7 @@ class TestCertifiedSuprema:
                     (wide, 60.0, 0.3 * 0.5 * math.pi / math.sqrt(wide / (1.0 + wide))),
                     (1.0, 0.6, 1.05 * edge)]
         got = [tuple(x.hex() for bracket in brackets for x in bracket)
-               for brackets in model_module._certified_sup(regions)]
+               for brackets in suprema._certified_sup(regions)]
         assert got == PINNED_BRACKETS
 
     def test_bracket_accessor(self):

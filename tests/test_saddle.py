@@ -367,6 +367,31 @@ class TestScalarRoute:
         sp = solve_saddle(mixture([0.6, -0.8], 0.5 * (sigma + sigma.T)), [0.3, -0.2])
         assert len(calls) == 1 and sp.residual <= 1e-12
 
+    def test_singular_hessian_raises_nonconvergence(self):
+        # draw 143 of a seeded scan: d = 7, sigma eigenvalues geomspace(1, 1e-15),
+        # g = 3.4e20, where the damped Newton meets a Hessian sigma +
+        # sech^2(alpha) mu mu' that is singular in doubles; the solve meets tol
+        # or raises NonconvergenceError with its residual, not LinAlgError
+        rng = np.random.default_rng(12345)
+        for _ in range(144):
+            d = int(rng.integers(1, 9))
+            log_kappa = rng.uniform(0, 15)
+            q = np.linalg.qr(rng.normal(size=(d, d)))[0]
+            sigma = q @ np.diag(np.geomspace(1, 10.0**-log_kappa, d)) @ q.T
+            mu = rng.normal(size=d)
+            mu *= 10.0 ** rng.uniform(-3, 4) / np.linalg.norm(mu)
+            a = rng.normal(size=d)
+            a *= 10.0 ** rng.uniform(-8, 4) / np.linalg.norm(a)
+        m = mixture(mu, 0.5 * (sigma + sigma.T))
+        assert d == 7 and m._g > 1e20
+        try:
+            sp = solve_saddle(m, a)
+        except NonconvergenceError as exc:
+            assert math.isfinite(exc.residual) and exc.residual > 1e-12
+            assert exc.iterations <= 100
+        else:
+            assert sp.residual <= 1e-12
+
 
 @settings(max_examples=60, deadline=None)
 @given(

@@ -27,20 +27,24 @@ ROOT = Path(__file__).resolve().parent.parent
 # name: (file under src/spahd, the line as committed, its replacement)
 MUTANTS = {
     "allow-times-0": (
-        "model.py",
+        "suprema.py",
         "        allow = _SUP_ULPS * _EPS * (m0 + m1 * (1.0 + a1 + b1)) * w",
         "        allow = 0.0 * _SUP_ULPS * _EPS * (m0 + m1 * (1.0 + a1 + b1)) * w"),
     "allow-without-k1": (
-        "model.py",
+        "suprema.py",
         "        allow = _SUP_ULPS * _EPS * (m0 + m1 * (1.0 + a1 + b1)) * w",
         "        allow = _SUP_ULPS * _EPS * m0 * w"),
-    "sup-rtol-1e-3": ("model.py", "_SUP_RTOL = 1e-6", "_SUP_RTOL = 1e-3"),
-    "sup-ulps-8": ("model.py", "_SUP_ULPS = 16.0", "_SUP_ULPS = 8.0"),
-    "sup-slack-1e-10": ("model.py", "_SUP_SLACK = 1e-9", "_SUP_SLACK = 1e-10"),
+    "sup-rtol-1e-3": ("suprema.py", "_SUP_RTOL = 1e-6", "_SUP_RTOL = 1e-3"),
+    "sup-ulps-8": ("suprema.py", "_SUP_ULPS = 16.0", "_SUP_ULPS = 8.0"),
+    "sup-slack-1e-10": ("suprema.py", "_SUP_SLACK = 1e-9", "_SUP_SLACK = 1e-10"),
     "sup-slack-dropped": (
-        "model.py",
+        "suprema.py",
         "        w = r1 ** k * (1.0 + _SUP_SLACK)",
         "        w = r1 ** k"),
+    "sup-convex-unguarded": (
+        "suprema.py",
+        "        drop = mono[0] | mono[1] | (kept & (convex[0] | convex[1]))",
+        "        drop = mono[0] | mono[1] | (convex[0] | convex[1])"),
     "term-main-exp-30": (
         "spa.py",
         "    term_main = exp_or_inf(40.0 * c4 * eps * eps) * (c3 * c3 + c4) * eps",
