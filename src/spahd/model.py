@@ -288,18 +288,19 @@ class GaussianMixture:
         hi <= lo (1 + 1e-6) wherever the branch and bound of suprema.py
         closes within its work limit.  It may not where the kernels
         oscillate over many periods of beta (g = <mu, sigma^{-1} mu> of 1e3
-        and more), or within about 1e-8 (relative) of the pole
-        condition below, where the allowance for rounding alone passes
-        1e-6: hi is then still an upper bound, with a wider gap.  Near that
-        condition the search halves its elements for many rounds (30 at 1e-8
-        and 35 at 1e-10 of it for g = 1).  hi is inf, and so still an upper
-        bound, where the weight overflows, which takes g past about 1e154 and
-        alpha past about log(g) / 2.  The region contains a zero of cosh,
-        where both kernels are unbounded, exactly when
-        ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A pure
-        Gaussian gives zeros.  Raises DimensionError unless both radii are
-        finite and > 0 and ||mu|| * tau_radius is finite.  A batch of one
-        c34_brackets, so the instance keeps nothing of the search.
+        and more), or within about 1e-8 (relative) of the pole condition
+        below, where the allowance for rounding alone passes 1e-6: hi is
+        then still an upper bound, with a wider gap (at least a 50-digit scan
+        of the kernel in 43 seeded regions within 1e-9 to 1e-5 of the
+        condition).  Near it the search halves its elements for many rounds
+        (30 at 1e-8 and 35 at 1e-10 of it for g = 1).  hi is inf, and so
+        still an upper bound, where the weight overflows, which takes g past
+        about 1e154 and alpha past about log(g) / 2.  The region contains a
+        zero of cosh, where both kernels are unbounded, exactly when
+        ||H(0)^{-1/2} mu|| * t_radius >= pi/2; every bound is then inf.  A
+        pure Gaussian gives zeros.  Raises DimensionError unless both radii
+        are finite and > 0 and ||mu|| * tau_radius is finite.  A batch of
+        one c34_brackets, so the instance keeps nothing of the search.
         """
         bracket, = self.c34_brackets([(tau_radius, t_radius)])
         if isinstance(bracket, DimensionError):
@@ -348,8 +349,6 @@ class GaussianMixture:
         """
         if not (0 <= radius < math.inf):
             raise DimensionError(f"radius must be finite and >= 0, got {radius}")
-        if self.is_pure_gaussian:
-            return 0.0
         a = min(radius * self._mu_norm, _K3_ARGMAX)
         return float(_c34_kernels(a, 0.0)[0]) * self._mu_norm**3
 

@@ -40,7 +40,9 @@ _EPS = 2.0**-52
 @dataclass(frozen=True)
 class SaddlePoint:
     """Solved saddle at query point a: tau, phi*(a) and log det H(tau), with
-    the solver's residual, iteration count and route."""
+    the solver's residual, iteration count and route: method is 'newton'
+    (the scalar route), 'damped_newton' (its fallback, where the scalar
+    route's residual stayed above tol) or 'fixed_point'."""
 
     a: np.ndarray
     tau: np.ndarray
@@ -123,7 +125,7 @@ def _solve_batch(model, points, tol, max_iter=100):
                 if not (ok and math.isfinite(c)):
                     raise DimensionError(_past_range(a))
                 out.append(_saddle_point(model, a, *_scalar_newton(model, a, b, c, tol,
-                                                                   max_iter), "newton"))
+                                                                   max_iter)))
             except SpahdError as exc:
                 out.append(exc)
     return out
@@ -150,7 +152,7 @@ def _saddle_point(model, a, tau, res, it, method):
 
 def _scalar_newton(model, a, b, c, tol, max_iter):
     """The 'newton' route at a, given b = sigma^-1 a and c = <mu, b>, both
-    finite: (tau, residual, iterations)."""
+    finite: (tau, residual, iterations, 'newton' or 'damped_newton')."""
     w, g = model._w, model._g
     # f(alpha) = alpha + g tanh(alpha) - c is increasing, and concave
     # between 0 and the root when c > 0 (convex when c < 0); the start
@@ -180,14 +182,14 @@ def _scalar_newton(model, a, b, c, tol, max_iter):
     r = model._grad(tau) - a
     res = math.sqrt(float(r @ r))
     if res <= tol:
-        return tau, res, it
+        return tau, res, it, "newton"
     # past the double range of phi* the residual cannot meet tol either
     if not math.isfinite(float(tau @ a) - model._cgf_real(tau)):
         raise DimensionError(_past_range(a))
     # Rounding in b, w and the residual itself can leave an ill-conditioned
     # sigma above tol; Newton steps from this tau then wander at that floor,
     # so the d-dimensional search restarts from tau = a instead.
-    return _damped_newton(model, a, tol, max_iter, it)
+    return (*_damped_newton(model, a, tol, max_iter, it), "damped_newton")
 
 
 def _damped_newton(model, a, tol, max_iter, it):

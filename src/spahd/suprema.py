@@ -75,14 +75,16 @@ def _c34_kernels(alpha, beta):
 # before it would pass _SUP_WORK element evaluations (about 0.1 s).  hi, the
 # largest bound of an element not dropped, is an upper bound of the
 # supremum, and when the search closes hi <= lo (1 + _SUP_RTOL) up to the
-# allowances.  Several regions can be searched at once: they share each
-# round's element evaluations, and each keeps its own lo, hi, work limit and
-# cuts.
+# allowances; it is not floored at lo, so bounds that fell below a value
+# the kernel attains can show as lo > hi.  Several regions can be searched at
+# once: they share each round's element evaluations, and each keeps its own
+# lo, hi, work limit and cuts.
 #
 # A round is one _element_bounds call over the open elements of all regions,
 # then one _sup_round per region.  The sups of K^(j) are taken once per
 # element and sliced per kernel, both sides of an element are tested at once,
-# and concave edge runs are settled by scalar Newton on Python floats.  A
+# and every concave edge run is settled by scalar Newton on Python floats, in
+# the order the runs are built: no run's result depends on another's.  A
 # search of one region mostly closes in its first round, so a round's fixed
 # cost, not its element count, sets its time.
 
@@ -164,12 +166,9 @@ def _first_cover(a_max):
     far = [near]
     while far[-1] < a_max:
         far.append(min(4.0 * far[-1], a_max))
-    # every _SUP_SEGMENTS-th alpha break of the segments is a box's:
-    # linspace's i-th break is i times its step, and dividing the step by
-    # _SUP_SEGMENTS, a power of 2, is exact unless the quotient is subnormal
+    # every _SUP_SEGMENTS-th alpha break of the segments is a box's
     a_segments = np.linspace(0.0, near, cells * _SUP_SEGMENTS + 1)
-    a_boxes = (a_segments[::_SUP_SEGMENTS] if near / (cells * _SUP_SEGMENTS) >= 2.0**-1022
-               else np.linspace(0.0, near, cells + 1))
+    a_boxes = a_segments[::_SUP_SEGMENTS]
     if len(far) > 1:
         a_boxes, a_segments = (np.concatenate((x, far[1:])) for x in (a_boxes, a_segments))
     boxes = (a_boxes.size - 1) * _SUP_GRID
@@ -268,7 +267,6 @@ def _sup_round(region, lo, hi, work, last, elements, bounds):
         # when the work or round limit stopped the search, and then
         # hi > lo (1 + _SUP_RTOL)
         hi[:] = np.maximum(hi, np.where(drop, 0.0, ub).max(axis=1))
-        hi[:] = np.maximum(hi, lo)
         return None
     hi[:] = np.maximum(hi, np.max(np.where(over | drop, 0.0, ub), axis=1))
     # halve each open element along the sides whose second-order term,
@@ -303,9 +301,9 @@ def _halve(a0, a1, u0, u1, cut_a, cut_u):
 
 def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
     """Newton on each run of contiguous open edge segments where kernel
-    `which` is concave, best first: the run's value raises lo[which], and its
-    tangent bound, plus the largest rounding allowance of the run, replaces
-    the bound of each of its segments."""
+    `which` is concave: the run's value raises lo[which], and its tangent
+    bound, plus the largest rounding allowance of the run, replaces the bound
+    of each of its segments."""
     # (line, start, end, index) of each open segment, in Python floats for the
     # scalar Newton: along alpha on u = 0, 1, then along u on alpha = 0, a_max
     segments = []
@@ -319,17 +317,15 @@ def _settle_concave(g, t_radius, which, a0, a1, u0, u1, ub, allow, lo, open_):
             runs[-1][3].append(i)
         else:
             runs.append([line, start, end, [i]])
-    for top, x0, x1, members in sorted(
-            ((max(ub[j] for j in run[3]), *run[1:]) for run in runs), key=lambda x: -x[0]):
-        if top > lo[which] * (1.0 + _SUP_RTOL):
-            i = members[0]
-            e0, v0 = float(a0[i]), float(u0[i])
-            if a1[i] > a0[i]:
-                found, bound = _segment_newton(g, t_radius, which, x0, x1, v0, v0)
-            else:
-                found, bound = _segment_newton(g, t_radius, which, e0, e0, x0, x1)
-            lo[which] = max(lo[which], found)
-            ub[members] = bound + allow[members].max()
+    for _, x0, x1, members in runs:
+        i = members[0]
+        e0, v0 = float(a0[i]), float(u0[i])
+        if a1[i] > a0[i]:
+            found, bound = _segment_newton(g, t_radius, which, x0, x1, v0, v0)
+        else:
+            found, bound = _segment_newton(g, t_radius, which, e0, e0, x0, x1)
+        lo[which] = max(lo[which], found)
+        ub[members] = bound + allow[members].max()
 
 
 def _segment_newton(g, t_radius, which, a0, a1, u0, u1):
@@ -418,6 +414,8 @@ def _element_bounds(g, t_radius, a0, a1, u0, u1):
         cos *= cos
         cos2 = np.where(pole, 0.0, np.minimum(cos[:m], cos[m:]))
         s, t = _sech2_tanh(ac[:m], bc[:m])
+        # 4 e2 / (1 + e2)^2 rounds sech^2 alpha to 1 + 2^-52 below about 1e-8
+        qh = np.minimum(qh, 1.0)
         sup_s = qh / (1.0 - qh + qh * cos2)
         tb = np.abs(t) + sup_s * rh
         dl = 2.0 * sup_s * tb * rh

@@ -171,6 +171,12 @@ class TestCorrectionIntegral:
                 with pytest.raises(ConfigError):
                     call(other)
 
+    def test_slow_decay_past_the_panel_cap_raises(self):
+        # mu = 30, a = 0: the magnitude decays along v2 at rate 1 / (1 + g) =
+        # 1/901, and reaching the surface floor takes about 257 panels
+        with pytest.raises(QuadratureError, match="does not decay within 200 panels"):
+            quad_i(mixture([30.0], [[1.0]]), [0.0], 200)
+
     def test_rejects_non_integer_n(self):
         m = mixture([1.0], [[1.0]])
         with pytest.raises(DimensionError):
@@ -385,10 +391,33 @@ class TestCheckAssumptions:
         assert rep.samples == 2000
 
     def test_pure_gaussian_clean(self):
-        m = mixture(np.zeros(1), np.eye(1))
-        rep = check_assumptions(m, [np.zeros(1)], 100, sample_count=500)
-        assert rep.magnitude_violations == 0
-        assert rep.exp_branch_violations == 0
+        # at d = 240, n log m <= -n r0^2 / 2 = -3.125 d = -750 beyond the
+        # ball: every scanned point there underflows at its n-th power
+        for d in (1, 240):
+            m = mixture(np.zeros(d), np.eye(d))
+            rep = check_assumptions(m, [np.zeros(d)], 100, sample_count=500)
+            assert rep.magnitude_violations == 0
+            assert rep.exp_branch_violations == 0
+        assert rep.kappa_est == math.inf
+        assert rep.note == "n-th power underflows at every scanned point beyond the trust ball"
+
+    def test_zero_of_cosh_on_the_inside_shell(self):
+        # ||v2|| = sqrt(g / (1 + g)) = pi/5 at g = p / (1 - p), p = pi^2/25, and
+        # r0 = 2.5 at n = d = 1: the outermost inside shell ends at beta = pi/2,
+        # where the phase is 0 but cosh has its zero
+        p = math.pi**2 / 25.0
+        m = mixture([math.sqrt(p / (1.0 - p))], [[1.0]])
+        rep = check_assumptions(m, [np.zeros(1)], 1)
+        assert rep.delta_arg == 0.0
+
+    def test_magnitude_flat_in_rounding_is_counted(self):
+        # g = 1e34 at alpha = 20: the decay along v2, r^2 / (2 (1 + sech^2(alpha) g)),
+        # is below the rounding of the terms it is formed from, and some
+        # scanned points read log m >= 0
+        m = mixture([1e17], [[1.0]])
+        rep = check_assumptions(m, [np.array([2e-16])], 100)
+        assert rep.magnitude_violations > 0
+        assert rep.note == f"{rep.magnitude_violations} scanned points show no magnitude decay"
 
     def test_empty_tau_samples(self):
         m = mixture([1.0], [[1.0]])

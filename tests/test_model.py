@@ -71,7 +71,7 @@ PINNED_BRACKETS = [
     ('0x1.43f936807571dp-12', '0x1.43f9368080fe8p-12', '0x1.3c6166a650ad6p-2', '0x1.3c6166b831104p-2'),
     ('0x1.c258c60c1ba97p+76', '0x1.c2590aaa813f5p+76', '0x1.36fad3db85a4ep+104', '0x1.36fb1697581dbp+104'),
     ('0x1.33fd1346f99b9p+6', '0x1.7e93f04e727d6p+6', '0x1.3889112d6da9ep+13', '0x1.8df0694b76558p+13'),
-    ('0x1.193360f74752ep+140', 'inf', '0x1.5b90b38c0747ap+205', 'inf'),
+    ('0x1.7944b8ae9406fp+127', 'inf', '0x1.2f6f4ee9e95dep+183', 'inf'),
 ]
 
 
@@ -147,6 +147,8 @@ class TestMixtureParams:
             MixtureParams(2, np.array([1.0]), np.eye(2))
         with pytest.raises(DimensionError):
             MixtureParams(1, np.array([1.0]), np.eye(2))
+        with pytest.raises(DimensionError, match="d must be >= 1"):
+            MixtureParams(0, [], [[]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ModelDomainError):
@@ -546,6 +548,22 @@ class TestCertifiedSuprema:
         for (lo, hi), ref in zip(brackets, _scan_reference(model, 0.4, t_r, 81, 401)):
             assert mpmath.mpf(hi) >= ref
             assert 0.0 < lo <= hi <= lo * (1.0 + 1e-6)
+
+    @pytest.mark.parametrize("g, a_max, t_r, alpha", [
+        (46.49553985778619, 0.00022668546719345847, 1.5875983551417971, 5.495e-9),
+        (0.0027621304326657897, 0.0002866893067022046, 29.929312919432657, 1.23e-9),
+        (246.72069431829553, 0.3048370964771535, 1.5739764466161286, 4.266e-9),
+        (0.012495060109341411, 0.009712199677035554, 14.139926703672058, 6.607e-10),
+    ])
+    def test_c3_bound_holds_where_sech2_rounds_past_one(self, g, a_max, t_r, alpha):
+        # within 1e-8 of the pole condition c3 peaks at alpha below 1e-8 on
+        # u = 1, where 4 e / (1 + e)^2, e = exp(-2 alpha), rounds sech^2 alpha
+        # to 1 + 2^-52: hi3 is at least a 50-digit value there, and lo3 <= hi3
+        (lo3, hi3), _ = suprema._certified_sup([(g, a_max, t_r)])[0]
+        with mpmath.workdps(50):
+            ref = _weighted_kernels_mp(g, alpha, 1, t_r)[0]
+        assert mpmath.mpf(hi3) >= ref
+        assert lo3 <= hi3
 
     @pytest.mark.parametrize("gap", [1e-8, 1e-10])
     def test_near_pole_search_stays_short(self, gap, monkeypatch):

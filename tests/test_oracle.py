@@ -502,11 +502,13 @@ class TestOracleDomain:
 class TestMcDensity:
     def test_matches_exact_within_band(self):
         # KDE smoothing bias at the peak is ~1-2%, so the band is
-        # max(4 stderr, 4% relative); seeds 0-3 all sit inside it
+        # max(4 stderr, 4% relative); seeds 0-3 all sit inside it, and so
+        # does a fixed bandwidth of 0.05 (a 1.2% bias)
         p = MixtureParams(1, np.zeros(1), np.eye(1))
         target = math.sqrt(10 / (2 * math.pi))  # N(0; 0, 1/10) at 0
-        for seed in range(4):
-            est, se = mc_density(p, 10, np.zeros(1), McOracleConfig(seed=seed))
+        configs = [McOracleConfig(seed=seed) for seed in range(4)]
+        for config in configs + [McOracleConfig(bandwidth=0.05)]:
+            est, se = mc_density(p, 10, np.zeros(1), config)
             assert abs(est - target) <= max(4 * se, 0.04 * target)
 
     def test_mixture_case_d2(self):

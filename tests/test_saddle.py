@@ -352,7 +352,8 @@ class TestScalarRoute:
     def test_damped_newton_takes_over_above_tol(self, monkeypatch):
         # sigma with eigenvalues 1 and 1e-8: rounding leaves the scalar
         # route's residual at about 5e-9, above tol = 1e-12, and the damped
-        # Newton seeded at tau = a brings it below tol
+        # Newton seeded at tau = a brings it below tol; method names it, in
+        # solve_saddle and in a batch row beside one the scalar route solves
         calls = []
         damped = saddle_module._damped_newton
 
@@ -364,8 +365,13 @@ class TestScalarRoute:
         c, s = math.cos(0.3), math.sin(0.3)
         q = np.array([[c, -s], [s, c]])
         sigma = q @ np.diag([1.0, 1e-8]) @ q.T
-        sp = solve_saddle(mixture([0.6, -0.8], 0.5 * (sigma + sigma.T)), [0.3, -0.2])
+        m = mixture([0.6, -0.8], 0.5 * (sigma + sigma.T))
+        sp = solve_saddle(m, [0.3, -0.2])
         assert len(calls) == 1 and sp.residual <= 1e-12
+        assert sp.method == "damped_newton"
+        rows = _solve_batch(m, np.array([[0.3, -0.2], [0.0, 0.0]]), 1e-12)
+        assert [row.method for row in rows] == ["damped_newton", "newton"]
+        assert np.array_equal(rows[0].tau, sp.tau)
 
     def test_singular_hessian_raises_nonconvergence(self):
         # draw 143 of a seeded scan: d = 7, sigma eigenvalues geomspace(1, 1e-15),

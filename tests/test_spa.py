@@ -177,6 +177,14 @@ class TestBudgetTotals:
         assert ok == budget_total(m, 50, 0.1)
         assert isinstance(bad, DimensionError) and "positive integer" in str(bad)
 
+    def test_nan_a_norm_is_a_dimension_error_in_place(self):
+        m = mixture_1d()
+        with pytest.raises(DimensionError, match="radii must be finite"):
+            budget_total(m, 50, math.nan)
+        ok, bad = budget_totals(m, [(50, 0.1), (50, math.nan)])
+        assert ok == budget_total(m, 50, 0.1)
+        assert isinstance(bad, DimensionError) and "radii must be finite" in str(bad)
+
 
 class TestTailTerms:
     def test_reference_values(self):

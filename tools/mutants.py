@@ -41,6 +41,7 @@ MUTANTS = {
         "suprema.py",
         "        w = r1 ** k * (1.0 + _SUP_SLACK)",
         "        w = r1 ** k"),
+    "sup-sech2-unclamped": ("suprema.py", "        qh = np.minimum(qh, 1.0)", "        qh = qh"),
     "sup-convex-unguarded": (
         "suprema.py",
         "        drop = mono[0] | mono[1] | (kept & (convex[0] | convex[1]))",
